@@ -5,8 +5,8 @@ Runs the seeded TPC-W and open-loop workloads under ``cProfile`` and
 and allocation sites.  This is the harness the hot-path optimisation
 work is driven from: every per-transaction cost attacked in
 ``docs/performance.md`` (synopsis composites, context hashing, thread
-shell recycling, batched SEDA dequeue, span allocation) first showed up
-at the top of these tables.
+wakeups, batched SEDA dequeue, span allocation) first showed up at the
+top of these tables.
 
 Not a pytest benchmark — run it directly::
 

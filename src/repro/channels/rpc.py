@@ -100,7 +100,7 @@ def send_request(
     stage = _stage(thread)
     synopsis = stage.send_request(thread) if stage is not None else None
     origin = stage.name if stage is not None else None
-    message = Message.acquire(payload, size, origin=origin, synopsis=synopsis)
+    message = Message(payload, size, origin=origin, synopsis=synopsis)
     if stage is not None:
         stage.account_message(size, message.context_bytes())
     tele = _telemetry.ACTIVE
@@ -148,7 +148,7 @@ def send_response(
     if stage is not None and request.synopsis is not None:
         composite = stage.send_response(thread, request.synopsis)
     origin = stage.name if stage is not None else None
-    message = Message.acquire(payload, size, origin=origin, synopsis=composite)
+    message = Message(payload, size, origin=origin, synopsis=composite)
     if stage is not None:
         stage.account_message(size, message.context_bytes())
     tele = _telemetry.ACTIVE
@@ -279,10 +279,6 @@ def call(
         response = yield from recv_response(thread, from_server, expected=expected)
         if tele is not None and tele.rpc_roundtrip is not None:
             tele.rpc_roundtrip.observe(kernel.now - started)
-        # The request message is done: the server consumed it and the
-        # matching response arrived (release is refcount-vetoed, so an
-        # endpoint still holding a duplicate keeps the shell alive).
-        message.release()
         return response
     for attempt in range(retry.retries + 1):
         if attempt:
@@ -296,7 +292,6 @@ def call(
         if response is not TIMED_OUT:
             if tele is not None and tele.rpc_roundtrip is not None:
                 tele.rpc_roundtrip.observe(kernel.now - started)
-            message.release()
             return response
     stage = _stage(thread)
     if stage is not None and expected is not None:

@@ -470,6 +470,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     import os
 
     from repro.analysis import render_flow_graph, render_stitched_profile
+    from repro.core.persist import MANIFEST_NAME, load_run
     from repro.core.stitch import flow_graph, stitch_profiles
     from repro.parallel import parallel_load, stitch_spool
 
@@ -478,16 +479,22 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     # an explicit completeness ratio instead of an abort.
     strict = bool(getattr(args, "strict", False))
     if len(args.profiles) == 1 and os.path.isdir(args.profiles[0]):
-        # A spool directory written by a sharded run: map-reduce the
-        # per-shard groups from its manifest — flat, or through the
-        # hierarchical reduce tree when --group-size is given (the
-        # output bytes are identical either way).
-        profile = stitch_spool(
-            args.profiles[0],
-            jobs=args.jobs,
-            strict=strict,
-            group_size=args.group_size,
-        )
+        directory = args.profiles[0]
+        if os.path.isfile(os.path.join(directory, MANIFEST_NAME)):
+            # A spool directory written by a sharded run: map-reduce
+            # the per-shard groups from its manifest — flat, or through
+            # the hierarchical reduce tree when --group-size is given
+            # (the output bytes are identical either way).
+            profile = stitch_spool(
+                directory,
+                jobs=args.jobs,
+                strict=strict,
+                group_size=args.group_size,
+            )
+        else:
+            # A --save-profiles dump directory or a live checkpoint
+            # directory: the loader `repro diff` uses.
+            profile = load_run(directory, strict=strict, jobs=args.jobs).profile
         if args.digest:
             return _print_digest(profile)
         print(render_stitched_profile(profile, min_share=args.min_share))
@@ -579,64 +586,46 @@ def cmd_live_report(args: argparse.Namespace) -> int:
         render_live_top,
         render_stitched_profile,
     )
-    from repro.live import LiveCollector, list_checkpoints
+    from repro.core.persist import live_collectors
+    from repro.parallel.reduce import ProfileAccumulator
+    from repro.parallel.stitching import _tag_unresolved
 
     directory = args.directory
     if not os.path.isdir(directory):
         print(f"error: {directory!r} is not a directory", file=sys.stderr)
         return 2
     strict = bool(args.strict)
-    shard_names = sorted(
-        name
-        for name in os.listdir(directory)
-        if name.startswith("shard-")
-        and os.path.isdir(os.path.join(directory, name))
-    )
-    if shard_names:
-        from repro.parallel.reduce import ProfileAccumulator
-        from repro.parallel.stitching import _tag_unresolved
-
-        accumulator = ProfileAccumulator()
-        checkpoint_files = 0
-        for name in shard_names:
-            shard_dir = os.path.join(directory, name)
-            index = int(name.split("-", 1)[1])
-            checkpoint_files += len(list_checkpoints(shard_dir))
-            collector = LiveCollector.recover(shard_dir)
-            shard_profile = (
-                collector.compact(strict=strict)
-                if args.compact
-                else collector.stitched_profile(strict=strict)
-            )
-            accumulator.add_profile(
-                _tag_unresolved(shard_profile, f"@shard{index}")
-            )
-        profile = accumulator.finalize()
-        if args.digest:
-            return _print_digest(profile)
-        print(
-            f"recovered {len(shard_names)} shard collectors "
-            f"({checkpoint_files} checkpoint files)"
-        )
-        print()
-    else:
-        if not list_checkpoints(directory):
+    accumulator = ProfileAccumulator()
+    shards = checkpoint_files = 0
+    for index, collector in live_collectors(directory):
+        if index is None and not collector.recovered_from:
             print(f"error: no checkpoints in {directory!r}", file=sys.stderr)
             return 2
-        collector = LiveCollector.recover(directory)
         profile = (
             collector.compact(strict=strict)
             if args.compact
             else collector.stitched_profile(strict=strict)
         )
-        if args.digest:
-            return _print_digest(profile)
-        if args.top:
-            print(render_live_top(collector, k=args.top))
-            if collector.crosstalk_pairs():
-                print()
-                print(render_live_crosstalk(collector))
+        if index is not None:
+            shards += 1
+            checkpoint_files += collector.recovered_from
+            accumulator.add_profile(_tag_unresolved(profile, f"@shard{index}"))
+    if shards:
+        profile = accumulator.finalize()
+    if args.digest:
+        return _print_digest(profile)
+    if shards:
+        print(
+            f"recovered {shards} shard collectors "
+            f"({checkpoint_files} checkpoint files)"
+        )
+        print()
+    elif args.top:
+        print(render_live_top(collector, k=args.top))
+        if collector.crosstalk_pairs():
             print()
+            print(render_live_crosstalk(collector))
+        print()
     print(render_stitched_profile(profile, min_share=args.min_share))
     print(f"\ncompleteness {100.0 * profile.completeness:.2f}%")
     return 0

@@ -606,9 +606,10 @@ def dump_size(stage: StageRuntime, profile_format: str = "v1") -> int:
 #: directory of dumps (no spool manifest, no live checkpoints).
 DUMP_SUFFIXES = (".json", ".wdp", ".wdp2", ".profile", ".dump")
 
-#: Kept in sync with repro.parallel.runner.MANIFEST_NAME (no import so
-#: loading a single dump file never drags the parallel package in).
-SPOOL_MANIFEST = "manifest.json"
+#: The manifest a sharded run writes at the root of its spool directory
+#: (defined here, below the parallel package, so loading a single dump
+#: file never drags that package in).
+MANIFEST_NAME = "manifest.json"
 
 #: Pair table value: ``(count, total_wait, max_wait)``.
 CrosstalkTable = Dict[Tuple[str, str], Tuple[int, float, float]]
@@ -695,7 +696,7 @@ def _dump_files_in(directory: str) -> List[str]:
         if (
             os.path.isfile(path)
             and name.endswith(DUMP_SUFFIXES)
-            and name != SPOOL_MANIFEST
+            and name != MANIFEST_NAME
         ):
             out.append(path)
     return out
@@ -709,8 +710,13 @@ def _live_crosstalk(collector) -> CrosstalkTable:
     }
 
 
-def _load_live_run(directory: str, strict: bool) -> RunProfile:
-    """Recover live-collector checkpoints (single or ``shard-NNNN/``)."""
+def live_collectors(directory: str):
+    """Recover the collectors of a live checkpoint directory.
+
+    Yields ``(shard_index, collector)`` per ``shard-NNNN/``
+    subdirectory, in shard order; a directory holding none yields its
+    own collector once, with index ``None``.
+    """
     import os
 
     from repro.live import LiveCollector
@@ -721,10 +727,27 @@ def _load_live_run(directory: str, strict: bool) -> RunProfile:
         if name.startswith("shard-")
         and os.path.isdir(os.path.join(directory, name))
     )
-    crosstalk: CrosstalkTable = {}
+    if not shard_names:
+        yield None, LiveCollector.recover(directory)
+    for name in shard_names:
+        yield (
+            int(name.split("-", 1)[1]),
+            LiveCollector.recover(os.path.join(directory, name)),
+        )
 
-    def fold(extra: CrosstalkTable) -> None:
-        for key, (count, total, peak) in extra.items():
+
+def _load_live_run(directory: str, strict: bool) -> RunProfile:
+    """Recover live-collector checkpoints (single or ``shard-NNNN/``)."""
+    # The same fold as the sharded post-mortem reduce: per-shard
+    # profiles through the exact accumulator, UnresolvedRefs qualified
+    # with their shard so they can never spuriously merge.
+    from repro.parallel.reduce import ProfileAccumulator
+    from repro.parallel.stitching import _tag_unresolved
+
+    crosstalk: CrosstalkTable = {}
+    accumulator = ProfileAccumulator()
+    for index, collector in live_collectors(directory):
+        for key, (count, total, peak) in _live_crosstalk(collector).items():
             have = crosstalk.get(key)
             if have is None:
                 crosstalk[key] = (count, total, peak)
@@ -734,29 +757,11 @@ def _load_live_run(directory: str, strict: bool) -> RunProfile:
                     have[1] + total,
                     max(have[2], peak),
                 )
-
-    if shard_names:
-        # The same fold as the sharded post-mortem reduce: per-shard
-        # profiles through the exact accumulator, UnresolvedRefs
-        # qualified with their shard so they can never spuriously merge.
-        from repro.parallel.reduce import ProfileAccumulator
-        from repro.parallel.stitching import _tag_unresolved
-
-        accumulator = ProfileAccumulator()
-        for name in shard_names:
-            collector = LiveCollector.recover(os.path.join(directory, name))
-            index = int(name.split("-", 1)[1])
-            accumulator.add_profile(
-                _tag_unresolved(
-                    collector.stitched_profile(strict=strict), f"@shard{index}"
-                )
-            )
-            fold(_live_crosstalk(collector))
-        profile = accumulator.finalize()
-    else:
-        collector = LiveCollector.recover(directory)
         profile = collector.stitched_profile(strict=strict)
-        fold(_live_crosstalk(collector))
+        if index is not None:
+            accumulator.add_profile(_tag_unresolved(profile, f"@shard{index}"))
+    if index is not None:
+        profile = accumulator.finalize()
     return RunProfile(directory, "live", profile, [], crosstalk)
 
 
@@ -792,7 +797,7 @@ def load_run(source, strict: bool = False, jobs: int = 1) -> RunProfile:
             list(source), "dumps", profile, stages, crosstalk_table(stages)
         )
     if os.path.isdir(source):
-        if os.path.isfile(os.path.join(source, SPOOL_MANIFEST)):
+        if os.path.isfile(os.path.join(source, MANIFEST_NAME)):
             from repro.parallel.stitching import spool_groups, stitch_spool
 
             profile = stitch_spool(source, jobs=jobs, strict=strict)

@@ -175,21 +175,6 @@ class StitchedProfile:
         else:
             existing.merge(cct)
 
-    def merge(self, other: "StitchedProfile") -> None:
-        """Fold another stitched profile into this one.
-
-        Entries for the same ``(stage, resolved context)`` pair merge
-        their CCTs (the iterative merge from :mod:`repro.core.cct`);
-        resolution tallies are summed.  This is the deterministic reduce
-        of the parallel presentation phase: folding shard profiles in
-        shard-index order yields output independent of which worker
-        produced which profile when.
-        """
-        for (stage, context), cct in other.entries.items():
-            self.add(stage, context, cct)
-        self.synopsis_refs += other.synopsis_refs
-        self.unresolved_refs += other.unresolved_refs
-
     def invalidate_weights(self, stage: Optional[str] = None) -> None:
         """Drop memoized stage weights (for one stage, or all)."""
         if stage is None:

@@ -27,12 +27,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import telemetry as _telemetry
+from repro.core.persist import MANIFEST_NAME
 from repro.parallel.shard import ShardPlan, ShardSpec
 
 #: Dump file suffix per profile format.
 DUMP_SUFFIX = {"v1": ".profile.json", "v2": ".profile.wdp"}
-
-MANIFEST_NAME = "manifest.json"
 
 
 @dataclass

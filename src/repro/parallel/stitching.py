@@ -24,11 +24,8 @@ import os
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.context import TransactionContext, UnresolvedRef
+from repro.core.persist import MANIFEST_NAME
 from repro.core.stitch import StitchedProfile, stitch_profiles
-
-#: Kept in sync with repro.parallel.runner.MANIFEST_NAME (no import to
-#: keep worker pickling light).
-MANIFEST_NAME = "manifest.json"
 
 
 def _pool(jobs: int):
@@ -121,12 +118,9 @@ def parallel_stitch(
     else:
         profiles = pool.run(_stitch_group, tasks)
     if len(groups) <= 1:
-        # Single resolution universe: plain clone-merge, no shard
-        # tagging — the classic serial presentation phase.
-        merged = StitchedProfile()
-        for profile in profiles:
-            merged.merge(profile)
-        return merged
+        # Single resolution universe: no shard tagging, no fold — the
+        # classic serial presentation phase.
+        return profiles[0] if profiles else StitchedProfile()
     from repro.parallel.reduce import ProfileAccumulator
 
     accumulator = ProfileAccumulator()

@@ -48,7 +48,6 @@ timestamp keeps O(1) schedule/cancel while preserving exact
 from __future__ import annotations
 
 import heapq
-import sys
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
@@ -59,12 +58,6 @@ from repro.sim.process import SimThread
 # weight and big enough for the rebuild to matter.
 _PURGE_MIN_QUEUE = 64
 
-# Cap on the kernel's freelist of dead SimThread shells.  Thread-churn
-# workloads (one thread per request/session) otherwise allocate and
-# collect a full SimThread — plus its joiners and call-stack lists — per
-# transaction; the cap bounds the memory a burst can pin.
-_THREAD_FREELIST_MAX = 1024
-
 # With telemetry on, refresh the kernel gauges every this many events
 # rather than on every pop.
 _TELEMETRY_GAUGE_INTERVAL = 64
@@ -73,14 +66,6 @@ _INF = float("inf")
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-_getrefcount = sys.getrefcount
-
-# getrefcount() value for a just-popped shell with NO outside handles:
-# the local variable in spawn() plus getrefcount's own argument
-# binding.  Anything higher means user code still holds the dead
-# thread (a pending Join target, a stored handle, a not-yet-fired
-# ``thread.step`` timer) and the shell must not be reused.
-_FREE_SHELL_REFS = 2
 
 
 class ScheduledEvent:
@@ -143,7 +128,6 @@ class Kernel:
         "_num_events",
         "_threads",
         "_next_tid",
-        "_thread_freelist",
         "_stopped",
         "faults",
         "_cancelled",
@@ -175,9 +159,6 @@ class Kernel:
         # however many short-lived threads a run spawns.
         self._threads: Dict[int, SimThread] = {}
         self._next_tid = 0
-        # Field-clean dead SimThread shells for reuse by spawn() (see
-        # :meth:`reap`); bounded by _THREAD_FREELIST_MAX.
-        self._thread_freelist: List[SimThread] = []
         self._stopped = False
         # Fault injector (repro.faults.install_faults); endpoints capture
         # their per-rule state from it at construction.  None = lossless.
@@ -328,34 +309,7 @@ class Kernel:
         """
         tid = self._next_tid
         self._next_tid += 1
-        freelist = self._thread_freelist
-        if freelist:
-            thread = freelist.pop()
-            if _getrefcount(thread) == _FREE_SHELL_REFS:
-                # Inlined thread._reinit(generator, tid, name, stage):
-                # spawn is the churn hot path and the call frame is
-                # measurable.  Keep in sync with SimThread._reinit.
-                thread.generator = generator
-                thread.tid = tid
-                thread._name = name
-                thread.stage = stage
-                thread.daemon = False
-                thread.alive = True
-                thread.result = None
-                thread.failure = None
-                thread.blocked_on = None
-                thread.joiners.clear()
-                thread.call_stack.clear()
-                thread.tran_ctxt = None
-            else:
-                # Someone still holds the dead thread's handle (e.g. a
-                # Join target kept across runs): retire the shell so
-                # that handle keeps observing the finished thread, and
-                # allocate fresh.  Reuse therefore can never alias a
-                # reachable thread.
-                thread = SimThread(self, generator, tid, name, stage)
-        else:
-            thread = SimThread(self, generator, tid, name, stage)
+        thread = SimThread(self, generator, tid, name, stage)
         self._threads[tid] = thread
         # Inlined call_soon(thread.step, None): spawn is the thread-churn
         # hot path.  The wakeup goes on the wheel as a bare
@@ -379,27 +333,8 @@ class Kernel:
         Called from :meth:`SimThread.finish` / ``fail``; keeps
         ``live_threads`` and the deadlock check proportional to the
         number of *live* threads instead of every thread ever spawned.
-
-        A cleanly finished thread's shell goes on a bounded freelist for
-        :meth:`spawn` to recycle.  The shell keeps its ``result`` and
-        dead state until actually reused, so the common pattern of
-        reading ``thread.result`` right after a run still works — but a
-        handle held across later spawns may observe the shell serving a
-        *new* thread.  Join dead threads promptly; failed threads are
-        never recycled (their ``failure`` stays inspectable forever).
         """
         self._threads.pop(thread.tid, None)
-        if thread.failure is None:
-            freelist = self._thread_freelist
-            if len(freelist) < _THREAD_FREELIST_MAX:
-                # Drop heavyweight references now (the generator frame,
-                # the transaction context); scalar state is scrubbed on
-                # reuse by _reinit.
-                thread.generator = None
-                thread.blocked_on = None
-                thread.tran_ctxt = None
-                thread.stage = None
-                freelist.append(thread)
 
     def resume(self, thread: SimThread, value: Any = None) -> None:
         """Unblock ``thread``, delivering ``value`` as the result of the

@@ -192,39 +192,12 @@ class SimThread:
         self.call_stack: List[str] = []
         self.tran_ctxt: Any = None
 
-    def _reinit(
-        self,
-        generator: Iterator,
-        tid: int,
-        name: Optional[str],
-        stage: Any,
-    ) -> None:
-        """Re-arm a recycled shell from the kernel's thread freelist.
-
-        Every field a dead thread could leak into its successor is
-        scrubbed here (reuse-after-release is field-clean); the joiner
-        and call-stack *list objects* are reused, which is the point of
-        recycling.
-        """
-        self.generator = generator
-        self.tid = tid
-        self._name = name
-        self.stage = stage
-        self.daemon = False
-        self.alive = True
-        self.result = None
-        self.failure = None
-        self.blocked_on = None
-        self.joiners.clear()
-        self.call_stack.clear()
-        self.tran_ctxt = None
-
     @property
     def name(self) -> str:
         """Thread name, derived lazily from the tid when not given.
 
         Anonymous request/session threads dominate churn-heavy runs;
-        deferring the f-string keeps spawn() allocation-free for them.
+        deferring the f-string keeps it off the spawn() path for them.
         """
         name = self._name
         if name is None:

@@ -17,17 +17,8 @@ retains them (optionally ring-buffered) for batch exporters.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
-
-# A span popped off the retention ring with no external handles has
-# exactly two references: the popping local and getrefcount's argument.
-# Anything higher means a sink or caller still holds the object and the
-# recorder must not recycle it (see SpanRecorder._emit).
-_FREE_SPAN_REFS = 2
-_SPAN_POOL_MAX = 512
-_getrefcount = sys.getrefcount
 
 
 class Span:
@@ -73,35 +64,6 @@ class Span:
         # spans-mode telemetry.
         self._attrs = attrs
         self._links: Optional[List[Tuple[int, int]]] = None
-
-    def _reinit(
-        self,
-        span_id: int,
-        trace_id: int,
-        name: str,
-        category: str,
-        stage: Optional[str],
-        thread: Optional[int],
-        start: float,
-        parent_id: Optional[int],
-        attrs: Optional[Dict[str, Any]],
-    ) -> None:
-        """Re-arm a recycled shell from the recorder's span pool.
-
-        Every slot is overwritten (reuse-after-release is field-clean);
-        lazy attrs/links reset to the unmaterialised state.
-        """
-        self.span_id = span_id
-        self.trace_id = trace_id
-        self.parent_id = parent_id
-        self.name = name
-        self.category = category
-        self.stage = stage
-        self.thread = thread
-        self.start = start
-        self.end = None
-        self._attrs = attrs
-        self._links = None
 
     @property
     def attrs(self) -> Dict[str, Any]:
@@ -163,14 +125,6 @@ class SpanRecorder:
         # per touch than OrderedDict.move_to_end.
         self._synopsis_index: Dict[Tuple[str, int], Tuple[int, int]] = {}
         self._synopsis_capacity = synopsis_capacity
-        # Recycled Span shells (see _emit).  Recycling only engages when
-        # the retention ring is bounded (evicted spans are provably
-        # unreachable from the recorder) AND every attached sink
-        # declares ``retains_spans = False``; a refcount veto at pop
-        # time catches any other live handle.
-        self._span_pool: List[Span] = []
-        self._pool_ok = capacity is not None and capacity > 0
-        self._recycle = self._pool_ok
         self.synopses_evicted = 0
         # Size gauge, installed by the telemetry hub when metrics are on.
         self.pending_gauge: Optional[Any] = None
@@ -191,7 +145,6 @@ class SpanRecorder:
         self._sinks.append(sink)
         if getattr(sink, "wants_profile_events", False):
             self._profile_sinks.append(sink)
-        self._update_recycle()
 
     def detach_sink(self, sink: Any) -> None:
         """Remove a sink from all dispatch lists (no-op if absent)."""
@@ -199,16 +152,6 @@ class SpanRecorder:
             self._sinks.remove(sink)
         if sink in self._profile_sinks:
             self._profile_sinks.remove(sink)
-        self._update_recycle()
-
-    def _update_recycle(self) -> None:
-        """Span recycling is safe only while no attached sink may hold
-        on to spans past ``on_span`` (``retains_spans`` defaults to
-        True, so unknown sinks disable the pool)."""
-        self._recycle = self._pool_ok and all(
-            getattr(sink, "retains_spans", True) is False
-            for sink in self._sinks
-        )
 
     def _quarantine(self, failed: List[Any]) -> None:
         """Detach sinks that raised; the hot path must survive them."""
@@ -225,12 +168,8 @@ class SpanRecorder:
     def _emit(self, span: Span) -> None:
         self.completed += 1
         spans = self._spans
-        capacity = spans.maxlen
-        recycled = None
-        if capacity is not None and len(spans) == capacity:
+        if len(spans) == spans.maxlen:
             self.dropped += 1
-            if self._recycle:
-                recycled = spans.popleft()
         spans.append(span)
         sinks = self._sinks
         if sinks:
@@ -244,14 +183,6 @@ class SpanRecorder:
                     failed.append(sink)
             if failed is not None:
                 self._quarantine(failed)
-        if recycled is not None and _getrefcount(recycled) == _FREE_SPAN_REFS:
-            # Nothing outside this frame holds the evicted span: its
-            # shell can be re-armed for a future begin()/instant().
-            # Any surviving handle (a test, a slow exporter) fails the
-            # refcount check and the shell is simply dropped.
-            pool = self._span_pool
-            if len(pool) < _SPAN_POOL_MAX:
-                pool.append(recycled)
 
     # ------------------------------------------------------------------
     # Raw profiler events (online stitching)
@@ -291,7 +222,6 @@ class SpanRecorder:
     def close_sinks(self) -> None:
         """Close every attached sink once; errors are counted, not raised."""
         sinks, self._sinks, self._profile_sinks = self._sinks, [], []
-        self._update_recycle()
         for sink in sinks:
             try:
                 sink.close()
@@ -307,33 +237,6 @@ class SpanRecorder:
         trace_id = self._next_trace_id
         self._next_trace_id += 1
         return trace_id
-
-    def _new_span(
-        self,
-        name: str,
-        category: str,
-        stage: Optional[str],
-        thread: Optional[int],
-        t: float,
-        trace_id: int,
-        parent_id: Optional[int],
-        attrs: Optional[Dict[str, Any]],
-    ) -> Span:
-        """Allocate a span, re-arming a pooled shell when one exists."""
-        span_id = self._next_span_id
-        self._next_span_id = span_id + 1
-        pool = self._span_pool
-        if pool:
-            span = pool.pop()
-            span._reinit(
-                span_id, trace_id, name, category, stage, thread, t,
-                parent_id, attrs,
-            )
-            return span
-        return Span(
-            span_id, trace_id, name, category, stage, thread, t,
-            parent_id=parent_id, attrs=attrs,
-        )
 
     def begin(
         self,
@@ -361,9 +264,11 @@ class SpanRecorder:
                     trace_id = parent.trace_id
         if trace_id is None:
             trace_id = self.new_trace_id()
-        span = self._new_span(
-            name, category, stage, thread, t, trace_id, parent_id, attrs
+        span = Span(
+            self._next_span_id, trace_id, name, category, stage, thread, t,
+            parent_id=parent_id, attrs=attrs,
         )
+        self._next_span_id += 1
         if thread is not None:
             self._stacks.setdefault(thread, []).append(span)
         return span
@@ -412,9 +317,11 @@ class SpanRecorder:
                     trace_id = parent.trace_id
         if trace_id is None:
             trace_id = self.new_trace_id()
-        span = self._new_span(
-            name, category, stage, thread, t, trace_id, parent_id, attrs
+        span = Span(
+            self._next_span_id, trace_id, name, category, stage, thread, t,
+            parent_id=parent_id, attrs=attrs,
         )
+        self._next_span_id += 1
         if adopt is not None:
             self.adopt_synopsis(adopt[0], adopt[1], span)
         span.end = t

@@ -363,6 +363,34 @@ def test_join_works_after_target_reaped():
     assert results == ["done"]
 
 
+def test_finished_thread_handle_outlives_later_spawns():
+    """A held handle keeps reading the thread it was returned for — dead,
+    with its result and stage — however many threads come and go after."""
+    kernel = Kernel()
+    stage = object()
+
+    def worker(value):
+        yield Delay(0.0)
+        return value
+
+    held = kernel.spawn(worker("first"), stage=stage)
+    kernel.run()
+    for _ in range(40):
+        for i in range(50):
+            kernel.spawn(worker(i))
+        kernel.run()
+    assert len(kernel._threads) == 0
+    assert held.alive is False
+    assert held.result == "first"
+    assert held.stage is stage
+
+    live = [kernel.spawn(worker(i)) for i in range(4)]
+    assert len({id(thread) for thread in live}) == 4
+    assert len({thread.tid for thread in live}) == 4
+    assert all(thread.alive for thread in live)
+    kernel.run()
+
+
 def test_cancelled_events_are_purged_lazily():
     kernel = Kernel()
     events = [kernel.schedule(1.0 + i, lambda: None) for i in range(1000)]

@@ -101,6 +101,33 @@ def test_ring_buffer_drops_oldest_but_counts_everything():
     assert rec.completed == 5
 
 
+def test_sink_may_keep_every_span_past_ring_eviction():
+    """A span handed to ``on_span`` stays that span: a sink retaining
+    all of them across ring evictions sees distinct, unchanging objects."""
+    rec = SpanRecorder(capacity=8)
+    keeper = CollectingSink()
+    rec.add_sink(keeper)
+    seen = []
+    rec.add_sink(
+        CallbackSink(
+            lambda s: seen.append((s.span_id, s.trace_id, s.name, s.start, s.end))
+        )
+    )
+    for i in range(100):
+        if i % 2:
+            rec.instant(f"evt{i}", "test", "s", float(i), attrs={"i": i})
+        else:
+            rec.end(rec.begin(f"op{i}", "test", "s", float(i), thread=1), i + 0.5)
+    assert rec.dropped == 92
+    assert len({id(span) for span in keeper.spans}) == 100
+    assert [
+        (s.span_id, s.trace_id, s.name, s.start, s.end) for s in keeper.spans
+    ] == seen
+    assert [s.attrs for s in keeper.spans[1::2]] == [
+        {"i": i} for i in range(1, 100, 2)
+    ]
+
+
 def test_install_modes_and_scoped_enable():
     assert telemetry.active() is None
     with telemetry.enabled("spans") as tele:

@@ -118,6 +118,16 @@ def test_tpcw_save_profiles_and_stitch(tmp_path, capsys):
     assert "## stage mysql" in out
     assert "==request==>" in out
     assert "completeness 100.00%" in out
+    # The directory --save-profiles wrote holds no spool manifest; it
+    # must stitch like the files it contains, not die looking for one.
+    assert main(["stitch", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "## stage mysql" in out
+    assert "completeness 100.00%" in out
+    assert main(["stitch", "--digest"] + paths) == 0
+    by_name = capsys.readouterr().out
+    assert main(["stitch", "--digest", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == by_name
 
 
 def _seeded_tpcw_profiles(directory, clients="8", duration="5"):
