@@ -478,37 +478,45 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     # its dump was never collected) still yields a partial profile with
     # an explicit completeness ratio instead of an abort.
     strict = bool(getattr(args, "strict", False))
-    if len(args.profiles) == 1 and os.path.isdir(args.profiles[0]):
-        directory = args.profiles[0]
-        if os.path.isfile(os.path.join(directory, MANIFEST_NAME)):
-            # A spool directory written by a sharded run: map-reduce
-            # the per-shard groups from its manifest — flat, or through
-            # the hierarchical reduce tree when --group-size is given
-            # (the output bytes are identical either way).
-            profile = stitch_spool(
-                directory,
-                jobs=args.jobs,
-                strict=strict,
-                group_size=args.group_size,
-            )
-        else:
-            # A --save-profiles dump directory or a live checkpoint
-            # directory: the loader `repro diff` uses.
-            profile = load_run(directory, strict=strict, jobs=args.jobs).profile
-        if args.digest:
-            return _print_digest(profile)
-        print(render_stitched_profile(profile, min_share=args.min_share))
-        print(f"\ncompleteness {100.0 * profile.completeness:.2f}%")
-        return 0
-    stages = parallel_load(args.profiles, jobs=args.jobs)
+    stages = None
     resolve_cache = {}
-    profile = stitch_profiles(stages, cache=resolve_cache, strict=strict)
+    try:
+        if len(args.profiles) == 1 and os.path.isdir(args.profiles[0]):
+            directory = args.profiles[0]
+            if os.path.isfile(os.path.join(directory, MANIFEST_NAME)):
+                # A spool directory written by a sharded run: map-reduce
+                # the per-shard groups from its manifest — flat, or
+                # through the hierarchical reduce tree when --group-size
+                # is given (the output bytes are identical either way).
+                profile = stitch_spool(
+                    directory,
+                    jobs=args.jobs,
+                    strict=strict,
+                    group_size=args.group_size,
+                )
+            else:
+                # A --save-profiles dump directory or a live checkpoint
+                # directory: the loader `repro diff` uses.
+                profile = load_run(
+                    directory, strict=strict, jobs=args.jobs
+                ).profile
+        else:
+            stages = parallel_load(args.profiles, jobs=args.jobs)
+            profile = stitch_profiles(
+                stages, cache=resolve_cache, strict=strict
+            )
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.digest:
         return _print_digest(profile)
     print(render_stitched_profile(profile, min_share=args.min_share))
     print(f"\ncompleteness {100.0 * profile.completeness:.2f}%")
-    print()
-    print(render_flow_graph(flow_graph(stages, cache=resolve_cache, strict=strict)))
+    if stages is not None:
+        print()
+        print(render_flow_graph(
+            flow_graph(stages, cache=resolve_cache, strict=strict)
+        ))
     return 0
 
 

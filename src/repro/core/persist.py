@@ -38,7 +38,9 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import os
 import struct
+import zlib
 from typing import Any, Dict, IO, List, Optional, Tuple, Union
 
 from repro.core.cct import CCTNode
@@ -491,7 +493,13 @@ def read_frame(
     payload = handle.read(length)
     if len(payload) != length:
         raise ValueError("truncated frame payload")
-    return json.loads(gzip.decompress(payload))
+    try:
+        return json.loads(gzip.decompress(payload))
+    except (zlib.error, EOFError) as error:  # not gzip's own OSError
+        raise ValueError(
+            f"corrupt {got_magic!r} frame in "
+            f"{getattr(handle, 'name', '<stream>')!r}: {error}"
+        ) from error
 
 
 def dumps_stage_v2(stage: StageRuntime) -> bytes:
@@ -554,12 +562,13 @@ def save_stage(
         else:
             destination.write(blob)
         return
-    data = encode_stage(stage)
+    # dumps, not dump: the C encoder, not the streaming pure-Python one.
+    text = json.dumps(encode_stage(stage), separators=JSON_SEPARATORS)
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, separators=JSON_SEPARATORS)
+            handle.write(text)
     else:
-        json.dump(data, destination, separators=JSON_SEPARATORS)
+        destination.write(text)
 
 
 def _load_blob(blob: bytes) -> StageRuntime:
@@ -688,8 +697,6 @@ def _stages_from_file(path: str) -> List[StageRuntime]:
 
 
 def _dump_files_in(directory: str) -> List[str]:
-    import os
-
     out = []
     for name in sorted(os.listdir(directory)):
         path = os.path.join(directory, name)
@@ -717,8 +724,6 @@ def live_collectors(directory: str):
     subdirectory, in shard order; a directory holding none yields its
     own collector once, with index ``None``.
     """
-    import os
-
     from repro.live import LiveCollector
 
     shard_names = sorted(
@@ -784,8 +789,6 @@ def load_run(source, strict: bool = False, jobs: int = 1) -> RunProfile:
     nothing at all yields a valid empty profile (completeness 0.0)
     instead of a traceback — the contract `repro diff` relies on.
     """
-    import os
-
     from repro.core.stitch import stitch_profiles
 
     if isinstance(source, (list, tuple)):
@@ -798,15 +801,19 @@ def load_run(source, strict: bool = False, jobs: int = 1) -> RunProfile:
         )
     if os.path.isdir(source):
         if os.path.isfile(os.path.join(source, MANIFEST_NAME)):
-            from repro.parallel.stitching import spool_groups, stitch_spool
+            from repro.parallel import stitching
 
-            profile = stitch_spool(source, jobs=jobs, strict=strict)
-            stages = [
-                stage
-                for group in spool_groups(source)
-                for path in group
-                for stage in _stages_from_file(path)
-            ]
+            # One decode per dump serves the profile and `.stages`, so
+            # the stitch snapshot-copies where stitch_spool adopts.
+            groups = stitching.spool_groups(source)
+            stages = stitching.parallel_load(
+                [path for group in groups for path in group], jobs=jobs
+            )
+            decoded = iter(stages)
+            profile = stitching.fold_shards([
+                stitch_profiles([next(decoded) for _ in group], strict=strict)
+                for group in groups
+            ])
             return RunProfile(
                 source, "spool", profile, stages, crosstalk_table(stages)
             )
@@ -847,4 +854,4 @@ def load_and_stitch(paths: List[str], jobs: int = 1, strict: bool = True):
         stages = parallel_load(paths, jobs=jobs)
     else:
         stages = [load_stage(path) for path in paths]
-    return stitch_profiles(stages, strict=strict)
+    return stitch_profiles(stages, strict=strict, adopt=True)

@@ -165,13 +165,19 @@ class StitchedProfile:
             return 1.0 if self.entries else 0.0
         return (self.synopsis_refs - self.unresolved_refs) / self.synopsis_refs
 
-    def add(self, stage: str, context: TransactionContext, cct: CallingContextTree) -> None:
+    def add(self, stage: str, context: TransactionContext,
+            cct: CallingContextTree, adopt: bool = False) -> None:
+        """Merge ``cct`` in under ``(stage, context)`` — as a snapshot
+        copy, or with ``adopt`` as the entry itself (relabelled, and
+        mutated by later merges): only for a caller that built the tree
+        and drops every other reference to it."""
         self._stage_weights.pop(stage, None)
         existing = self.entries.get((stage, context))
         if existing is None:
-            clone = cct.copy()
-            clone.label = context
-            self.entries[(stage, context)] = clone
+            if not adopt:
+                cct = cct.copy()
+            cct.label = context
+            self.entries[(stage, context)] = cct
         else:
             existing.merge(cct)
 
@@ -312,6 +318,7 @@ def stitch_profiles(
     stages: Iterable[StageRuntime],
     cache: Optional[ResolutionCache] = None,
     strict: bool = True,
+    adopt: bool = False,
 ) -> StitchedProfile:
     """Combine per-stage profiles into one transactional profile.
 
@@ -324,6 +331,11 @@ def stitch_profiles(
     could be stitched.  Resolutions are memoized in ``cache`` (a fresh
     dict if not given); pass the same dict to :func:`flow_graph` to
     reuse the work.
+
+    The profile's trees are snapshot copies; ``adopt=True`` is for a
+    presentation phase that decoded ``stages`` itself and drops them on
+    return — their trees move into the profile uncloned, and the stages
+    must not be read afterwards.
     """
     by_name = {stage.name: stage for stage in stages}
     if cache is None:
@@ -333,7 +345,7 @@ def stitch_profiles(
     for stage in by_name.values():
         for label, cct in stage.ccts.items():
             resolved = resolve_context(label, by_name, cache, strict, stats)
-            profile.add(stage.name, resolved, cct)
+            profile.add(stage.name, resolved, cct, adopt)
     profile.synopsis_refs = stats.attempted
     profile.unresolved_refs = stats.unresolved
     return profile

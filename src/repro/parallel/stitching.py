@@ -46,8 +46,9 @@ def _load_one(path: str):
 
 def _stitch_group(task: Tuple[Sequence[str], bool]) -> StitchedProfile:
     paths, strict = task
+    # Decoded here and dropped on return: the profile takes the trees.
     stages = [_load_one(path) for path in paths]
-    return stitch_profiles(stages, strict=strict)
+    return stitch_profiles(stages, strict=strict, adopt=True)
 
 
 # ----------------------------------------------------------------------
@@ -66,6 +67,8 @@ def parallel_load(paths: Sequence[str], jobs: int = 1) -> List:
 
 def _tag_unresolved(profile: StitchedProfile, tag: str) -> StitchedProfile:
     """Qualify UnresolvedRef origins with the shard they came from.
+
+    Consumes ``profile``: its trees move into the tagged profile.
 
     Synopsis values are only unique *within* a shard's stages: without
     the qualifier, unresolved placeholders from different shards could
@@ -88,7 +91,7 @@ def _tag_unresolved(profile: StitchedProfile, tag: str) -> StitchedProfile:
             else element
             for element in context
         ]
-        tagged.add(stage, TransactionContext(elements), cct)
+        tagged.add(stage, TransactionContext(elements), cct, adopt=True)
     tagged.synopsis_refs = profile.synopsis_refs
     tagged.unresolved_refs = profile.unresolved_refs
     return tagged
@@ -117,7 +120,13 @@ def parallel_stitch(
         profiles = [_stitch_group(task) for task in tasks]
     else:
         profiles = pool.run(_stitch_group, tasks)
-    if len(groups) <= 1:
+    return fold_shards(profiles)
+
+
+def fold_shards(profiles: Sequence[StitchedProfile]) -> StitchedProfile:
+    """Reduce per-shard profiles, in shard order, through the exact
+    accumulator.  Consumes ``profiles``."""
+    if len(profiles) <= 1:
         # Single resolution universe: no shard tagging, no fold — the
         # classic serial presentation phase.
         return profiles[0] if profiles else StitchedProfile()

@@ -100,6 +100,17 @@ def test_v2_framing_rejects_corruption():
         loads_stage_v2(blob[:8])
     with pytest.raises(ValueError):
         loads_stage_v2(blob[:-5])
+    # Flip every byte in turn: the dump either still loads (gzip's
+    # mtime / OS bytes carry nothing) or is refused with the two
+    # exception types the CLI reports -- never zlib.error or EOFError.
+    for index in range(len(blob)):
+        damaged = bytearray(blob)
+        damaged[index] ^= 0xFF
+        try:
+            clone = loads_stage_v2(bytes(damaged))
+        except (ValueError, OSError):
+            continue
+        assert same_profile(clone, stage), index
 
 
 def test_v2_rejects_wrong_version():
@@ -133,6 +144,45 @@ def test_v1_dump_uses_compact_separators():
     text = buffer.getvalue()
     assert ", " not in text and ": " not in text
     json.loads(text)  # still plain JSON
+
+
+def _streamed_v1(stage):
+    """The streaming pure-Python encoder: the v1 writer's reference."""
+    buffer = io.StringIO()
+    json.dump(encode_stage(stage), buffer, separators=(",", ":"))
+    return buffer.getvalue()
+
+
+def test_v1_writer_matches_the_streaming_encoder():
+    stage = make_stage()
+    buffer = io.StringIO()
+    save_stage(stage, buffer, profile_format="v1")
+    assert buffer.getvalue() == _streamed_v1(stage)
+    assert dump_size(stage, "v1") == len(buffer.getvalue().encode("utf-8"))
+
+
+def test_v1_writer_encodes_as_deep_as_the_streaming_encoder():
+    # v1 nests one JSON object per frame, so the recursion limit bounds
+    # the call-path depth it can hold; the C encoder must not lower it.
+    def deep_stage(depth):
+        stage = StageRuntime("deep")
+        path = tuple(f"f{i}" for i in range(depth))
+        stage.cct_for(LOCAL).record_sample(path, 1.0)
+        return stage
+
+    low, high = 1, 4000
+    while low < high:  # deepest path the reference still encodes
+        middle = (low + high + 1) // 2
+        try:
+            _streamed_v1(deep_stage(middle))
+            low = middle
+        except RecursionError:
+            high = middle - 1
+    # save_stage itself is one frame the reference call does not have.
+    stage = deep_stage(low - 1)
+    buffer = io.StringIO()
+    save_stage(stage, buffer, profile_format="v1")
+    assert buffer.getvalue() == _streamed_v1(stage)
 
 
 def test_v1_dump_persists_synopsis_snapshot():

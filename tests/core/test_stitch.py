@@ -1,8 +1,11 @@
 """Tests for post-mortem profile stitching across stages."""
 
+import json
+
 import pytest
 
 from repro.core.context import SynopsisRef, TransactionContext
+from repro.core.persist import load_and_stitch, load_run, save_stage
 from repro.core.profiler import LOCAL, StageRuntime
 from repro.core.stitch import StitchError, resolve_context, stitch_profiles
 
@@ -138,17 +141,42 @@ def test_stitch_two_callers_produce_two_db_contexts():
     assert profile.cct("db", ctxt("main", "bar", "send")).total_weight() == 2.0
 
 
-def test_stitch_merges_labels_resolving_to_same_context():
+def test_stitch_merges_labels_resolving_to_same_context(tmp_path):
     web = StageRuntime("web")
     db = StageRuntime("db")
     send_ctxt = ctxt("main", "send")
     syn = web.synopses.synopsis(send_ctxt)
     # Same resolved context reachable via ref and recorded directly:
-    db.cct_for(ctxt(SynopsisRef("web", syn))).record_sample(("svc",), 1.0)
+    via_ref = ctxt(SynopsisRef("web", syn))
+    db.cct_for(via_ref).record_sample(("svc",), 1.0)
     db.cct_for(send_ctxt).record_sample(("svc",), 2.0)
 
     profile = stitch_profiles([web, db])
     assert profile.cct("db", send_ctxt).weight_of(("svc",)) == 3.0
+
+    # The same two labels through the persisted paths: a dump list and
+    # a one-shard spool.  load_run hands back the decoded stages beside
+    # the profile, so the merge must not have landed in their trees.
+    shard = tmp_path / "shard-0000"
+    shard.mkdir()
+    files = []
+    for stage in (web, db):
+        files.append(f"{stage.name}.wdp")
+        save_stage(stage, str(shard / files[-1]), "v2")
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"groups": [{"index": 0, "dir": "shard-0000", "files": files}]}
+    ))
+    paths = [str(shard / name) for name in files]
+    for source in (paths, str(tmp_path)):
+        run = load_run(source, strict=True)
+        assert run.profile.cct("db", send_ctxt).weight_of(("svc",)) == 3.0
+        loaded_db = run.stages[1]
+        assert loaded_db.ccts[via_ref].weight_of(("svc",)) == 1.0
+        assert loaded_db.ccts[send_ctxt].weight_of(("svc",)) == 2.0
+    # load_and_stitch keeps no stages: it owns the trees it decoded.
+    owned = load_and_stitch(paths)
+    assert owned.cct("db", send_ctxt).weight_of(("svc",)) == 3.0
+    assert owned.cct("db", send_ctxt).label == send_ctxt
 
 
 def test_stage_weight_and_context_share():

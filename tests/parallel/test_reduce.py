@@ -116,6 +116,28 @@ class TestAssociativity:
         assert canonical_profile_bytes(run.stitch(group_size=2)) == flat
 
 
+def test_load_run_decodes_each_spooled_dump_once(tmp_path, monkeypatch):
+    """One decode per dump serves both the profile and ``.stages``; the
+    result still matches the map-reduce, which adopts what it decodes."""
+    import repro.core.persist as persist
+
+    run = _run(tmp_path, "v2")
+    dumps = [path for group in run.dump_groups() for path in group]
+    expected = canonical_profile_bytes(run.stitch())
+    decoded = []
+    real_decode = persist.decode_stage_v2
+
+    def counting_decode(document):
+        decoded.append(document[1])
+        return real_decode(document)
+
+    monkeypatch.setattr(persist, "decode_stage_v2", counting_decode)
+    loaded = persist.load_run(str(tmp_path / "v2"), strict=True)
+    assert len(decoded) == len(dumps)
+    assert [stage.name for stage in loaded.stages] == decoded
+    assert canonical_profile_bytes(loaded.profile) == expected
+
+
 class TestAccumulator:
     def test_feeding_order_is_invisible(self, tmp_path):
         run = _run(tmp_path, "v2")

@@ -207,3 +207,23 @@ def test_diff_rejects_missing_source(tmp_path, capsys):
     missing = tmp_path / "nope"
     assert main(["diff", str(missing), str(missing)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_corrupt_dump_is_an_error_not_a_traceback(tmp_path, capsys):
+    from repro.core.persist import _V2_HEADER, dumps_stage_v2
+    from repro.core.profiler import LOCAL, StageRuntime
+
+    stage = StageRuntime("web")
+    stage.cct_for(LOCAL).record_sample(("main", "accept"), 1.0)
+    blob = bytearray(dumps_stage_v2(stage))
+    # First deflate byte, after the 10-byte gzip header: block type 3
+    # is reserved, which zlib reports as zlib.error, not OSError.
+    blob[_V2_HEADER.size + 10] = 0xFF
+    dump = tmp_path / "web.wdp"
+    dump.write_bytes(bytes(blob))
+    for command in (["diff", str(dump), str(dump)], ["stitch", str(dump)]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: corrupt")
+        assert "web.wdp" in captured.err
+        assert "Traceback" not in captured.err
