@@ -15,6 +15,17 @@ new work arrives meanwhile, the extended slice is preempted and
 round-robin slicing takes over.  Pass ``quantum=None`` for
 run-to-completion FCFS with no preemption.
 
+Under contention a single-core CPU does not put every quantum on the
+kernel's wheel.  A quantum that completes nothing only moves its job to
+the back of the run queue, so the rotation is walked forward in
+arithmetic — the same ``t + quantum`` / ``remaining - quantum`` float
+steps the per-quantum events would take — and one event is scheduled for
+the first slice that completes a job (or, after ``_LOOKAHEAD`` quanta,
+for an ordinary requeue slice).  The skipped quanta are applied when
+that event fires, or when an arrival or a counter read needs them
+earlier.  An arrival at *exactly* a skipped boundary's timestamp is
+queued before the job that boundary requeues.
+
 On completion of each demand the CPU notifies the owning thread's stage
 runtime, which is where the sampling profiler attributes profile samples
 (annotated by call path and transaction context).
@@ -23,7 +34,8 @@ runtime, which is where the sampling profiler attributes profile samples
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, TYPE_CHECKING
+from itertools import chain
+from typing import Deque, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.sim.process import Syscall, SimThread
 
@@ -31,6 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel
 
 _EPSILON = 1e-12
+_INF = float("inf")
+
+# Most quanta one walk skips.  Bounds the arithmetic an arrival that
+# invalidates the plan can throw away: a storm of arrivals against very
+# long jobs re-plans at most this many steps each.
+_LOOKAHEAD = 64
 
 
 class _Job:
@@ -43,14 +61,25 @@ class _Job:
 
 
 class _Slice:
-    __slots__ = ("job", "event", "started_at", "length", "extended")
+    """One scheduled slice, preceded by ``skipped`` unscheduled quanta.
 
-    def __init__(self, job: _Job, event, started_at: float, length: float, extended: bool):
+    With ``skipped == 0`` this is the slice of ``job`` that began at
+    ``started_at`` and whose end ``event`` marks.  With ``skipped > 0``
+    (single-core round-robin only) ``job`` and ``started_at`` describe
+    the quantum in flight, ``skipped`` full quanta — that one included —
+    rotate through the run queue without completing anything, and
+    ``event`` / ``length`` belong to the slice after them.
+    """
+
+    __slots__ = ("job", "event", "started_at", "length", "extended", "skipped")
+
+    def __init__(self, job: _Job, started_at: float, length: float, extended: bool):
         self.job = job
-        self.event = event
+        self.event = None
         self.started_at = started_at
         self.length = length
         self.extended = extended
+        self.skipped = 0
 
 
 class CPU:
@@ -93,7 +122,7 @@ class CPU:
         self.clock_hz = clock_hz
         self._run_queue: Deque[_Job] = deque()
         self._slices: List[_Slice] = []
-        self.busy_time = 0.0
+        self._busy = 0.0
         self.total_demand = 0.0
         self.completed_jobs = 0
 
@@ -106,9 +135,18 @@ class CPU:
         """Request ``amount`` seconds of service for ``thread``."""
         if amount < 0:
             raise ValueError("negative CPU demand")
+        if amount != amount or amount == _INF:
+            # NaN slips past ``amount < 0`` and, like +inf, never gets
+            # down to ``remaining <= _EPSILON``: it would be sliced forever.
+            raise ValueError("CPU demand must be finite (amount=%r)" % amount)
         self.total_demand += amount
-        self._run_queue.append(_Job(thread, amount))
-        if len(self._slices) >= self.cores and self.quantum is not None:
+        job = _Job(thread, amount)
+        slices = self._slices
+        if slices and slices[0].skipped:
+            self._join_rotation(slices[0], job)
+            return
+        self._run_queue.append(job)
+        if len(slices) >= self.cores and self.quantum is not None:
             self._preempt_extended_slices()
         self._dispatch()
 
@@ -119,9 +157,10 @@ class CPU:
             if not running.extended:
                 continue
             running.event.cancel()
+            running.event = None
             self._slices.remove(running)
             elapsed = self.kernel.now - running.started_at
-            self.busy_time += elapsed
+            self._busy += elapsed
             running.job.remaining -= elapsed
             if running.job.remaining <= _EPSILON:
                 self._complete(running.job)
@@ -135,23 +174,101 @@ class CPU:
         kernel = self.kernel
         while len(slices) < cores and run_queue:
             job = run_queue.popleft()
-            # With no competitors (and for quantum=None CPUs), run to
-            # completion — exact timing, one event.  Otherwise serve one
-            # quantum and requeue.
-            extended = self.quantum is None or not run_queue
-            if extended:
-                length = job.remaining
+            if self.quantum is None or not run_queue:
+                # With no competitors (and for quantum=None CPUs), run
+                # to completion — exact timing, one event.
+                current = _Slice(job, kernel.now, job.remaining, True)
+                current.event = kernel.schedule(
+                    job.remaining, self._slice_done, current
+                )
+            elif cores == 1:
+                current = _Slice(job, kernel.now, 0.0, False)
+                self._plan(current)
             else:
+                # Several cores rotate one queue at staggered times;
+                # serve one quantum per event and requeue.
                 length = min(self.quantum, job.remaining)
-            current = _Slice(job, None, kernel.now, length, extended)
-            current.event = kernel.schedule(length, self._slice_done, current)
+                current = _Slice(job, kernel.now, length, False)
+                current.event = kernel.schedule(length, self._slice_done, current)
             slices.append(current)
+
+    def _plan(self, current: _Slice) -> None:
+        """Schedule the first slice from ``current`` on that needs an event.
+
+        Walks the rotation from the quantum in flight, past every
+        quantum that would only requeue its job, without touching the
+        jobs or the run queue: ``requeued`` stands in for the tail of
+        the queue the skipped quanta will have appended by then.
+        """
+        quantum = self.quantum
+        remaining = current.job.remaining
+        starts_at = current.started_at
+        skipped = 0
+        requeued: List[float] = []
+        # A list iterator sees later appends: after the waiting jobs,
+        # turns come round again in the order the walk requeued them.
+        turns = chain((job.remaining for job in self._run_queue), requeued)
+        while skipped < _LOOKAHEAD:
+            left = remaining - quantum
+            if left <= _EPSILON:
+                break
+            skipped += 1
+            starts_at += quantum
+            requeued.append(left)
+            remaining = next(turns)
+        length = min(quantum, remaining)
+        current.skipped = skipped
+        current.length = length
+        current.event = self.kernel.schedule_at(
+            starts_at + length, self._slice_done, current
+        )
+
+    def _apply_skipped(self, current: _Slice, before: float) -> None:
+        """Serve ``current``'s skipped quanta that end before ``before``."""
+        quantum = self.quantum
+        run_queue = self._run_queue
+        job = current.job
+        started_at = current.started_at
+        skipped = current.skipped
+        busy = self._busy
+        while skipped:
+            ended_at = started_at + quantum
+            if ended_at >= before:
+                break
+            busy += quantum
+            job.remaining -= quantum
+            run_queue.append(job)
+            job = run_queue.popleft()
+            started_at = ended_at
+            skipped -= 1
+        current.job = job
+        current.started_at = started_at
+        current.skipped = skipped
+        self._busy = busy
+
+    def _join_rotation(self, current: _Slice, job: _Job) -> None:
+        """Queue ``job`` while ``current`` still has quanta to skip."""
+        # Strictly before now: an arrival at exactly a boundary's
+        # timestamp queues ahead of the job that boundary requeues.
+        self._apply_skipped(current, self.kernel.now)
+        run_queue = self._run_queue
+        run_queue.append(job)
+        # The arrival's first turn comes after one pass over the jobs
+        # already waiting; a planned slice inside that pass still stands.
+        if current.skipped >= len(run_queue):
+            current.event.cancel()
+            self._plan(current)
 
     def _slice_done(self, current: _Slice) -> None:
         # The completed slice rides on its own event, so no end-time
         # scan is needed; _slices is at most ``cores`` entries.
+        if current.skipped:
+            self._apply_skipped(current, _INF)
         self._slices.remove(current)
-        self.busy_time += current.length
+        # The event's args hold the slice: drop the back-reference so the
+        # pair is freed by refcount now, not by a later collector pass.
+        current.event = None
+        self._busy += current.length
         job = current.job
         job.remaining -= current.length
         if job.remaining <= _EPSILON:
@@ -168,12 +285,39 @@ class CPU:
         self.kernel.resume(thread, job.total)
 
     # ------------------------------------------------------------------
-    def utilization(self, since: float = 0.0) -> float:
-        """Fraction of core-time spent busy since virtual time ``since``."""
-        elapsed = self.kernel.now - since
-        if elapsed <= 0:
+    def _served(self) -> Tuple[float, float]:
+        """Seconds in slices that have ended by now, and in those in flight.
+
+        A skipped quantum whose end has passed counts as ended, so the
+        split is the one per-quantum events would have produced.
+        """
+        now = self.kernel.now
+        quantum = self.quantum
+        ended = self._busy
+        in_flight = 0.0
+        for current in self._slices:
+            started_at = current.started_at
+            for _ in range(current.skipped):
+                ended_at = started_at + quantum
+                if ended_at > now:
+                    break
+                ended += quantum
+                started_at = ended_at
+            in_flight += now - started_at
+        return ended, in_flight
+
+    @property
+    def busy_time(self) -> float:
+        """Core-seconds served by the slices that have ended."""
+        return self._served()[0]
+
+    def utilization(self) -> float:
+        """Fraction of core-time spent busy so far, slices in flight included."""
+        now = self.kernel.now
+        if now <= 0:
             return 0.0
-        return min(1.0, self.busy_time / (elapsed * self.cores))
+        ended, in_flight = self._served()
+        return min(1.0, (ended + in_flight) / (now * self.cores))
 
     @property
     def queue_length(self) -> int:

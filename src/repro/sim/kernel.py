@@ -214,7 +214,23 @@ class Kernel:
             # NaN slips past ``delay < 0`` (all comparisons are False)
             # and, like +inf, would corrupt the wheel's time ordering.
             raise ValueError("delay must be finite (delay=%r)" % delay)
-        when = self.now + delay
+        return self._push(self.now + delay, fn, args)
+
+    def schedule_at(self, when: float, fn: Callable, *args: Any) -> ScheduledEvent:
+        """Run ``fn(*args)`` at the absolute virtual time ``when``.
+
+        For callers that computed the timestamp themselves and need it
+        bit for bit: ``now + (when - now)`` is not ``when`` in floats.
+        """
+        if when < self.now:
+            raise ValueError(
+                "cannot schedule into the past (when=%r, now=%r)" % (when, self.now)
+            )
+        if when != when or when == _INF:
+            raise ValueError("time must be finite (when=%r)" % when)
+        return self._push(when, fn, args)
+
+    def _push(self, when: float, fn: Callable, args: tuple) -> ScheduledEvent:
         event = ScheduledEvent(when, fn, args)
         event.kernel = self
         self._num_events += 1

@@ -111,6 +111,28 @@ def test_two_cores_serve_in_parallel():
     assert done == [("a", 1.0), ("b", 1.0), ("c", 2.0)]
 
 
+def test_two_cores_with_a_quantum_keep_one_event_per_slice():
+    # Cores rotate one queue at staggered times, so this configuration
+    # is not fast-forwarded: each slice is its own kernel event.
+    kernel = Kernel()
+    cpu = CPU(kernel, cores=2, quantum=0.25)
+    done = []
+
+    def worker(tag):
+        yield UseCPU(cpu, 0.5)
+        done.append((tag, kernel.now))
+
+    for tag in "abc":
+        kernel.spawn(worker(tag))
+    kernel.run(until=0.125)
+    assert kernel.pending_events() == 2
+    kernel.run()
+    # c's arrival preempts both run-to-completion slices at t = 0 and
+    # heads the queue; it gets the first and third quantum of one core.
+    assert done == [("c", 0.5), ("a", 0.75), ("b", 0.75)]
+    assert cpu.busy_time == 1.5
+
+
 def test_zero_demand_completes_immediately():
     kernel = Kernel()
     cpu = CPU(kernel)
@@ -126,15 +148,19 @@ def test_zero_demand_completes_immediately():
 
 
 def test_negative_demand_rejected():
-    kernel = Kernel()
-    cpu = CPU(kernel)
+    # NaN and +inf would never be served down to zero: sliced forever.
+    for demand in (-1.0, float("nan"), float("inf"), float("-inf")):
+        kernel = Kernel()
+        cpu = CPU(kernel)
 
-    def worker():
-        yield UseCPU(cpu, -1.0)
+        def worker():
+            yield UseCPU(cpu, demand)
 
-    kernel.spawn(worker())
-    with pytest.raises(ValueError):
-        kernel.run()
+        kernel.spawn(worker())
+        with pytest.raises(ValueError):
+            kernel.run()
+        assert cpu.total_demand == 0.0
+        assert cpu.queue_length == 0
 
 
 def test_utilization_tracks_busy_fraction():
@@ -147,6 +173,41 @@ def test_utilization_tracks_busy_fraction():
     kernel.spawn(worker())
     kernel.run(until=4.0)
     assert cpu.utilization() == pytest.approx(0.5)
+
+
+def test_utilization_counts_the_slice_in_flight():
+    kernel = Kernel()
+    cpu = CPU(kernel, cores=1)
+
+    def worker():
+        yield UseCPU(cpu, 2.0)
+
+    kernel.spawn(worker())
+    kernel.run(until=1.0)
+    # One uncontended burst, one event at t = 2: nothing has ended yet.
+    assert cpu.busy_time == 0.0
+    assert cpu.utilization() == 1.0
+
+
+def test_utilization_and_busy_time_mid_rotation():
+    kernel = Kernel()
+    cpu = CPU(kernel, cores=1, quantum=0.25)
+
+    def worker():
+        yield UseCPU(cpu, 2.0)
+
+    kernel.spawn(worker())
+    kernel.spawn(worker())
+    # The first completion is 15 quanta away and the only event on the
+    # wheel; a read in between sees every quantum that has ended.
+    kernel.run(until=1.125)
+    assert kernel.pending_events() == 1
+    assert cpu.busy_time == 1.0
+    assert cpu.queue_length == 1
+    assert cpu.utilization() == 1.0
+    kernel.run(until=8.0)
+    assert cpu.busy_time == 4.0
+    assert cpu.utilization() == 0.5
 
 
 def test_queue_length_during_contention():

@@ -45,6 +45,51 @@ def test_negative_delay_rejected():
         kernel.schedule(-1.0, lambda: None)
 
 
+def test_schedule_at_fires_at_the_exact_timestamp():
+    kernel = Kernel()
+    seen = []
+    kernel.schedule(0.3, lambda: None)
+    kernel.run()
+    # What a caller stepping its own clock holds after seven steps.
+    when = kernel.now
+    for _ in range(7):
+        when += 0.1
+    assert kernel.now + (when - kernel.now) != when  # why schedule() won't do
+    kernel.schedule_at(when, lambda: seen.append(kernel.now))
+    kernel.run()
+    assert seen == [when]
+
+
+def test_schedule_at_rejects_the_past_and_non_finite_times():
+    kernel = Kernel()
+    kernel.schedule(1.0, lambda: None)
+    kernel.run()
+    for when in (0.5, float("-inf")):
+        with pytest.raises(ValueError, match="past"):
+            kernel.schedule_at(when, lambda: None)
+    for when in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            kernel.schedule_at(when, lambda: None)
+    assert kernel.pending_events() == 0
+    kernel.schedule_at(kernel.now, lambda: None)  # now itself is allowed
+    assert kernel.pending_events() == 1
+
+
+def test_schedule_at_crosses_a_run_horizon():
+    kernel = Kernel()
+    seen = []
+    kernel.schedule_at(2.5, seen.append, "late")
+    kernel.schedule_at(1.0, seen.append, "on the horizon")
+    assert kernel.run(until=1.0) == 1.0
+    assert seen == ["on the horizon"]
+    assert kernel.pending_events() == 1
+    assert kernel.run(until=2.0) == 2.0
+    assert seen == ["on the horizon"]
+    kernel.run()
+    assert seen == ["on the horizon", "late"]
+    assert kernel.now == 2.5
+
+
 def test_cancelled_event_does_not_run():
     kernel = Kernel()
     seen = []

@@ -11,7 +11,7 @@ counter, and livelock accounting that does not leak across segmented
 
 import pytest
 
-from repro.sim import Kernel
+from repro.sim import Delay, Kernel, Syscall
 
 
 def test_non_finite_delays_rejected():
@@ -56,6 +56,54 @@ def test_zero_delay_schedule_and_call_soon_interleave_fifo():
     kernel.schedule(0.0, seen.append, "c")
     kernel.run()
     assert seen == ["a", "b", "c"]
+
+
+def test_schedule_at_shares_the_fifo_bucket_with_every_other_entry_kind():
+    kernel = Kernel()
+    seen = []
+
+    def sleeper():
+        yield Delay(1.0)
+        seen.append("delay")
+
+    class Park(Syscall):
+        def execute(self, kernel, thread):
+            thread.blocked_on = self
+
+    def blocked():
+        seen.append((yield Park()))
+
+    kernel.schedule(1.0, seen.append, "schedule")
+    kernel.schedule_at(1.0, seen.append, "schedule_at")
+    kernel.spawn(sleeper())
+    waiter = kernel.spawn(blocked())
+
+    def at_one():
+        # All three land in the bucket that is being dispatched.
+        kernel.call_soon(seen.append, "call_soon")
+        kernel.schedule_at(kernel.now, seen.append, "schedule_at now")
+        kernel.resume(waiter, "resume")
+
+    kernel.schedule_at(1.0, at_one)
+    kernel.run()
+    assert seen == [
+        "schedule", "schedule_at", "delay", "call_soon", "schedule_at now", "resume",
+    ]
+
+
+def test_schedule_at_events_cancel_and_purge_like_any_other():
+    kernel = Kernel()
+    seen = []
+    events = [kernel.schedule_at(1.0 + index, seen.append, index) for index in range(100)]
+    for event in events[:80]:
+        event.cancel()
+    # Once the cancelled majority passed 64 entries the wheel was rebuilt.
+    assert sum(len(bucket) for bucket in kernel._wheel.values()) < 64
+    assert kernel.pending_events() == 20
+    kernel.run()
+    assert seen == list(range(80, 100))
+    assert kernel.pending_events() == 0
+    assert kernel._wheel == {} and kernel._times == []
 
 
 def test_events_scheduled_mid_batch_fire_after_the_batch():
