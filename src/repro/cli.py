@@ -815,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=512,
             metavar="N",
             help="LRU bound on resident live CCTs; colder trees spill "
-            "to checkpoints (0 = unbounded; needs --live-dir to bound)",
+            "to the directory's log (0 = unbounded; needs --live-dir to bound)",
         )
         p.add_argument(
             "--live-top",

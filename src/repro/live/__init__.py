@@ -3,8 +3,9 @@
 Turns the batch presentation phase into a continuous-profiling
 service: a :class:`LiveCollector` consumes the telemetry layer's raw
 profile-event stream during the run, keeps incrementally-stitched
-state under bounded memory (LRU of resident CCTs spilling to WDR2
-checkpoints), answers live queries (``top_contexts``,
+state under bounded memory (LRU of resident CCTs spilling to an
+append-only log that a chain of WDR2 interval checkpoints references),
+answers live queries (``top_contexts``,
 ``stage_weights``, ``completeness``, crosstalk pairs) at any virtual
 time, and — after final compaction — produces a profile byte-identical
 to the post-mortem stitch of the same run.

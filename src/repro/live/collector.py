@@ -27,21 +27,27 @@ Bounded memory
 --------------
 
 Resident CCTs live in an LRU; when the resident count exceeds
-``max_resident`` the coldest trees are spilled to the checkpoint
-directory (cumulative snapshots, superseding — see
-:mod:`repro.live.checkpoint`) and dropped, then faulted back in on
-their next sample.  Scalar per-context weight aggregates stay resident
-regardless, so live queries never touch evicted trees.  Periodic
-interval checkpoints persist everything dirty, so a collector crash
-loses at most one interval; :meth:`LiveCollector.recover` rebuilds the
-shadow state (cold — trees stay on disk) by replaying the directory.
+``max_resident`` the coldest trees are dropped, the dirty ones first
+appended to the directory's spill log (one frame per tree, a
+cumulative snapshot superseding its earlier frames — see
+:mod:`repro.live.checkpoint`), then faulted back in on their next
+sample by decoding that one frame.  Scalar per-context weight
+aggregates stay resident regardless, so live queries never touch
+evicted trees.  Periodic interval checkpoints — the replay chain —
+persist every dirty resident tree and reference the log for the
+evicted ones.  A sample whose virtual time has reached the next
+checkpoint triggers it, so a collector crash loses at most one
+interval plus the gap to the next sample;
+:meth:`LiveCollector.recover` rebuilds the shadow state (cold — trees
+stay on disk) by replaying the directory.
 
 Backpressure
 ------------
 
-``on_profile_event`` is O(1): append + a counter check.  Absorption
-runs in batches, *inline in the producer's call* once the pending
-buffer reaches ``batch`` events — the producer pays for absorption
+``on_profile_event`` is O(1): append + a counter check + a clock
+check.  Absorption runs in batches, *inline in the producer's call*
+once the pending buffer reaches ``batch`` events or a checkpoint falls
+due — the producer pays for absorption
 instead of growing an unbounded queue.  ``pending_events`` is the
 pressure signal the :class:`~repro.telemetry.sinks.StitchingSink`
 exposes to the recorder.
@@ -51,7 +57,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.cct import CallingContextTree
 from repro.core.context import TransactionContext, UnresolvedRef
@@ -150,8 +156,15 @@ class LiveCollector:
         self._lru: "OrderedDict[Tuple[str, TransactionContext], _Entry]" = (
             OrderedDict()
         )
-        # Latest checkpoint file holding each label's cumulative tree.
-        self._spill_index: Dict[Tuple[str, TransactionContext], str] = {}
+        # Where each non-resident label's newest cumulative tree is: an
+        # offset into the spill log (int), or the path of the chain
+        # document holding it as a cell (str).
+        self._spill_index: Dict[
+            Tuple[str, TransactionContext], Union[int, str]
+        ] = {}
+        self._spill = _ckpt.SpillLog(directory) if directory is not None else None
+        # Log offsets no chain document references yet.
+        self._unreferenced: Dict[Tuple[str, TransactionContext], int] = {}
         self._doc_cache: Tuple[Optional[str], Any] = (None, None)
         # Incremental resolution state for the live query index.
         self._cache: Dict[TransactionContext, TransactionContext] = {}
@@ -161,7 +174,9 @@ class LiveCollector:
         # Virtual time of the newest absorbed event.
         self.now = 0.0
         self._seq = 0
-        self._next_ckpt = interval
+        # Virtual time the next interval checkpoint falls due (never,
+        # without a directory).
+        self._next_ckpt = interval if directory is not None else math.inf
         # Cumulative counters (checkpointed, restored on recovery).
         self.samples = 0
         self.sample_weight = 0.0
@@ -201,7 +216,11 @@ class LiveCollector:
     def on_profile_event(self, event: Tuple[Any, ...]) -> None:
         pending = self._pending
         pending.append(event)
-        if len(pending) >= self.batch:
+        # Samples carry the clock; crash and crosstalk events carry no
+        # time and ride the batch.
+        if len(pending) >= self.batch or (
+            event[0] == "sample" and event[5] >= self._next_ckpt
+        ):
             self.drain()
 
     # ------------------------------------------------------------------
@@ -217,7 +236,7 @@ class LiveCollector:
                 if handler is not None:
                     handler(event)
             self.events_absorbed += len(batch)
-        if self.directory is not None and self.now >= self._next_ckpt:
+        if self.now >= self._next_ckpt:
             self.checkpoint()
 
     def _stage(self, name: str) -> _ShadowStage:
@@ -309,19 +328,17 @@ class LiveCollector:
             self.peak_resident = len(self._lru)
 
     def _evict(self, count: int) -> None:
-        """Spill the coldest ``count`` resident trees to disk."""
+        """Drop the coldest ``count`` resident trees, appending the
+        dirty ones to the spill log first."""
         victims: List[Tuple[Tuple[str, TransactionContext], _Entry]] = []
         for key in list(self._lru):
             if len(victims) >= count:
                 break
             victims.append((key, self._lru[key]))
-        dirty = [(key, entry) for key, entry in victims if entry.dirty]
-        if dirty:
-            # One spill file for the whole batch; it is an ordinary
-            # interval checkpoint that happens to snapshot only the
-            # evicted trees, so replay semantics stay uniform.
-            self._write_doc([key for key, _ in dirty])
         for key, entry in victims:
+            if entry.dirty:
+                offset = self._spill.append(_ckpt.encode_cct(key[1], entry.cct))
+                self._spill_index[key] = self._unreferenced[key] = offset
             entry.cct = None
             entry.dirty = False
             del self._lru[key]
@@ -335,22 +352,32 @@ class LiveCollector:
 
     def _load_tree(self, key) -> CallingContextTree:
         stage_name, label = key
-        path = self._spill_index.get(key)
-        if path is None:
+        where = self._spill_index.get(key)
+        if where is None:
             # Never persisted (clean empty entry from recovery edge
             # cases): start a fresh tree.
             return CallingContextTree(label)
+        if isinstance(where, int):
+            cct = _ckpt.decode_cct(self._spill.read(where))
+            if cct.label != label:
+                raise ValueError(
+                    f"spill log {self._spill.path!r} holds {cct.label!r} at "
+                    f"offset {where}, not {stage_name!r} label {label!r}"
+                )
+            return cct
+        # The newest snapshot is a cell of a chain document (a clean
+        # tree evicted after an interval checkpoint, or recovered).
         cached_path, cached_doc = self._doc_cache
-        if cached_path == path:
+        if cached_path == where:
             doc = cached_doc
         else:
-            doc = _ckpt.read_checkpoint(path)
-            self._doc_cache = (path, doc)
+            doc = _ckpt.read_checkpoint(where)
+            self._doc_cache = (where, doc)
         for cell in doc["stages"].get(stage_name, {}).get("ccts", []):
             if _ckpt.cct_cell_label(cell) == label:
                 return _ckpt.decode_cct(cell)
         raise ValueError(
-            f"checkpoint {path!r} lost the snapshot for {stage_name!r} "
+            f"checkpoint {where!r} lost the snapshot for {stage_name!r} "
             f"label {label!r}"
         )
 
@@ -384,8 +411,16 @@ class LiveCollector:
         :mod:`repro.live.checkpoint` for the replay semantics)."""
         stages_doc: Dict[str, Any] = {}
         by_stage: Dict[str, List[TransactionContext]] = {}
-        for stage_name, label in snapshot_keys:
-            by_stage.setdefault(stage_name, []).append(label)
+        for key in snapshot_keys:
+            by_stage.setdefault(key[0], []).append(key[1])
+            self._unreferenced.pop(key, None)
+        # What is left sits evicted, so its last frame is its state.
+        spilled: Dict[str, List[Any]] = {}
+        for (stage_name, label), offset in self._unreferenced.items():
+            spilled.setdefault(stage_name, []).append(
+                [_ckpt.encode_context(label), offset]
+            )
+        self._unreferenced = {}
         for name, shadow in self._stages.items():
             cct_cells = []
             for label in by_stage.get(name, []):
@@ -397,6 +432,7 @@ class LiveCollector:
                 ],
                 "syn_ops": [_ckpt.encode_syn_op(op) for op in shadow.pending_ops],
                 "ccts": cct_cells,
+                "spilled": spilled.get(name, []),
                 "crosstalk": _ckpt.encode_crosstalk(shadow.crosstalk),
             }
             shadow.new_labels = []
@@ -408,6 +444,8 @@ class LiveCollector:
             "counters": self._counters_doc(),
             "stages": stages_doc,
         }
+        # Frames first: a document never names bytes not yet on disk.
+        self._spill.flush()
         path = _ckpt.write_checkpoint(self.directory, self._seq, document)
         self._seq += 1
         self.checkpoints_written += 1
@@ -422,7 +460,9 @@ class LiveCollector:
         """Write an interval checkpoint of everything dirty.
 
         After this returns, a collector crash loses only events newer
-        than the write — at most one checkpoint interval.
+        than the write.  A sample at or past the due time triggers the
+        next one, so that is at most one checkpoint interval plus the
+        gap to the next sample.
         """
         if self.directory is None:
             return None
@@ -459,8 +499,11 @@ class LiveCollector:
 
         State is reconstructed *cold*: synopsis tables and scalar
         aggregates come back resident, CCTs stay on disk until touched.
-        Everything newer than the last completed checkpoint is gone —
-        the bounded-loss guarantee, not a bug.
+        Everything newer than the last completed checkpoint is gone
+        (at most one interval plus the gap to the next sample) — the
+        bounded-loss guarantee, not a bug.  Spill-log frames newer than
+        that checkpoint are referenced by nothing and ignored.  The
+        directory is only read.
         """
         collector = cls(
             directory=directory,
@@ -471,6 +514,12 @@ class LiveCollector:
         paths = _ckpt.list_checkpoints(directory)
         for path in paths:
             collector._replay(_ckpt.read_checkpoint(path), path)
+        for key, offset in collector._spill_index.items():
+            if isinstance(offset, int):
+                entry = collector._stages[key[0]].labels[key[1]]
+                entry.weight = math.fsum(
+                    _ckpt.cct_cell_weights(collector._spill.read(offset))
+                )
         if paths:
             collector.recovered_from = len(paths)
             collector._next_ckpt = collector.now + interval
@@ -496,6 +545,8 @@ class LiveCollector:
         self.spans_seen = counters["spans_seen"]
         self.hops_seen = counters["hops_seen"]
         self.events_absorbed = counters["events_absorbed"]
+        self.evictions = counters["evictions"]
+        self.revivals = counters["revivals"]
         for name, stage_doc in doc["stages"].items():
             shadow = self._stage(name)
             for cells in stage_doc["new_labels"]:
@@ -520,6 +571,12 @@ class LiveCollector:
                 entry.dirty = False
                 entry.weight = math.fsum(_ckpt.cct_cell_weights(cell))
                 self._spill_index[(name, label)] = path
+            # Absent from documents written before the spill log.
+            for cells, offset in stage_doc.get("spilled", ()):
+                # The label is known (evicted means sampled before) and
+                # cold already; recover() weighs the frames that are
+                # still the newest once the whole chain is replayed.
+                self._spill_index[(name, _ckpt.decode_context(cells))] = offset
             if stage_doc["crosstalk"]:
                 shadow.crosstalk = {
                     key: list(stats)
@@ -676,34 +733,49 @@ class LiveCollector:
         a single ``kind="full"`` snapshot superseding all others.
 
         Returns the stitched profile.  After compaction the directory
-        replays from one file; :func:`repro.cli` exposes this as
-        ``repro live-report``.
+        replays from one file — the spill log goes with the superseded
+        chain, the full document holding every tree as a cell;
+        :func:`repro.cli` exposes this as ``repro live-report``.
         """
         self.drain()
+        if self.directory is None:
+            return self.stitched_profile(strict=strict)
+        # The full document needs every tree resident; fault them in
+        # first so the stitch reads each one once, from memory.
+        keys = [
+            (name, label)
+            for name, shadow in self._stages.items()
+            for label in shadow.order
+        ]
+        for key in keys:
+            entry = self._stages[key[0]].labels[key[1]]
+            if entry.cct is None:
+                entry.cct = self._load_tree(key)
+                self._lru[key] = entry
         profile = self.stitched_profile(strict=strict)
-        if self.directory is not None:
-            older = _ckpt.list_checkpoints(self.directory)
-            keys = [
-                (name, label)
-                for name, shadow in self._stages.items()
-                for label in shadow.order
+        older = _ckpt.list_checkpoints(self.directory)
+        for shadow in self._stages.values():
+            # Full documents carry absolute state: every label in
+            # first-seen order, the whole current synopsis table.
+            shadow.new_labels = list(shadow.order)
+            shadow.pending_ops = [
+                ("s", value, context)
+                for value, context in shadow.synopses.by_value.items()
             ]
-            for name, shadow in self._stages.items():
-                # Full documents carry absolute state: every label in
-                # first-seen order, the whole current synopsis table.
-                shadow.new_labels = list(shadow.order)
-                shadow.pending_ops = [
-                    ("s", value, context)
-                    for value, context in shadow.synopses.by_value.items()
-                ]
-                for label in shadow.order:
-                    entry = shadow.labels[label]
-                    if entry.cct is None:
-                        entry.cct = self._load_tree((name, label))
-                        self._lru[(name, label)] = entry
-            final = self._write_doc(keys, kind="full")
-            _ckpt.remove_checkpoints([p for p in older if p != final])
+        final = self._write_doc(keys, kind="full")
+        _ckpt.remove_checkpoints([p for p in older if p != final])
+        self._spill.remove()
         return profile
+
+    def close(self) -> None:
+        """Release the spill log's file handle (held from the first
+        dirty eviction on).
+
+        Everything appended is flushed first; the collector stays
+        usable and reopens the log at its next eviction.
+        """
+        if self._spill is not None:
+            self._spill.close()
 
 
 def attach_collector(

@@ -182,3 +182,4 @@ class StitchingSink(TelemetrySink):
 
     def close(self) -> None:
         self.collector.drain()
+        self.collector.close()

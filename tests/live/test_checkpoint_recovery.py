@@ -1,12 +1,12 @@
 """Bounded-loss recovery: a dead collector restarts from checkpoints.
 
 The contract: killing the collector loses at most one checkpoint
-interval.  Recovery from the surviving WDR2 chain must restore the
-counters, resolution accounting (attempted/unresolved — the
-completeness ratio), and queryable state *exactly* as of the last
-surviving checkpoint — including runs where a simulated stage crash
-(``repro.faults``) wiped synopsis tables mid-run, since the op-log
-replay re-applies mints and clears in order.
+interval plus the gap to the next sample.  Recovery from the
+surviving WDR2 chain must restore the counters, resolution accounting
+(attempted/unresolved — the completeness ratio), and queryable state
+*exactly* as of the last surviving checkpoint — including runs where a
+simulated stage crash (``repro.faults``) wiped synopsis tables mid-run,
+since the op-log replay re-applies mints and clears in order.
 """
 
 import hashlib
@@ -85,6 +85,9 @@ def test_recovery_after_collector_death_is_exact(tmp_path):
     assert recovered.synopses_minted == stored["synopses_minted"]
     assert recovered.synopses_lost == stored["synopses_lost"]
     assert recovered.crashes == stored["crashes"]
+    # The LRU's own counters are cumulative state like the rest.
+    assert recovered.evictions == stored["evictions"] > 0
+    assert recovered.revivals == stored["revivals"] > 0
     attempted, unresolved = recovered.stitch_stats()
     assert (attempted, unresolved) == (
         stored["attempted"], stored["unresolved"]

@@ -6,10 +6,14 @@ proof that a live run's checkpoints stitch to the *same digest* as the
 post-mortem spool of the identical seeded run.
 """
 
+import hashlib
+import os
+
 import pytest
 
 from repro.cli import main
 from repro.live import list_checkpoints
+from repro.live.checkpoint import SPILL_NAME
 
 
 @pytest.fixture(autouse=True)
@@ -22,6 +26,19 @@ def _telemetry_teardown():
 
 _TPCW = ["tpcw", "--clients", "8", "--duration", "8", "--warmup", "1",
          "--seed", "7"]
+
+
+def _listing(root):
+    """Every file under ``root``: path, size, mtime and content hash."""
+    rows = []
+    for parent, _dirs, names in os.walk(root):
+        for name in names:
+            path = os.path.join(parent, name)
+            stat = os.stat(path)
+            with open(path, "rb") as handle:
+                digest = hashlib.sha256(handle.read()).hexdigest()
+            rows.append((path, stat.st_size, stat.st_mtime_ns, digest))
+    return sorted(rows)
 
 
 def test_tpcw_live_flag(capsys):
@@ -63,12 +80,26 @@ def test_live_report_digest_matches_postmortem_stitch(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "live checkpoints in" in out
+    # Each shard left its interval chain and one spill log beside it.
+    for shard in sorted(os.listdir(live)):
+        names = os.listdir(live / shard)
+        assert SPILL_NAME in names
+        assert 1 < len(list_checkpoints(str(live / shard))) == len(names) - 1
+    before = _listing(live)
     assert main(["live-report", str(live), "--digest"]) == 0
     live_digest = capsys.readouterr().out.strip()
+    # Reporting only reads: nothing created, touched or resized.
+    assert _listing(live) == before
     assert main(["stitch", str(spool), "--digest"]) == 0
     post_digest = capsys.readouterr().out.strip()
     assert len(live_digest) == 64
     assert live_digest == post_digest
+    # --compact is the one reporting mode that rewrites the directory:
+    # one full document per shard, the log gone with the chain.
+    assert main(["live-report", str(live), "--digest", "--compact"]) == 0
+    assert capsys.readouterr().out.strip() == live_digest
+    for shard in os.listdir(live):
+        assert len(os.listdir(live / shard)) == 1
 
 
 def test_live_report_rejects_bad_directory(tmp_path, capsys):
