@@ -57,8 +57,9 @@ LIVE_SPAN_RING = 1024
 
 
 def _run_live(checkpoint_dir):
-    """Wall-time the same run with the online streaming stitcher
-    attached (spans mode + StitchingSink + interval checkpoints)."""
+    """Wall-time the same run in spans mode with the online streaming
+    stitcher listening (profile-event listener + span sink + interval
+    checkpoints); ``telemetry.uninstall()`` closes the collector."""
     from repro.live import attach_collector
 
     tele = telemetry.install("spans", span_capacity=LIVE_SPAN_RING)

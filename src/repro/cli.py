@@ -17,6 +17,7 @@ Table-1-style summary).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -76,24 +77,21 @@ def _live_setup(args: argparse.Namespace):
     """Attach the online streaming stitcher, if requested.
 
     Must run *before* the simulated system is built: stage runtimes
-    capture the profile-event emitter at construction time.  ``main``
-    has already upgraded ``--telemetry off`` to ``spans`` when live
-    collection was asked for, so the active telemetry exists here.
+    capture the profile-event listeners at construction time.  Returns
+    a context manager yielding the collector (``None`` when not asked
+    for) and closing it on exit; the collector needs no telemetry.
     """
     if not (getattr(args, "live", False) or getattr(args, "live_dir", None)):
-        return None
+        return contextlib.nullcontext()
     from repro.live import attach_collector
 
-    tele = telemetry.active()
-    if tele is None:  # defensive: main() upgrades the mode first
-        tele = telemetry.install("spans")
     resident = args.live_resident if args.live_resident > 0 else None
-    return attach_collector(
-        tele,
+    return contextlib.closing(attach_collector(
+        telemetry.active(),
         directory=args.live_dir,
         interval=args.live_interval,
         max_resident=resident,
-    )
+    ))
 
 
 def _live_finish(args: argparse.Namespace, collector) -> None:
@@ -247,20 +245,20 @@ def cmd_haboob(args: argparse.Namespace) -> int:
 
     if args.shards > 1:
         return _cmd_haboob_sharded(args)
-    collector = _live_setup(args)
-    kernel = Kernel()
-    injector = _install_faults(kernel, args)
-    trace = WebTrace(Rng(args.seed), objects=args.objects)
-    server = HaboobServer(
-        kernel, trace, config=HaboobConfig(cache_bytes=args.cache_kb * 1024)
-    )
-    server.start()
-    if injector is not None:
-        injector.schedule_crashes(
-            kernel, {stage.name: stage for stage in server.stages}
+    with _live_setup(args) as collector:
+        kernel = Kernel()
+        injector = _install_faults(kernel, args)
+        trace = WebTrace(Rng(args.seed), objects=args.objects)
+        server = HaboobServer(
+            kernel, trace, config=HaboobConfig(cache_bytes=args.cache_kb * 1024)
         )
-    HttpClientPool(kernel, server.listener, trace, clients=args.clients).start()
-    kernel.run(until=args.seconds)
+        server.start()
+        if injector is not None:
+            injector.schedule_crashes(
+                kernel, {stage.name: stage for stage in server.stages}
+            )
+        HttpClientPool(kernel, server.listener, trace, clients=args.clients).start()
+        kernel.run(until=args.seconds)
     if injector is not None:
         report = injector.report()
         print("faults: " + ", ".join(f"{k}={report[k]}" for k in sorted(report)))
@@ -400,21 +398,21 @@ def cmd_tpcw(args: argparse.Namespace) -> int:
 
     if args.shards > 1:
         return _cmd_tpcw_sharded(args)
-    collector = _live_setup(args)
     retry = None
     if args.faults and args.retries > 0:
         retry = RetryPolicy(timeout=args.retry_timeout, retries=args.retries)
-    system = TpcwSystem(
-        clients=args.clients,
-        caching=args.caching,
-        item_engine=INNODB if args.innodb else MYISAM,
-        seed=args.seed,
-        mix=args.mix,
-        fault_plan=args.faults or None,
-        fault_seed=args.fault_seed,
-        retry=retry,
-    )
-    results = system.run(duration=args.duration, warmup=args.warmup)
+    with _live_setup(args) as collector:
+        system = TpcwSystem(
+            clients=args.clients,
+            caching=args.caching,
+            item_engine=INNODB if args.innodb else MYISAM,
+            seed=args.seed,
+            mix=args.mix,
+            fault_plan=args.faults or None,
+            fault_seed=args.fault_seed,
+            retry=retry,
+        )
+        results = system.run(duration=args.duration, warmup=args.warmup)
     print(
         f"throughput {results.throughput_tpm():.0f} interactions/min; "
         f"db CPU {system.db.cpu.utilization():.0%} busy; "
@@ -793,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--live",
             action="store_true",
             help="attach the online streaming stitcher for mid-run "
-            "queries (implies --telemetry spans when telemetry is off)",
+            "queries (needs no --telemetry)",
         )
         p.add_argument(
             "--live-dir",
@@ -1164,10 +1162,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    wants_live = getattr(args, "live", False) or getattr(args, "live_dir", None)
-    if wants_live and getattr(args, "telemetry", "off") == "off":
-        # The live collector rides the telemetry profile-event stream.
-        args.telemetry = "spans"
     tele = _telemetry_setup(args)
     try:
         status = args.fn(args)

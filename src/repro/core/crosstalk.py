@@ -91,9 +91,10 @@ class CrosstalkRecorder:
         # contention metrics and the lock-wait spans.
         tele = _telemetry.ACTIVE
         self._tele = tele
-        # Raw event stream for the online stitcher (see repro.live);
-        # None unless a profile-event sink was attached before build.
-        self._emit_profile = tele.spans.profile_emitter() if tele is not None else None
+        # Raw profile-event stream for the online stitcher (see
+        # repro.live): the owning StageRuntime sets it to its own
+        # emitter; None means nobody listens.
+        self.emit_profile: Optional[Callable[[Tuple[Any, ...]], None]] = None
         if tele is not None and tele.wants_metrics:
             self._tele_wait = tele.metrics.histogram(
                 "repro_crosstalk_wait_seconds",
@@ -144,8 +145,8 @@ class CrosstalkRecorder:
         self._pair_stats((waiter_type, holder_type)).add(wait)
         self._waiter_stats(waiter_type).add(wait)
         self._events.append((waiter_type, holder_type, wait))
-        if self._emit_profile is not None:
-            self._emit_profile(
+        if self.emit_profile is not None:
+            self.emit_profile(
                 ("crosstalk", self.owner, waiter_type, holder_type, wait)
             )
         if self._tele_wait is not None:

@@ -19,7 +19,7 @@ import enum
 import math
 import random as _random
 import zlib
-from typing import Any, Callable, Dict, Iterator, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro import telemetry as _telemetry
 from repro.core.cct import CallingContextTree
@@ -79,6 +79,28 @@ class OverheadModel:
 
 
 LOCAL = TransactionContext.empty()
+
+#: Listeners on the raw profile-event stream (samples, synopsis mints,
+#: crash clears, lock waits), each called with one event tuple.  The
+#: online stitcher (:func:`repro.live.attach_collector`) adds itself
+#: here; whoever adds a listener removes it.  Stage runtimes capture the
+#: list once, at construction, so attach before building the system.
+PROFILE_LISTENERS: List[Callable[[Tuple[Any, ...]], None]] = []
+
+
+def _profile_emitter() -> Optional[Callable[[Tuple[Any, ...]], None]]:
+    """The current listeners as one callable, or ``None`` for none."""
+    listeners = tuple(PROFILE_LISTENERS)
+    if not listeners:
+        return None
+    if len(listeners) == 1:
+        return listeners[0]
+
+    def fan_out(event: Tuple[Any, ...]) -> None:
+        for listener in listeners:
+            listener(event)
+
+    return fan_out
 
 
 class StageRuntime:
@@ -154,10 +176,10 @@ class StageRuntime:
         tele = _telemetry.ACTIVE
         self._tele = tele
         # Raw profile-event stream for online stitching: None unless a
-        # profile-event sink (see repro.live) was attached before the
-        # system was built, so a span-only run pays one ``is None`` test
-        # per sample and an off run pays nothing.
-        self._emit_profile = tele.spans.profile_emitter() if tele is not None else None
+        # listener (see repro.live) was added before the system was
+        # built, so an ordinary run pays one ``is None`` test per sample.
+        # The crosstalk recorder emits lock waits into the same stream.
+        self._emit_profile = self.crosstalk.emit_profile = _profile_emitter()
         if tele is not None and tele.wants_metrics:
             m = tele.metrics
             self._tele_samples = m.counter(

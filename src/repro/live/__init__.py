@@ -1,8 +1,9 @@
 """repro.live — the online streaming stitcher.
 
 Turns the batch presentation phase into a continuous-profiling
-service: a :class:`LiveCollector` consumes the telemetry layer's raw
-profile-event stream during the run, keeps incrementally-stitched
+service: a :class:`LiveCollector` listens on the profiler's raw event
+stream (:data:`repro.core.profiler.PROFILE_LISTENERS`; no telemetry
+or spans needed) during the run, keeps incrementally-stitched
 state under bounded memory (LRU of resident CCTs spilling to an
 append-only log that a chain of WDR2 interval checkpoints references),
 answers live queries (``top_contexts``,

@@ -2,11 +2,12 @@
 
 Whodunit's presentation phase is batch: run, dump per-stage profiles,
 stitch.  :class:`LiveCollector` is the continuous-profiling version —
-a long-lived consumer of the telemetry layer's raw profile-event
-stream (CPU samples, synopsis mints, crash amnesia, crosstalk waits)
-that maintains *shadow* per-stage profiling state incrementally and
-can answer "top contexts right now" at any virtual time, while the
-simulation keeps running.
+a long-lived listener on the profiler's raw event stream
+(:data:`repro.core.profiler.PROFILE_LISTENERS`: CPU samples, synopsis
+mints, crash amnesia, crosstalk waits) that maintains *shadow*
+per-stage profiling state incrementally and can answer "top contexts
+right now" at any virtual time, while the simulation keeps running.
+It needs no telemetry: spans are neither built nor read for it.
 
 Equivalence guarantee
 ---------------------
@@ -41,16 +42,17 @@ interval plus the gap to the next sample;
 :meth:`LiveCollector.recover` rebuilds the shadow state (cold — trees
 stay on disk) by replaying the directory.
 
-Backpressure
-------------
+Absorption and failures
+-----------------------
 
 ``on_profile_event`` is O(1): append + a counter check + a clock
 check.  Absorption runs in batches, *inline in the producer's call*
 once the pending buffer reaches ``batch`` events or a checkpoint falls
-due — the producer pays for absorption
-instead of growing an unbounded queue.  ``pending_events`` is the
-pressure signal the :class:`~repro.telemetry.sinks.StitchingSink`
-exposes to the recorder.
+due — the producer pays for absorption instead of growing an unbounded
+queue.  Nothing catches what absorption raises: a failed spill append
+or checkpoint write propagates out of the simulation step that emitted
+the event, so a run never finishes with a silently partial live
+profile.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ import math
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.core import profiler as _profiler
 from repro.core.cct import CallingContextTree
 from repro.core.context import TransactionContext, UnresolvedRef
 from repro.core.stitch import StitchStats, resolve_context, stitch_profiles
@@ -130,10 +133,9 @@ class _ShadowStage:
 class LiveCollector:
     """Consumes the raw profile-event stream; answers live queries.
 
-    Attach via :func:`attach_collector` (or wrap in a
-    :class:`~repro.telemetry.sinks.StitchingSink` manually) *before*
-    constructing the simulated system — instrumentation sites capture
-    the emitter at construction, like every other telemetry hook.
+    Attach via :func:`attach_collector` (or :meth:`attach`) *before*
+    constructing the simulated system — stage runtimes capture the
+    profile listeners at construction.
     """
 
     def __init__(
@@ -202,11 +204,20 @@ class LiveCollector:
         }
 
     # ------------------------------------------------------------------
-    # Sink-facing entry points (hot path)
+    # Listener and span-sink entry points (hot path)
     # ------------------------------------------------------------------
-    @property
-    def pending_events(self) -> int:
-        return len(self._pending)
+    def attach(self, tele: Any) -> "LiveCollector":
+        """Start listening on the profile-event channel.
+
+        With a ``tele`` hub the collector also becomes one of its span
+        sinks — it counts spans and hops, and ``telemetry.uninstall()``
+        closes it, which ends the subscription.  Without one, the caller
+        closes it.  Returns the collector.
+        """
+        _profiler.PROFILE_LISTENERS.append(self.on_profile_event)
+        if tele is not None:
+            tele.add_sink(self)
+        return self
 
     def on_span(self, span: Any) -> None:
         self.spans_seen += 1
@@ -767,15 +778,26 @@ class LiveCollector:
         self._spill.remove()
         return profile
 
-    def close(self) -> None:
-        """Release the spill log's file handle (held from the first
-        dirty eviction on).
+    def flush(self) -> None:
+        self.drain()
 
-        Everything appended is flushed first; the collector stays
-        usable and reopens the log at its next eviction.
+    def close(self) -> None:
+        """Stop listening: leave the profile-event channel, drain, and
+        release the spill log's file handle (held from the first dirty
+        eviction on).
+
+        Idempotent.  The collector stays queryable and reopens the log
+        at its next eviction; systems built while it listened still
+        hold its emitter.
         """
-        if self._spill is not None:
-            self._spill.close()
+        listeners = _profiler.PROFILE_LISTENERS
+        if self.on_profile_event in listeners:
+            listeners.remove(self.on_profile_event)
+        try:
+            self.drain()
+        finally:
+            if self._spill is not None:
+                self._spill.close()
 
 
 def attach_collector(
@@ -785,20 +807,17 @@ def attach_collector(
     max_resident: Optional[int] = 512,
     batch: int = 512,
 ) -> LiveCollector:
-    """Create a LiveCollector and attach it to ``tele`` via a
-    :class:`~repro.telemetry.sinks.StitchingSink`.
+    """Create a LiveCollector listening on the profile-event channel.
 
     Must run before the simulated system is built (stage runtimes
-    capture the profile-event emitter at construction).  Returns the
-    collector; the sink is reachable as usual through the recorder.
+    capture the listeners at construction).  ``tele`` may be ``None``;
+    see :meth:`LiveCollector.attach` for what a hub adds, and who then
+    closes the collector.
     """
-    from repro.telemetry.sinks import StitchingSink
-
     collector = LiveCollector(
         directory=directory,
         interval=interval,
         max_resident=max_resident,
         batch=batch,
     )
-    tele.add_sink(StitchingSink(collector))
-    return collector
+    return collector.attach(tele)

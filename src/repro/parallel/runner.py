@@ -284,21 +284,18 @@ def run_one_shard(spec: ShardSpec) -> ShardResult:
     """Execute one shard, isolated from the caller's telemetry state.
 
     A spec with ``live_dir`` set attaches an online streaming stitcher
-    (:mod:`repro.live`) before the system is built — upgrading a
-    telemetry mode of ``off`` to ``spans``, since the collector rides
-    the profile-event stream — and finalizes it (drain + last
-    checkpoint) into ``live_dir/shard-NNNN/`` when the shard ends, so
-    the parent (or ``live-report``) can fold the per-shard state.
+    (:mod:`repro.live`; it needs no telemetry) before the system is
+    built, finalizes it (drain + last checkpoint) into
+    ``live_dir/shard-NNNN/`` when the shard ends, so the parent (or
+    ``live-report``) can fold the per-shard state, and closes it
+    however the shard ends.
     """
     previous = _telemetry.ACTIVE
     tele = None
     collector = None
     try:
-        mode = spec.telemetry_mode
-        if mode == "off" and spec.live_dir:
-            mode = "spans"
-        if mode != "off":
-            tele = _telemetry.install(mode)
+        if spec.telemetry_mode != "off":
+            tele = _telemetry.install(spec.telemetry_mode)
         else:
             _telemetry.ACTIVE = None
         if spec.live_dir:
@@ -323,13 +320,15 @@ def run_one_shard(spec: ShardSpec) -> ShardResult:
                 "events": collector.events_absorbed,
                 "peak_resident": collector.peak_resident,
                 "evictions": collector.evictions,
-                "sink_errors": tele.sink_errors,
             }
         return result
     finally:
         if tele is not None:
             tele.close()
         _telemetry.ACTIVE = previous
+        # Last: after a failed absorption this close may raise again.
+        if collector is not None:
+            collector.close()
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,6 @@ from repro.telemetry.sinks import (
     CallbackSink,
     CollectingSink,
     JsonLinesSink,
-    StitchingSink,
     TelemetrySink,
 )
 
@@ -177,7 +176,6 @@ __all__ = [
     "MODES",
     "Span",
     "SpanRecorder",
-    "StitchingSink",
     "Telemetry",
     "TelemetrySink",
     "active",

@@ -10,18 +10,12 @@ Sink contract
 -------------
 
 * ``on_span(span)`` — required; called once per completed span.
-* ``on_profile_event(event)`` — optional; only called on sinks that set
-  ``wants_profile_events = True``.  Profile events are the raw profiler
-  stream (CPU samples, synopsis mints, crash amnesia, crosstalk waits)
-  that the online stitcher consumes; span-only sinks never see them.
 * ``flush()`` / ``close()`` — both idempotent; ``close`` implies a
   final flush.  Every sink is a context manager (``__exit__`` closes),
   so CLI paths no longer rely on interpreter exit to flush trace files.
-* ``pressure()`` — optional backpressure signal: an integer amount of
-  buffered-but-unprocessed work.  The recorder never blocks on it, but
-  a cooperating producer (see :class:`repro.live.LiveCollector`) uses
-  it to make the *producer* pay for absorption once a high watermark is
-  crossed instead of queueing without bound.
+
+Sinks see spans only.  The raw profiler stream the online stitcher
+folds has its own channel (:data:`repro.core.profiler.PROFILE_LISTENERS`).
 
 A sink that raises from any callback is detached by the recorder and
 counted in ``sink_errors`` — one bad sink must never crash the kernel
@@ -31,7 +25,7 @@ hot path (see :meth:`repro.telemetry.spans.SpanRecorder._emit`).
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List
 
 from repro.telemetry.spans import Span
 
@@ -39,15 +33,8 @@ from repro.telemetry.spans import Span
 class TelemetrySink:
     """Base streaming sink; subclass and override :meth:`on_span`."""
 
-    #: Set True to additionally receive raw profiler events via
-    #: :meth:`on_profile_event` (samples/synopses/crashes/crosstalk).
-    wants_profile_events = False
-
     def on_span(self, span: Span) -> None:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def on_profile_event(self, event: Tuple[Any, ...]) -> None:
-        """Raw profiler event; only called when ``wants_profile_events``."""
 
     def flush(self) -> None:
         """Push buffered output downstream; safe to call repeatedly."""
@@ -55,10 +42,6 @@ class TelemetrySink:
     def close(self) -> None:
         """Flush/teardown; idempotent.  Called by the recorder/CLI when
         a run finishes (and by ``__exit__``)."""
-
-    def pressure(self) -> int:
-        """Buffered-but-unprocessed work (backpressure signal); 0 = none."""
-        return 0
 
     def __enter__(self) -> "TelemetrySink":
         return self
@@ -151,35 +134,3 @@ class JsonLinesSink(TelemetrySink):
         self._file.flush()
         if self._owns:
             self._file.close()
-
-
-class StitchingSink(TelemetrySink):
-    """Feeds spans *and* raw profiler events to an online stitcher.
-
-    The sink itself is a thin forwarder so the telemetry layer stays
-    free of profiler imports; the heavy lifting (shadow stages, LRU,
-    checkpoints, queries) lives in :class:`repro.live.LiveCollector`.
-    ``pressure()`` reports the collector's pending-event backlog, which
-    is how the backpressure contract reaches the recorder's callers.
-    """
-
-    wants_profile_events = True
-
-    def __init__(self, collector: Any):
-        self.collector = collector
-
-    def on_span(self, span: Span) -> None:
-        self.collector.on_span(span)
-
-    def on_profile_event(self, event: Tuple[Any, ...]) -> None:
-        self.collector.on_profile_event(event)
-
-    def pressure(self) -> int:
-        return self.collector.pending_events
-
-    def flush(self) -> None:
-        self.collector.drain()
-
-    def close(self) -> None:
-        self.collector.drain()
-        self.collector.close()

@@ -131,8 +131,6 @@ class SpanRecorder:
         # Sink-error counter, installed by the hub when metrics are on.
         self.error_counter: Optional[Any] = None
         self._sinks: List[Any] = []
-        # Subset of sinks that opted into raw profiler events.
-        self._profile_sinks: List[Any] = []
         self.dropped = 0
         self.completed = 0
         self.sink_errors = 0
@@ -143,15 +141,11 @@ class SpanRecorder:
     def add_sink(self, sink: Any) -> None:
         """Attach a streaming sink (see :mod:`repro.telemetry.sinks`)."""
         self._sinks.append(sink)
-        if getattr(sink, "wants_profile_events", False):
-            self._profile_sinks.append(sink)
 
     def detach_sink(self, sink: Any) -> None:
-        """Remove a sink from all dispatch lists (no-op if absent)."""
+        """Remove a sink (no-op if absent)."""
         if sink in self._sinks:
             self._sinks.remove(sink)
-        if sink in self._profile_sinks:
-            self._profile_sinks.remove(sink)
 
     def _quarantine(self, failed: List[Any]) -> None:
         """Detach sinks that raised; the hot path must survive them."""
@@ -184,28 +178,6 @@ class SpanRecorder:
             if failed is not None:
                 self._quarantine(failed)
 
-    # ------------------------------------------------------------------
-    # Raw profiler events (online stitching)
-    # ------------------------------------------------------------------
-    def profile_emitter(self) -> Optional[Any]:
-        """Bound dispatch method, or ``None`` when no sink wants the
-        profiler stream — instrumentation sites capture this once at
-        construction so a span-only run pays nothing per sample."""
-        return self.emit_profile_event if self._profile_sinks else None
-
-    def emit_profile_event(self, event: Any) -> None:
-        """Fan a raw profiler event out to opted-in sinks (hardened)."""
-        failed = None
-        for sink in self._profile_sinks:
-            try:
-                sink.on_profile_event(event)
-            except Exception:
-                if failed is None:
-                    failed = []
-                failed.append(sink)
-        if failed is not None:
-            self._quarantine(failed)
-
     def flush_sinks(self) -> None:
         """Flush every attached sink (errors detach, never propagate)."""
         failed = None
@@ -221,7 +193,7 @@ class SpanRecorder:
 
     def close_sinks(self) -> None:
         """Close every attached sink once; errors are counted, not raised."""
-        sinks, self._sinks, self._profile_sinks = self._sinks, [], []
+        sinks, self._sinks = self._sinks, []
         for sink in sinks:
             try:
                 sink.close()

@@ -102,6 +102,46 @@ def test_live_report_digest_matches_postmortem_stitch(tmp_path, capsys):
         assert len(os.listdir(live / shard)) == 1
 
 
+def test_live_run_builds_no_spans(tmp_path, capsys, monkeypatch):
+    """``--live-dir`` leaves the default ``--telemetry off`` alone, and
+    the profile it compacts is the one a spans run and the post-mortem
+    stitch of the same seed give."""
+    from repro import telemetry
+    from repro.apps.tpcw import TpcwSystem
+
+    active_during_run = []
+    run = TpcwSystem.run
+
+    def spy(self, *args, **kwargs):
+        active_during_run.append(telemetry.ACTIVE)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(TpcwSystem, "run", spy)
+    plain, spans, dumps = tmp_path / "plain", tmp_path / "spans", tmp_path / "dumps"
+    live = ["--live-interval", "2", "--live-resident", "4"]
+    assert main(_TPCW + live + [
+        "--live-dir", str(plain), "--save-profiles", str(dumps),
+        "--profile-format", "v2",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert active_during_run == [None]
+    assert "live stitch:" in out
+    assert "live telemetry summary" not in out
+    assert main(_TPCW + live + [
+        "--live-dir", str(spans), "--telemetry", "spans",
+    ]) == 0
+    assert "live telemetry summary" in capsys.readouterr().out
+    assert active_during_run[1] is not None
+
+    digests = []
+    for argv in (["live-report", str(plain)], ["live-report", str(spans)],
+                 ["stitch", str(dumps)]):
+        assert main(argv + ["--digest"]) == 0
+        digests.append(capsys.readouterr().out.strip())
+    assert len(digests[0]) == 64
+    assert digests == [digests[0]] * 3
+
+
 def test_live_report_rejects_bad_directory(tmp_path, capsys):
     assert main(["live-report", str(tmp_path / "nope")]) == 2
     assert "not a directory" in capsys.readouterr().err

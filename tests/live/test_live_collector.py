@@ -176,6 +176,6 @@ def test_sharded_live_collection_folds_like_parallel_stitch(tmp_path):
         )
         extra = run.results[index].extra["live"]
         assert extra["samples"] == recovered.samples
-        assert extra["sink_errors"] == 0
+        assert "sink_errors" not in extra
     folded = accumulator.finalize()
     assert _digest(folded) == _digest(run.stitch(strict=False))

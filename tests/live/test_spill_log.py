@@ -27,7 +27,6 @@ from repro.live import (
 )
 from repro.live.checkpoint import SPILL_NAME, SpillLog
 from repro.parallel import canonical_profile_bytes
-from repro.telemetry.sinks import StitchingSink
 
 
 @pytest.fixture(autouse=True)
@@ -173,7 +172,7 @@ def test_frames_newer_than_the_surviving_checkpoint_are_ignored(tmp_path):
     # The recovered collector keeps working: new samples evict onto the
     # end of the same log, past the orphans.
     tele = telemetry.install("spans")
-    tele.add_sink(StitchingSink(recovered))
+    recovered.attach(tele)
     TpcwSystem(clients=10, seed=8).run(duration=5.0, warmup=1.0)
     recovered.drain()
     assert recovered.evictions > stored["evictions"]

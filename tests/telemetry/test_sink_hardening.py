@@ -31,8 +31,6 @@ def _telemetry_teardown():
 
 
 class _ExplodingSink(TelemetrySink):
-    wants_profile_events = True
-
     def __init__(self, explode_after=0):
         self.calls = 0
         self.explode_after = explode_after
@@ -44,9 +42,6 @@ class _ExplodingSink(TelemetrySink):
             raise RuntimeError("sink detonated")
 
     def on_span(self, span):
-        self._maybe_explode()
-
-    def on_profile_event(self, event):
         self._maybe_explode()
 
     def close(self):
@@ -63,7 +58,7 @@ def test_raising_sink_is_detached_counted_and_closed():
     recorder.end(span, 1.0)  # bad raises -> quarantined
     assert recorder.sink_errors == 1
     assert bad.closed
-    assert bad not in recorder._sinks and bad not in recorder._profile_sinks
+    assert bad not in recorder._sinks
     # The surviving sink saw the span despite its neighbor's failure.
     assert len(good.spans) == 1
     # Once detached, the bad sink never hears from the recorder again.
