@@ -81,7 +81,7 @@ def _emit_cct(root: CCTNode, prefix: str, total: float, min_share: float) -> Lis
                 continue
             label = f"{name}\\n{share:.1f}%"
             lines.append(f"    {node_id(child)} [label={_quote(label)}];")
-            if not (node.parent is None and node.name == "<root>"):
+            if node is not root:
                 lines.append(f"    {node_id(node)} -> {node_id(child)};")
             emit(child)
 

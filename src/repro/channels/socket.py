@@ -139,7 +139,7 @@ class Endpoint:
             self.kernel.resume(receiver, message)
             return
         self._buffer.append(message)
-        for observer in self.observers:
+        for observer in tuple(self.observers):
             observer(self)
 
     # ------------------------------------------------------------------
@@ -302,7 +302,7 @@ class Listener:
             self.kernel.resume(acceptor, connection)
         else:
             self._backlog.append(connection)
-            for observer in self.observers:
+            for observer in tuple(self.observers):
                 observer(self)
         return connection
 

@@ -20,11 +20,10 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 class CCTNode:
     """One calling context (call path) in the tree."""
 
-    __slots__ = ("name", "parent", "children", "self_weight", "call_count")
+    __slots__ = ("name", "children", "self_weight", "call_count")
 
-    def __init__(self, name: str, parent: Optional["CCTNode"] = None):
+    def __init__(self, name: str):
         self.name = name
-        self.parent = parent
         self.children: Dict[str, CCTNode] = {}
         self.self_weight = 0.0
         self.call_count = 0
@@ -33,7 +32,7 @@ class CCTNode:
         """Get or create the child for ``name``."""
         node = self.children.get(name)
         if node is None:
-            node = CCTNode(name, self)
+            node = CCTNode(name)
             self.children[name] = node
         return node
 
@@ -50,15 +49,6 @@ class CCTNode:
             total += node.self_weight
             stack.extend(node.children.values())
         return total
-
-    def path(self) -> Tuple[str, ...]:
-        """The call path from the root to this node (root excluded)."""
-        frames: List[str] = []
-        node: Optional[CCTNode] = self
-        while node is not None and node.parent is not None:
-            frames.append(node.name)
-            node = node.parent
-        return tuple(reversed(frames))
 
     def walk(self) -> Iterator["CCTNode"]:
         """Pre-order traversal of this subtree (children in name order).
@@ -173,11 +163,16 @@ class CallingContextTree:
     def flatten(self) -> Dict[Tuple[str, ...], float]:
         """Map of call path -> self weight for all sampled paths."""
         out: Dict[Tuple[str, ...], float] = {}
-        for node in self.root.walk():
-            if node is self.root:
-                continue
-            if node.self_weight:
-                out[node.path()] = node.self_weight
+        # Same pre-order as walk(), carrying each node's path with it.
+        stack: List[Tuple[CCTNode, Tuple[str, ...]]] = [(self.root, ())]
+        while stack:
+            node, path = stack.pop()
+            if node.self_weight and path:
+                out[path] = node.self_weight
+            children = node.children
+            if children:
+                for name in sorted(children, reverse=True):
+                    stack.append((children[name], path + (name,)))
         return out
 
     def by_frame(self) -> Dict[str, float]:

@@ -70,6 +70,27 @@ class Park(Syscall):
         return f"Park({self.loop.name})"
 
 
+class _Watch:
+    """A one-shot observer that readies ``event`` when ``waitable`` fills.
+
+    An object, not a closure: a closure that unregisters itself names
+    itself, and every fired watch would be left to the cyclic collector.
+    """
+
+    __slots__ = ("loop", "waitable", "event")
+
+    def __init__(self, loop: "EventLoop", waitable: Any, event: Event):
+        self.loop = loop
+        self.waitable = waitable
+        self.event = event
+
+    def __call__(self, _source: Any) -> None:
+        loop = self.loop
+        self.waitable.observers.remove(self)
+        loop._watches.remove(self)
+        loop._make_ready(self.event)
+
+
 class EventLoop:
     """A single-threaded event loop with transaction-context tracking."""
 
@@ -141,15 +162,9 @@ class EventLoop:
             # A stopped loop will never dispatch the event; registering
             # the observer would only recreate the leak stop() purges.
             return
-
-        def observer(_source) -> None:
-            waitable.observers.remove(observer)
-            self._watches.remove(entry)
-            self._make_ready(event)
-
-        entry = (waitable, observer)
-        self._watches.append(entry)
-        waitable.observers.append(observer)
+        watch = _Watch(self, waitable, event)
+        self._watches.append(watch)
+        waitable.observers.append(watch)
 
     def _make_ready(self, event: Event) -> None:
         self._ready.append(event)
@@ -165,8 +180,8 @@ class EventLoop:
         # Un-register outstanding waitable watches: a stopped loop will
         # never dispatch them, and a still-attached observer pins the
         # loop and its captured events for the waitable's lifetime.
-        for waitable, observer in self._watches:
-            waitable.observers.remove(observer)
+        for watch in self._watches:
+            watch.waitable.observers.remove(watch)
         self._watches.clear()
         self.wake()
 

@@ -29,6 +29,15 @@ def test_stage_profile_dot_structure():
     assert "worker" in dot
     # Edges between call-path nodes.
     assert "->" in dot
+    # No edge leaves the (unlabelled) root: every edge source is a
+    # declared call-path node.
+    lines = dot.splitlines()
+    declared = {line.split()[0] for line in lines if "[label=" in line}
+    sources = [
+        line.split()[0] for line in lines if " -> " in line and "label" not in line
+    ]
+    assert len(sources) == 3
+    assert set(sources) <= declared
 
 
 def test_stage_profile_dot_percentages():

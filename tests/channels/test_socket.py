@@ -118,6 +118,49 @@ def test_observers_fire_on_buffered_data():
     assert endpoint.try_recv() is None
 
 
+def test_self_removing_observers_all_fire_on_one_message():
+    """An observer that unregisters itself while observers run must not
+    make the next one be skipped."""
+    kernel = Kernel()
+    endpoint = Endpoint(kernel)
+    fired = []
+
+    def one_shot(tag):
+        def observer(ep):
+            ep.observers.remove(observer)
+            fired.append(tag)
+
+        return observer
+
+    endpoint.observers.extend([one_shot("a"), one_shot("b")])
+
+    def sender():
+        yield Send(endpoint, Message("x"))
+
+    kernel.spawn(sender())
+    kernel.run()
+    assert fired == ["a", "b"]
+    assert endpoint.observers == []
+
+
+def test_self_removing_listener_observers_all_fire():
+    kernel = Kernel()
+    listener = Listener(kernel)
+    fired = []
+
+    def one_shot(tag):
+        def observer(lst):
+            lst.observers.remove(observer)
+            fired.append(tag)
+
+        return observer
+
+    listener.observers.extend([one_shot("a"), one_shot("b")])
+    listener.connect()
+    assert fired == ["a", "b"]
+    assert listener.observers == []
+
+
 def test_observer_not_fired_when_receiver_waiting():
     kernel = Kernel()
     endpoint = Endpoint(kernel)

@@ -81,7 +81,33 @@ def test_flatten_returns_only_sampled_paths():
 def test_node_path_round_trip():
     cct = CallingContextTree()
     node = cct.record_sample(("a", "b", "c"), 1.0)
-    assert node.path() == ("a", "b", "c")
+    assert cct.lookup(("a", "b", "c")) is node
+
+
+def test_flatten_branching_three_levels():
+    cct = CallingContextTree()
+    cct.record_sample(("main", "a", "x"), 1.0)
+    cct.record_sample(("main", "a", "y"), 2.0)
+    cct.record_sample(("main", "b", "x"), 3.0)
+    cct.record_sample(("main", "b"), 4.0)
+    cct.record_sample(("other",), 5.0)
+    cct.record_call(("main", "c", "z"))
+    flat = cct.flatten()
+    assert flat == {
+        ("main", "a", "x"): 1.0,
+        ("main", "a", "y"): 2.0,
+        ("main", "b"): 4.0,
+        ("main", "b", "x"): 3.0,
+        ("other",): 5.0,
+    }
+    # Pre-order, children in name order — the same order as walk().
+    assert list(flat) == [
+        ("main", "a", "x"),
+        ("main", "a", "y"),
+        ("main", "b"),
+        ("main", "b", "x"),
+        ("other",),
+    ]
 
 
 def test_record_call_counts():

@@ -187,6 +187,37 @@ def test_waitable_event_fires_when_data_arrives():
     assert got == [("data", 2.0)]
 
 
+def test_two_events_watching_one_endpoint_both_fire():
+    """One message readies every event watching the endpoint: each
+    watch unregisters itself when it fires, which must not skip the
+    watch registered after it."""
+    kernel = Kernel()
+    loop, stage, _ = make_loop(kernel)
+    endpoint = Endpoint(kernel)
+    ran = []
+
+    def on_readable(lp, ev):
+        message = ev.waitable.try_recv()
+        ran.append((ev.name, message.payload if message else None))
+        return
+        yield  # pragma: no cover
+
+    loop.event_add(Event("first", on_readable, waitable=endpoint))
+    loop.event_add(Event("second", on_readable, waitable=endpoint))
+
+    def sender():
+        yield Delay(1.0)
+        yield Send(endpoint, Message("data"))
+        yield Delay(1.0)
+        loop.stop()
+
+    kernel.spawn(sender())
+    kernel.run()
+    assert ran == [("first", "data"), ("second", None)]
+    assert endpoint.observers == []
+    assert loop._watches == []
+
+
 def test_waitable_already_readable_fires_immediately():
     kernel = Kernel()
     loop, stage, _ = make_loop(kernel)
