@@ -755,6 +755,23 @@ def cmd_table3(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_seconds(text: str) -> float:
+    """argparse type for a run length in virtual seconds: finite, > 0.
+
+    NaN or inf would never reach the horizon, and a length <= 0 runs
+    nothing and prints an empty profile.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="whodunit-repro",
@@ -870,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, clients=6, seconds=3.0):
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--clients", type=int, default=clients)
-        p.add_argument("--seconds", type=float, default=seconds)
+        p.add_argument("--seconds", type=_run_seconds, default=seconds)
         p.add_argument("--objects", type=int, default=2000)
         p.add_argument("--dot", metavar="FILE", help="write graphviz profile")
         telemetry_flags(p)
@@ -959,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=500.0,
         help="population-wide base session arrival rate per virtual second",
     )
-    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--seconds", type=_run_seconds, default=30.0)
     p.add_argument("--objects", type=int, default=2000)
     p.add_argument("--cache-kb", type=int, default=512)
     p.add_argument(

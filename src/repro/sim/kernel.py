@@ -29,6 +29,20 @@ a two-level structure — a hashed timing wheel with an exact-time cursor:
   pop, and the whole run of events drains in a tight loop — the batched
   same-timestamp dispatch.
 
+One more level sits in front of the wheel: ``_ready``, a single slot
+for the most common entry of all, a thread woken at the very instant it
+is running (a CPU completion, a send, a delivery to a blocked receiver,
+a SEDA enqueue).  :meth:`Kernel.resume` stores the ``(thread, value)``
+pair there when the slot is empty and no bucket exists at ``now``, and
+:meth:`Kernel.run` fires it before popping the next timestamp — no
+bucket list, no heap push, no heap pop of a float that is already
+``now``.  The slot is exactly the head of the next same-time bucket:
+anything scheduled at ``now`` after it lands in a bucket behind it, a
+multi-event batch in flight finishes first (its entries were scheduled
+earlier), and every exit from ``run()`` (``stop()``, a raising handler)
+moves a filled slot back to the head of the bucket at ``now`` before
+the tail of an interrupted batch is requeued ahead of it.
+
 Cancellation just flags the event (O(1)); a cancelled event is skipped
 when its bucket fires, and once cancelled entries dominate the wheel it
 is rebuilt without them (lazy purge), exactly as the old heap was.  This
@@ -123,6 +137,7 @@ class Kernel:
         "strict",
         "livelock_limit",
         "_same_time_events",
+        "_ready",
         "_wheel",
         "_times",
         "_num_events",
@@ -154,6 +169,9 @@ class Kernel:
         self._wheel: Dict[float, List[ScheduledEvent]] = {}
         self._times: List[float] = []
         self._num_events = 0
+        # At most one bare wakeup due at ``now``, ahead of the wheel (see
+        # module docstring); not counted in ``_num_events``.
+        self._ready: Optional[tuple] = None
         # Only live threads: finished/failed threads are reaped (see
         # :meth:`reap`), so deadlock checks and live_threads stay O(live)
         # however many short-lived threads a run spawns.
@@ -199,7 +217,7 @@ class Kernel:
             self._tele_drift = None
 
     def _refresh_telemetry_gauges(self) -> None:
-        self._tele_heap.set(self._num_events)
+        self._tele_heap.set(self._num_events + (self._ready is not None))
         self._tele_threads.set(len(self._threads))
         self._tele_vtime.set(self.now)
 
@@ -360,15 +378,40 @@ class Kernel:
         # Inlined call_soon(thread.step, value) — the hottest kernel
         # entry point after the event loop itself.  Same bare-pair
         # representation as spawn(): resume wakeups are uncancellable
-        # by construction (no caller ever sees the event).
+        # by construction (no caller ever sees the event).  The first
+        # wakeup at a fresh instant takes the ready slot instead of a
+        # new bucket; anything already at ``now`` must fire first.
         when = self.now
-        self._num_events += 1
         bucket = self._wheel.get(when)
         if bucket is None:
+            if self._ready is None:
+                self._ready = (thread, value)
+                return
             self._wheel[when] = [(thread, value)]
             _heappush(self._times, when)
         else:
             bucket.append((thread, value))
+        self._num_events += 1
+
+    def _unready(self) -> None:
+        """Move a filled ready slot to the head of the bucket at ``now``.
+
+        That is where the wakeup would sit had it gone to the wheel: the
+        slot only fills while no bucket exists at ``now``, so everything
+        in that bucket was scheduled after it.
+        """
+        ready = self._ready
+        if ready is None:
+            return
+        self._ready = None
+        when = self.now
+        self._num_events += 1
+        bucket = self._wheel.get(when)
+        if bucket is None:
+            self._wheel[when] = [ready]
+            _heappush(self._times, when)
+        else:
+            bucket.insert(0, ready)
 
     def throw_in(self, thread: SimThread, exc: BaseException) -> None:
         """Raise ``exc`` inside ``thread`` at its current yield point."""
@@ -380,8 +423,18 @@ class Kernel:
     def run(self, until: Optional[float] = None) -> float:
         """Process events until the queue drains or ``until`` is reached.
 
-        Returns the virtual time at which the run stopped.
+        Returns the virtual time at which the run stopped.  ``until``
+        must be finite and not before ``now``.
         """
+        if until is not None:
+            if until < self.now:
+                raise ValueError(
+                    "cannot run into the past (until=%r, now=%r)" % (until, self.now)
+                )
+            if until != until or until == _INF:
+                # NaN would drain the whole wheel as if unbounded, and
+                # +inf would leave the clock at inf for the next schedule().
+                raise ValueError("horizon must be finite (until=%r)" % until)
         self._stopped = False
         # A previous horizon-bounded run() may have returned mid-batch
         # of same-timestamp events; the livelock counter is per-run
@@ -399,28 +452,82 @@ class Kernel:
             virtual_start = self.now
             fired_total = 0
         now = self.now
-        while times:
-            when = heappop(times)
-            if when > horizon:
-                # Leave the bucket for a later run() call and stop the
-                # clock exactly at the horizon.
-                _heappush(times, when)
-                self.now = until
-                return until
-            if when < now:
-                raise SimulationError("time went backwards")
-            batch = pop_bucket(when)
-            if len(batch) == 1:
-                # Fast path: one event at this timestamp (the common
-                # case for distinct timer deadlines).  No batch slicing
-                # is ever needed, so no try/except either.  A bucket
-                # entry is either a ScheduledEvent or a bare
-                # ``(thread, value)`` wakeup pair (spawn/resume/Delay);
-                # pairs are uncancellable by construction.
-                event = batch[0]
-                self._num_events -= 1
-                if event.__class__ is tuple:
-                    thread, value = event
+        try:
+            while True:
+                ready = self._ready
+                if ready is not None:
+                    if now in wheel:
+                        # Something was scheduled at ``now`` after the
+                        # wakeup: it heads that bucket and fires in its
+                        # batch, as it would have on the wheel.
+                        self._unready()
+                    else:
+                        # A one-event bucket at ``now``: the fast path
+                        # below, without the wheel round trip.
+                        self._ready = None
+                        same = self._same_time_events + 1
+                        self._same_time_events = same
+                        if same > livelock_limit:
+                            raise SimulationError(
+                                f"livelock: {livelock_limit} events fired "
+                                f"at t={now} without the clock advancing"
+                            )
+                        ready[0].step(ready[1])
+                        if tele_events is not None:
+                            tele_events.inc()
+                            fired_total += 1
+                            if fired_total % _TELEMETRY_GAUGE_INTERVAL == 0:
+                                self._refresh_telemetry_gauges()
+                        if self._stopped:
+                            break
+                        continue
+                if not times:
+                    break
+                when = heappop(times)
+                if when > horizon:
+                    # Leave the bucket for a later run() call and stop the
+                    # clock exactly at the horizon.
+                    _heappush(times, when)
+                    self.now = until
+                    return until
+                if when < now:
+                    raise SimulationError("time went backwards")
+                batch = pop_bucket(when)
+                if len(batch) == 1:
+                    # Fast path: one event at this timestamp (the common
+                    # case for distinct timer deadlines).  No batch
+                    # slicing is ever needed, so no requeue either.  A
+                    # bucket entry is either a ScheduledEvent or a bare
+                    # ``(thread, value)`` wakeup pair (spawn/resume/Delay);
+                    # pairs are uncancellable by construction.
+                    event = batch[0]
+                    self._num_events -= 1
+                    if event.__class__ is tuple:
+                        thread, value = event
+                        if when > now:
+                            self.now = now = when
+                            self._same_time_events = 0
+                        else:
+                            same = self._same_time_events + 1
+                            self._same_time_events = same
+                            if same > livelock_limit:
+                                raise SimulationError(
+                                    f"livelock: {livelock_limit} events fired "
+                                    f"at t={now} without the clock advancing"
+                                )
+                        thread.step(value)
+                        if tele_events is not None:
+                            tele_events.inc()
+                            fired_total += 1
+                            if fired_total % _TELEMETRY_GAUGE_INTERVAL == 0:
+                                self._refresh_telemetry_gauges()
+                        if self._stopped:
+                            break
+                        continue
+                    event.kernel = None
+                    if event.cancelled:
+                        self._cancelled -= 1
+                        continue
                     if when > now:
                         self.now = now = when
                         self._same_time_events = 0
@@ -429,10 +536,10 @@ class Kernel:
                         self._same_time_events = same
                         if same > livelock_limit:
                             raise SimulationError(
-                                f"livelock: {livelock_limit} events fired "
-                                f"at t={now} without the clock advancing"
+                                f"livelock: {livelock_limit} events fired at "
+                                f"t={now} without the clock advancing"
                             )
-                    thread.step(value)
+                    event.fn(*event.args)
                     if tele_events is not None:
                         tele_events.inc()
                         fired_total += 1
@@ -441,83 +548,69 @@ class Kernel:
                     if self._stopped:
                         break
                     continue
-                event.kernel = None
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
+                # Batched dispatch: detach the whole bucket first so a
+                # cancel() from inside the batch cannot touch the wheel's
+                # counters (the events are in flight, invisible to purge).
+                self._num_events -= len(batch)
+                cancelled_in_batch = 0
+                for event in batch:
+                    if event.__class__ is not tuple:
+                        event.kernel = None
+                        if event.cancelled:
+                            cancelled_in_batch += 1
+                if cancelled_in_batch:
+                    self._cancelled -= cancelled_in_batch
+                    if cancelled_in_batch == len(batch):
+                        continue
                 if when > now:
                     self.now = now = when
-                    self._same_time_events = 0
+                    same = -1  # the first event at a new time resets the count
                 else:
-                    same = self._same_time_events + 1
-                    self._same_time_events = same
-                    if same > livelock_limit:
-                        raise SimulationError(
-                            f"livelock: {livelock_limit} events fired at "
-                            f"t={now} without the clock advancing"
-                        )
-                event.fn(*event.args)
-                if tele_events is not None:
-                    tele_events.inc()
-                    fired_total += 1
-                    if fired_total % _TELEMETRY_GAUGE_INTERVAL == 0:
-                        self._refresh_telemetry_gauges()
+                    same = self._same_time_events
+                fired = 0
+                event = None
+                try:
+                    for event in batch:
+                        if event.__class__ is tuple:
+                            event[0].step(event[1])
+                        elif event.cancelled:
+                            continue
+                        else:
+                            event.fn(*event.args)
+                        fired += 1
+                        if tele_events is not None:
+                            tele_events.inc()
+                            fired_total += 1
+                            if fired_total % _TELEMETRY_GAUGE_INTERVAL == 0:
+                                self._refresh_telemetry_gauges()
+                        if self._stopped:
+                            # The slot was filled during the batch, so
+                            # the batch's unfired tail goes ahead of it.
+                            self._unready()
+                            self._requeue(when, batch, event)
+                            break
+                except BaseException:
+                    # The raising event is consumed; everything after it
+                    # goes back so a later run() resumes exactly there.
+                    self._unready()
+                    self._requeue(when, batch, event)
+                    self._same_time_events = max(same + fired, 0)
+                    raise
+                same += fired
+                self._same_time_events = max(same, 0)
+                if same > livelock_limit:
+                    raise SimulationError(
+                        f"livelock: {livelock_limit} events fired at "
+                        f"t={now} without the clock advancing"
+                    )
                 if self._stopped:
                     break
-                continue
-            # Batched dispatch: detach the whole bucket first so a
-            # cancel() from inside the batch cannot touch the wheel's
-            # counters (the events are in flight, invisible to purge).
-            self._num_events -= len(batch)
-            cancelled_in_batch = 0
-            for event in batch:
-                if event.__class__ is not tuple:
-                    event.kernel = None
-                    if event.cancelled:
-                        cancelled_in_batch += 1
-            if cancelled_in_batch:
-                self._cancelled -= cancelled_in_batch
-                if cancelled_in_batch == len(batch):
-                    continue
-            if when > now:
-                self.now = now = when
-                same = -1  # the first event at a new time resets the count
-            else:
-                same = self._same_time_events
-            fired = 0
-            event = None
-            try:
-                for event in batch:
-                    if event.__class__ is tuple:
-                        event[0].step(event[1])
-                    elif event.cancelled:
-                        continue
-                    else:
-                        event.fn(*event.args)
-                    fired += 1
-                    if tele_events is not None:
-                        tele_events.inc()
-                        fired_total += 1
-                        if fired_total % _TELEMETRY_GAUGE_INTERVAL == 0:
-                            self._refresh_telemetry_gauges()
-                    if self._stopped:
-                        self._requeue(when, batch, event)
-                        break
-            except BaseException:
-                # The raising event is consumed; everything after it
-                # goes back so a later run() resumes exactly there.
-                self._requeue(when, batch, event)
-                self._same_time_events = max(same + fired, 0)
-                raise
-            same += fired
-            self._same_time_events = max(same, 0)
-            if same > livelock_limit:
-                raise SimulationError(
-                    f"livelock: {livelock_limit} events fired at "
-                    f"t={now} without the clock advancing"
-                )
-            if self._stopped:
-                break
+        except BaseException:
+            # A wakeup a raising handler left in the slot stays pending.
+            self._unready()
+            raise
+        # stop() may leave a wakeup in the slot for the next run().
+        self._unready()
         if tele_events is not None:
             elapsed_virtual = self.now - virtual_start
             if elapsed_virtual > 0:
@@ -566,6 +659,7 @@ class Kernel:
                 event.kernel = self
                 if event.cancelled:
                     self._cancelled += 1
+        self._num_events += len(rest)
         existing = self._wheel.get(when)
         if existing is None:
             self._wheel[when] = rest
@@ -573,7 +667,6 @@ class Kernel:
         else:
             rest.extend(existing)
             self._wheel[when] = rest
-        self._num_events += len(rest)
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current event completes."""
@@ -589,4 +682,4 @@ class Kernel:
 
     def pending_events(self) -> int:
         """Number of scheduled, non-cancelled events (O(1))."""
-        return self._num_events - self._cancelled
+        return self._num_events - self._cancelled + (self._ready is not None)

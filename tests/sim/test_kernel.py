@@ -117,6 +117,32 @@ def test_run_until_with_empty_queue_advances_clock():
     assert kernel.run(until=7.0) == 7.0
 
 
+def test_run_rejects_a_horizon_in_the_past():
+    kernel = Kernel()
+    kernel.run(until=10.0)
+    for until in (5.0, float("-inf")):
+        with pytest.raises(ValueError, match="past"):
+            kernel.run(until=until)
+    assert kernel.now == 10.0
+    assert kernel.run(until=10.0) == 10.0  # now itself is allowed
+
+
+def test_run_rejects_non_finite_horizons():
+    kernel = Kernel()
+    seen = []
+    kernel.schedule(1.0, seen.append, "a")
+    kernel.schedule(100.0, seen.append, "b")
+    for until in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            kernel.run(until=until)
+    # Nothing ran, and the clock is still finite for the next schedule().
+    assert seen == [] and kernel.now == 0.0
+    assert kernel.pending_events() == 2
+    kernel.schedule(1.0, seen.append, "c")
+    kernel.run()
+    assert seen == ["a", "c", "b"]
+
+
 def test_stop_halts_the_loop():
     kernel = Kernel()
     seen = []

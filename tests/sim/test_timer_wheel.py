@@ -5,13 +5,15 @@ timestamp plus a heap of distinct times) rather than a heap of event
 objects.  These tests pin the observable semantics the rewrite must
 preserve: FIFO order within a timestamp, zero-delay interleaving with
 ``call_soon``, O(1) cancellation that never corrupts the pending-event
-counter, and livelock accounting that does not leak across segmented
-``run(until=...)`` calls.
+counter, livelock accounting that does not leak across segmented
+``run(until=...)`` calls, and a ready slot that is indistinguishable
+from the head of the next same-time bucket.
 """
 
 import pytest
 
-from repro.sim import Delay, Kernel, Syscall
+from repro.sim import CurrentThread, Delay, Kernel, Syscall
+from repro.sim.kernel import Deadlock, SimulationError
 
 
 def test_non_finite_delays_rejected():
@@ -235,3 +237,164 @@ def test_livelock_counter_resets_between_run_segments():
         kernel.schedule(0.0, seen.append, 80 + index)
     kernel.run(until=1.0)
     assert len(seen) == 160
+
+
+# ----------------------------------------------------------------------
+# The ready slot: the first wakeup at a fresh instant skips the wheel
+# (``repro.sim.kernel`` module docstring) and must behave exactly as the
+# head of the next same-time bucket would.
+# ----------------------------------------------------------------------
+
+
+class Boom(Exception):
+    pass
+
+
+class Park(Syscall):
+    def execute(self, kernel, thread):
+        thread.blocked_on = self
+
+
+def parked_thread(kernel, seen):
+    """A thread blocked on nothing that will ever wake it but resume()."""
+
+    def parked():
+        seen.append((yield Park()))
+
+    thread = kernel.spawn(parked())
+    kernel.run(until=kernel.now)
+    assert thread.blocked_on is not None and kernel.pending_events() == 0
+    return thread
+
+
+def test_stop_mid_batch_after_a_wakeup_fires_the_batch_tail_first():
+    kernel = Kernel()
+    seen = []
+    thread = parked_thread(kernel, seen)
+
+    def resume_then_stop():
+        kernel.resume(thread, "thread")
+        kernel.stop()
+        seen.append("stopper")
+
+    kernel.schedule(1.0, resume_then_stop)
+    kernel.schedule(1.0, seen.append, "tail")
+    kernel.run()
+    assert seen == ["stopper"]
+    assert kernel.pending_events() == 2
+    kernel.run()
+    assert seen == ["stopper", "tail", "thread"]
+    assert kernel.pending_events() == 0
+
+
+def test_wakeup_from_a_raising_handler_fires_after_the_batch_tail():
+    kernel = Kernel()
+    seen = []
+    thread = parked_thread(kernel, seen)
+
+    def resume_then_raise():
+        kernel.resume(thread, "thread")
+        seen.append("raiser")
+        raise Boom
+
+    kernel.schedule(1.0, resume_then_raise)
+    kernel.schedule(1.0, seen.append, "tail")
+    with pytest.raises(Boom):
+        kernel.run()
+    assert seen == ["raiser"]
+    assert kernel.pending_events() == 2
+    kernel.run()
+    assert seen == ["raiser", "tail", "thread"]
+
+
+def test_wakeup_from_a_lone_raising_handler_stays_pending():
+    kernel = Kernel()
+    seen = []
+    thread = parked_thread(kernel, seen)
+
+    def resume_then_raise():
+        kernel.resume(thread, "thread")
+        raise Boom
+
+    kernel.schedule(1.0, resume_then_raise)
+    with pytest.raises(Boom):
+        kernel.run()
+    assert kernel.pending_events() == 1
+    kernel.call_soon(seen.append, "soon")
+    kernel.run()
+    assert seen == ["thread", "soon"]
+
+
+def test_resume_outside_run_keeps_its_place_among_call_soons():
+    kernel = Kernel()
+    seen = []
+    thread = parked_thread(kernel, seen)
+    kernel.call_soon(seen.append, "soon1")
+    kernel.resume(thread, "thread")
+    kernel.call_soon(seen.append, "soon2")
+    kernel.run()
+    assert seen == ["soon1", "thread", "soon2"]
+
+    seen.clear()
+    thread = parked_thread(kernel, seen)
+    kernel.resume(thread, "thread")
+    kernel.call_soon(seen.append, "soon")
+    kernel.run()
+    assert seen == ["thread", "soon"]
+
+
+def test_pending_events_counts_the_ready_slot():
+    kernel = Kernel()
+    seen = []
+    thread = parked_thread(kernel, seen)
+    kernel.resume(thread, "thread")
+    assert kernel._wheel == {}  # whitebox: the wakeup is in the slot
+    assert kernel.pending_events() == 1
+    kernel.schedule(1.0, seen.append, "later")
+    assert kernel.pending_events() == 2
+    kernel.run()
+    assert seen == ["thread", "later"]
+    assert kernel.pending_events() == 0
+
+
+def test_same_instant_wakeup_loop_still_trips_the_livelock_limit():
+    kernel = Kernel(livelock_limit=1000)
+    steps = []
+
+    def spin():
+        while True:
+            steps.append(kernel.now)
+            yield CurrentThread()
+
+    kernel.spawn(spin())
+    with pytest.raises(SimulationError, match="livelock: 1000 events"):
+        kernel.run()
+    # The 1001st event at t=0 raises before it is dispatched.
+    assert len(steps) == 1000
+
+
+def test_slot_and_the_bucket_behind_it_count_as_one_batch():
+    # On the wheel the wakeup would head the bucket at ``now``, and a
+    # batch checks the livelock limit only after its last event: both
+    # fire before the error, as they did without the slot.
+    kernel = Kernel(livelock_limit=1)
+    seen = []
+    thread = parked_thread(kernel, seen)
+    kernel.resume(thread, "thread")
+    kernel.call_soon(seen.append, "soon")
+    with pytest.raises(SimulationError, match="livelock"):
+        kernel.run()
+    assert seen == ["thread", "soon"]
+
+
+def test_deadlock_detected_when_the_slot_fires_last():
+    kernel = Kernel()
+
+    def wake_then_park():
+        yield CurrentThread()
+        yield Park()
+
+    kernel.spawn(wake_then_park(), name="sleeper")
+    with pytest.raises(Deadlock, match="sleeper on Park"):
+        kernel.run()
+    assert kernel.pending_events() == 0

@@ -37,6 +37,18 @@ def test_haboob_runs(capsys):
     assert "transactional profile of stage haboob" in out
 
 
+@pytest.mark.parametrize("command", ["apache", "squid", "haboob", "openloop"])
+@pytest.mark.parametrize("seconds", ["nan", "inf", "-inf", "-1", "0", "soon"])
+def test_bad_seconds_is_a_usage_error(command, seconds, capsys):
+    # NaN and inf used to run forever, and -1 printed an empty profile.
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--seconds", seconds])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seconds" in err
+    assert "usage:" in err
+
+
 def test_dot_output(tmp_path, capsys):
     path = tmp_path / "profile.dot"
     assert (
