@@ -29,7 +29,7 @@ from repro.analysis.export import (
     export_stage_profile,
     write_rows,
 )
-from repro.analysis.htmlreport import load_history, render_html_report
+from repro.analysis.htmlreport import render_html_report
 from repro.analysis.telemetry import render_telemetry
 from repro.analysis.live import render_live_crosstalk, render_live_top
 
@@ -47,7 +47,6 @@ __all__ = [
     "render_diff",
     "render_gate",
     "render_html_report",
-    "load_history",
     "frame_shares",
     "top_paths",
     "render_cct",

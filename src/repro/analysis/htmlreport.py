@@ -4,16 +4,14 @@ One file, zero network fetches: styles are inlined, charts are inline
 SVG generated here.  The report shows the diff summary with its
 confidence banner, per-stage deltas, top regression attribution, a
 before/after flamegraph (icicle) pair for each top regressed context,
-a crosstalk-delta heatmap, and — when a history document from
-``benchmarks/trend.py --history`` is supplied — trend sparklines.
+and a crosstalk-delta heatmap.
 """
 
 from __future__ import annotations
 
 import html
-import json
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diff import ContextDelta, ProfileDiff
 from repro.core.cct import CCTNode
@@ -22,8 +20,6 @@ from repro.core.cct import CCTNode
 FLAME_WIDTH = 540
 FLAME_ROW = 18
 FLAME_MAX_DEPTH = 24
-SPARK_WIDTH = 180
-SPARK_HEIGHT = 36
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Helvetica, Arial, sans-serif;
@@ -44,8 +40,6 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
 .flamepair figure { margin: 0; }
 .flamepair figcaption { font-size: 0.8em; color: #5a6069; margin-bottom: 0.3em; }
 svg text { font-size: 10px; font-family: ui-monospace, Menlo, monospace; }
-.spark { display: inline-block; margin: 0.4em 1.2em 0.4em 0; }
-.spark .name { font-size: 0.75em; color: #5a6069; display: block; }
 .muted { color: #5a6069; font-size: 0.85em; }
 """
 
@@ -202,66 +196,6 @@ def crosstalk_heatmap(diff: ProfileDiff) -> str:
     return "".join(cells)
 
 
-# -- trend sparklines --------------------------------------------------
-
-def sparkline_svg(values: Sequence[float]) -> str:
-    if len(values) < 2:
-        return ""
-    low, high = min(values), max(values)
-    span = (high - low) or 1.0
-    step = SPARK_WIDTH / (len(values) - 1)
-    points = " ".join(
-        f"{i * step:.1f},{SPARK_HEIGHT - 4 - (SPARK_HEIGHT - 8) * (v - low) / span:.1f}"
-        for i, v in enumerate(values)
-    )
-    last_x = (len(values) - 1) * step
-    last_y = SPARK_HEIGHT - 4 - (SPARK_HEIGHT - 8) * (values[-1] - low) / span
-    return (
-        f'<svg width="{SPARK_WIDTH}" height="{SPARK_HEIGHT}" role="img">'
-        f'<polyline points="{points}" fill="none" stroke="#3a6fb0" '
-        f'stroke-width="1.5"/>'
-        f'<circle cx="{last_x:.1f}" cy="{last_y:.1f}" r="2.5" fill="#b42318"/>'
-        "</svg>"
-    )
-
-
-def trend_section(history: Optional[dict], limit: int = 12) -> str:
-    """Sparklines from a ``trend.py --history`` document."""
-    series = (history or {}).get("series") or []
-    if len(series) < 2:
-        return (
-            '<p class="muted">No trend history supplied '
-            "(generate one with <code>benchmarks/trend.py --history</code>)."
-            "</p>"
-        )
-    keys: List[str] = []
-    for entry in series:
-        for key in entry.get("metrics", {}):
-            if key not in keys:
-                keys.append(key)
-    parts = []
-    for key in keys[:limit]:
-        values = [
-            entry["metrics"][key]
-            for entry in series
-            if key in entry.get("metrics", {})
-        ]
-        if len(values) < 2:
-            continue
-        parts.append(
-            '<span class="spark">'
-            f'<span class="name">{_esc(key)}</span>'
-            f"{sparkline_svg(values)}"
-            f'<span class="name">latest: {values[-1]:g}</span>'
-            "</span>"
-        )
-    if not parts:
-        return '<p class="muted">History has no plottable metrics.</p>'
-    labels = " &rarr; ".join(_esc(entry.get("label", "?")) for entry in series)
-    parts.append(f'<p class="muted">snapshots: {labels}</p>')
-    return "".join(parts)
-
-
 # -- the report --------------------------------------------------------
 
 def _delta_cell(value: float, fmt: str = "{:+.3f}") -> str:
@@ -273,7 +207,6 @@ def _delta_cell(value: float, fmt: str = "{:+.3f}") -> str:
 def render_html_report(
     diff: ProfileDiff,
     top: int = 10,
-    history: Optional[dict] = None,
     flame_pairs: int = 5,
     title: str = "repro diff",
 ) -> str:
@@ -381,13 +314,5 @@ def render_html_report(
     out.append("<h2>Crosstalk delta heatmap</h2>")
     out.append(crosstalk_heatmap(diff))
 
-    out.append("<h2>Benchmark trend</h2>")
-    out.append(trend_section(history))
-
     out.append("</body></html>")
     return "\n".join(out)
-
-
-def load_history(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)

@@ -530,7 +530,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
     from repro.analysis import (
         diff_runs,
-        load_history,
         render_diff,
         render_gate,
         render_html_report,
@@ -548,9 +547,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     diff = diff_runs(before, after)
 
     if args.html:
-        history = load_history(args.trend_history) if args.trend_history else None
         with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(render_html_report(diff, top=args.top, history=history))
+            handle.write(render_html_report(diff, top=args.top))
         print(f"wrote {args.html}", file=sys.stderr)
 
     if args.json:
@@ -755,20 +753,42 @@ def cmd_table3(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_seconds(text: str) -> float:
-    """argparse type for a run length in virtual seconds: finite, > 0.
+def _seconds(text: str, zero_ok: bool) -> float:
+    """A length in virtual seconds: finite and > 0 (>= 0 if ``zero_ok``).
 
-    NaN or inf would never reach the horizon, and a length <= 0 runs
+    NaN or inf would never reach the horizon, and a run length <= 0 runs
     nothing and prints an empty profile.
     """
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < value < float("inf"):
+    if not (0.0 <= value if zero_ok else 0.0 < value) or value == float("inf"):
+        bound = ">= 0" if zero_ok else "> 0"
         raise argparse.ArgumentTypeError(
-            f"must be a finite number of seconds > 0, got {text!r}"
+            f"must be a finite number of seconds {bound}, got {text!r}"
         )
+    return value
+
+
+def _run_seconds(text: str) -> float:
+    """argparse type for a run length."""
+    return _seconds(text, zero_ok=False)
+
+
+def _warmup_seconds(text: str) -> float:
+    """argparse type for a warm-up length."""
+    return _seconds(text, zero_ok=True)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count of shards or worker processes: >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
 
 
@@ -845,14 +865,14 @@ def build_parser() -> argparse.ArgumentParser:
 
         p.add_argument(
             "--shards",
-            type=int,
+            type=_positive_int,
             default=1,
             help="partition the client population into N deterministic "
             "shards, each a complete simulated deployment",
         )
         p.add_argument(
             "--jobs",
-            type=int,
+            type=_positive_int,
             default=1,
             help="worker processes for sharded runs and stitching "
             "(output is identical for any value)",
@@ -917,8 +937,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tpcw", help="three-tier bookstore (§8.4)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--clients", type=int, default=100)
-    p.add_argument("--duration", type=float, default=120.0)
-    p.add_argument("--warmup", type=float, default=30.0)
+    p.add_argument("--duration", type=_run_seconds, default=120.0)
+    p.add_argument("--warmup", type=_warmup_seconds, default=30.0)
     p.add_argument("--caching", action="store_true", help="cache BestSellers/SearchResult")
     p.add_argument("--innodb", action="store_true", help="item table on InnoDB")
     p.add_argument(
@@ -1030,7 +1050,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-share", type=float, default=0.5)
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for loading/stitching dumps",
     )
@@ -1093,13 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--html",
         metavar="FILE",
         help="also write a self-contained HTML report (flamegraph "
-        "pairs, crosstalk heatmap, trend sparklines)",
-    )
-    p.add_argument(
-        "--trend-history",
-        metavar="FILE",
-        help="benchmark history JSON from `trend.py --history` to "
-        "plot in the HTML report",
+        "pairs, crosstalk heatmap)",
     )
     p.add_argument(
         "--gate",
@@ -1130,7 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes when loading spool directories",
     )

@@ -18,7 +18,6 @@ from repro.analysis import (
     render_gate,
     render_html_report,
 )
-from repro.analysis.htmlreport import sparkline_svg, trend_section
 from repro.apps.tpcw import TpcwSystem
 from repro.core.persist import load_run
 
@@ -165,23 +164,6 @@ def test_html_report_self_contained(golden_diff):
     assert "<svg" in html_doc
     # Byte-stable for identical inputs.
     assert html_doc == render_html_report(golden_diff, top=5)
-
-
-def test_html_trend_sparklines(golden_diff):
-    history = {
-        "series": [
-            {"label": "r1", "metrics": {"eps": 100.0, "p99": 4.0}},
-            {"label": "r2", "metrics": {"eps": 130.0, "p99": 3.5}},
-        ]
-    }
-    html_doc = render_html_report(golden_diff, history=history)
-    assert "polyline" in html_doc
-    assert "eps" in html_doc
-    # Degenerate histories degrade to a notice, not a crash.
-    assert "No trend history" in trend_section(None)
-    assert "No trend history" in trend_section({"series": []})
-    assert sparkline_svg([1.0]) == ""
-    assert "polyline" in sparkline_svg([1.0, 1.0])  # flat line, no /0
 
 
 def test_partial_stitch_lowers_confidence(run_pair, tmp_path):

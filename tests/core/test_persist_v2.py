@@ -211,3 +211,14 @@ def test_interning_stores_repeated_strings_once():
     strings = document[6]
     assert strings.count("very_long_repeated_frame_name") == 1
     assert strings.count("another_long_frame") == 1
+
+
+def test_v2_dumps_a_tpcw_run_at_least_five_times_smaller():
+    from repro.apps.tpcw import TpcwSystem
+
+    system = TpcwSystem(clients=40, seed=42)
+    system.run(duration=30.0, warmup=5.0)
+    stages = list(system.stages_by_name.values())
+    v1 = sum(dump_size(stage, "v1") for stage in stages)
+    v2 = sum(dump_size(stage, "v2") for stage in stages)
+    assert v1 >= 5 * v2, f"v1/v2 = {v1 / v2:.2f}x"

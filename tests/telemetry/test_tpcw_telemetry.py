@@ -154,3 +154,45 @@ def test_cli_warns_when_outputs_requested_but_telemetry_off(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--trace-out ignored" in err
     assert not trace.exists()
+
+
+def test_telemetry_and_live_collection_leave_the_run_alone(tmp_path):
+    """Off, spans and full telemetry, and a live collector under LRU
+    eviction, all see the same seeded run: identical throughput and
+    identical stitched profile bytes."""
+    import hashlib
+
+    from repro.live import attach_collector
+    from repro.parallel import canonical_profile_bytes
+
+    def digest(profile):
+        return hashlib.sha256(canonical_profile_bytes(profile)).hexdigest()
+
+    def run():
+        system = TpcwSystem(clients=8, seed=23)
+        results = system.run(duration=6.0, warmup=1.0)
+        return results.throughput_tpm(), digest(results.stitch())
+
+    outcomes = {}
+    for mode in ("off", "spans", "full"):
+        if mode != "off":
+            telemetry.install(mode)
+        try:
+            outcomes[mode] = run()
+        finally:
+            telemetry.uninstall()
+    collector = attach_collector(
+        None, directory=str(tmp_path / "live"), interval=2.0, max_resident=4
+    )
+    try:
+        outcomes["live"] = run()
+        live = collector.compact(strict=True)
+    finally:
+        collector.close()
+
+    assert outcomes["off"][0] > 0
+    assert len(set(outcomes.values())) == 1, outcomes
+    assert collector.evictions > 0
+    assert collector.peak_resident <= 4
+    assert live.completeness == 1.0
+    assert digest(live) == outcomes["off"][1]

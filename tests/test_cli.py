@@ -49,6 +49,32 @@ def test_bad_seconds_is_a_usage_error(command, seconds, capsys):
     assert "usage:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tpcw", "--shards", "2", "--jobs", "0"],
+        ["haboob", "--shards", "2", "--jobs", "-3"],
+        ["openloop", "--jobs", "1.5"],
+        ["tpcw", "--shards", "0"],
+        ["tpcw", "--duration", "-1"],
+        ["tpcw", "--duration", "nan"],
+        ["tpcw", "--warmup", "-1"],
+        ["tpcw", "--warmup", "inf"],
+        ["stitch", "dump.json", "--jobs", "0"],
+        ["diff", "a", "b", "--jobs", "0"],
+    ],
+)
+def test_out_of_range_numbers_are_usage_errors(argv, capsys):
+    # --jobs 0 used to raise ValueError from the shard runner, a negative
+    # --duration raised from the kernel, and --shards 0 ran unsharded.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}" in err
+    assert "usage:" in err
+
+
 def test_dot_output(tmp_path, capsys):
     path = tmp_path / "profile.dot"
     assert (
