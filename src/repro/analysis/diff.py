@@ -410,8 +410,8 @@ def diff_stitched(
 ) -> ProfileDiff:
     """Diff two in-memory stitched profiles (no persistence involved)."""
     return ProfileDiff(
-        RunProfile("<memory>", "memory", before, [], {}),
-        RunProfile("<memory>", "memory", after, [], {}),
+        RunProfile("<memory>", "memory", before, {}),
+        RunProfile("<memory>", "memory", after, {}),
     )
 
 

@@ -198,7 +198,12 @@ def _cmd_haboob_sharded(args: argparse.Namespace) -> int:
         clients=args.clients,
         shards=args.shards,
         duration=args.seconds,
-        params={"objects": args.objects, "cache_kb": args.cache_kb},
+        params={
+            "objects": args.objects,
+            "cache_kb": args.cache_kb,
+            "fault_plan": args.faults or None,
+            "fault_seed": args.fault_seed,
+        },
         spool_dir=args.spool or args.save_profiles or "",
         profile_format=args.profile_format,
         telemetry_mode=args.telemetry,
@@ -211,6 +216,7 @@ def _cmd_haboob_sharded(args: argparse.Namespace) -> int:
         f"{args.shards} shards x {plan.specs[0].clients} clients, "
         f"{args.jobs} jobs, {run.wall_seconds:.2f}s wall"
     )
+    _print_fault_line(run.fault_report())
     print(
         f"served {run.served()} responses, "
         f"{run.throughput():.1f} Mb/s aggregate"
@@ -222,6 +228,27 @@ def _cmd_haboob_sharded(args: argparse.Namespace) -> int:
         print(f"live checkpoints in {plan.specs[0].live_dir}/shard-*/ "
               f"(fold with: live-report {plan.specs[0].live_dir})")
     return 0
+
+
+def _print_fault_line(report) -> None:
+    """One ``faults:`` line of injection totals (nothing if none ran)."""
+    if report:
+        print("faults: " + ", ".join(f"{k}={report[k]}" for k in sorted(report)))
+
+
+def _runs_sharded(args: argparse.Namespace) -> bool:
+    """Whether the command runs through the shard runner.
+
+    ``openloop`` always does; ``tpcw`` and ``haboob`` do with
+    ``--shards > 1`` or ``--spool`` (a one-shard plan keeps the run
+    seed, so it simulates exactly the unsharded run).  Each shard
+    installs its own telemetry, so the parent's would record nothing.
+    """
+    return (
+        args.command == "openloop"
+        or getattr(args, "shards", 1) > 1
+        or bool(getattr(args, "spool", None))
+    )
 
 
 def _sharded_live_dir(args: argparse.Namespace) -> str:
@@ -243,7 +270,7 @@ def _sharded_live_dir(args: argparse.Namespace) -> str:
 def cmd_haboob(args: argparse.Namespace) -> int:
     from repro.apps.haboob import HaboobConfig, HaboobServer
 
-    if args.shards > 1:
+    if _runs_sharded(args):
         return _cmd_haboob_sharded(args)
     with _live_setup(args) as collector:
         kernel = Kernel()
@@ -260,8 +287,7 @@ def cmd_haboob(args: argparse.Namespace) -> int:
         HttpClientPool(kernel, server.listener, trace, clients=args.clients).start()
         kernel.run(until=args.seconds)
     if injector is not None:
-        report = injector.report()
-        print("faults: " + ", ".join(f"{k}={report[k]}" for k in sorted(report)))
+        _print_fault_line(injector.report())
     print(
         f"served {server.responses_sent} responses, "
         f"{server.throughput_mbps():.1f} Mb/s, "
@@ -367,7 +393,7 @@ def _cmd_tpcw_sharded(args: argparse.Namespace) -> int:
         print(f"spooled {run.dump_bytes()} profile bytes "
               f"({args.profile_format}) to {spool}")
         strict = not args.faults
-        profile = run.stitch(jobs=args.jobs, strict=strict)
+        profile = run.stitch(strict=strict)
         print(
             f"stitched {len(profile.entries)} contexts; "
             f"completeness {100.0 * profile.completeness:.2f}%"
@@ -396,7 +422,7 @@ def cmd_tpcw(args: argparse.Namespace) -> int:
     from repro.apps.tpcw import TpcwSystem
     from repro.channels.rpc import RetryPolicy
 
-    if args.shards > 1:
+    if _runs_sharded(args):
         return _cmd_tpcw_sharded(args)
     retry = None
     if args.faults and args.retries > 0:
@@ -468,9 +494,8 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     import os
 
     from repro.analysis import render_flow_graph, render_stitched_profile
-    from repro.core.persist import MANIFEST_NAME, load_run
+    from repro.core.persist import load_run, load_stage
     from repro.core.stitch import flow_graph, stitch_profiles
-    from repro.parallel import parallel_load, stitch_spool
 
     # Non-strict by default: a dump set missing a tier (it crashed, or
     # its dump was never collected) still yields a partial profile with
@@ -480,26 +505,11 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     resolve_cache = {}
     try:
         if len(args.profiles) == 1 and os.path.isdir(args.profiles[0]):
-            directory = args.profiles[0]
-            if os.path.isfile(os.path.join(directory, MANIFEST_NAME)):
-                # A spool directory written by a sharded run: map-reduce
-                # the per-shard groups from its manifest — flat, or
-                # through the hierarchical reduce tree when --group-size
-                # is given (the output bytes are identical either way).
-                profile = stitch_spool(
-                    directory,
-                    jobs=args.jobs,
-                    strict=strict,
-                    group_size=args.group_size,
-                )
-            else:
-                # A --save-profiles dump directory or a live checkpoint
-                # directory: the loader `repro diff` uses.
-                profile = load_run(
-                    directory, strict=strict, jobs=args.jobs
-                ).profile
+            # A spool, --save-profiles dump or live checkpoint
+            # directory: the loader `repro diff` uses.
+            profile = load_run(args.profiles[0], strict=strict).profile
         else:
-            stages = parallel_load(args.profiles, jobs=args.jobs)
+            stages = [load_stage(path) for path in args.profiles]
             profile = stitch_profiles(
                 stages, cache=resolve_cache, strict=strict
             )
@@ -538,8 +548,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
     strict = bool(args.strict)
     try:
-        before = load_run(args.before, strict=strict, jobs=args.jobs)
-        after = load_run(args.after, strict=strict, jobs=args.jobs)
+        before = load_run(args.before, strict=strict)
+        after = load_run(args.after, strict=strict)
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -874,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=_positive_int,
             default=1,
-            help="worker processes for sharded runs and stitching "
+            help="worker processes for sharded runs "
             "(output is identical for any value)",
         )
         p.add_argument(
@@ -1049,25 +1059,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--min-share", type=float, default=0.5)
     p.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="worker processes for loading/stitching dumps",
-    )
-    p.add_argument(
         "--strict",
         action="store_true",
         help="abort on unresolvable synopses instead of emitting a "
         "partial profile",
-    )
-    p.add_argument(
-        "--group-size",
-        type=int,
-        default=None,
-        metavar="G",
-        help="spool dirs only: hierarchical shard→group→global reduce "
-        "with G shards per group (0 = ~sqrt(N)); bytes identical to "
-        "the flat reduce",
     )
     p.add_argument(
         "--digest",
@@ -1142,12 +1137,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort on unresolvable synopses instead of diffing "
         "partial profiles (which are flagged low-confidence)",
     )
-    p.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="worker processes when loading spool directories",
-    )
     p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser(
@@ -1192,8 +1181,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    tele = _telemetry_setup(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    tele = None
+    if _runs_sharded(args):
+        if getattr(args, "trace_out", None) or getattr(args, "metrics_out", None):
+            parser.error(
+                "--trace-out and --metrics-out need an unsharded run: "
+                "the spans and metrics of a sharded run stay in its shards"
+            )
+    else:
+        tele = _telemetry_setup(args)
     try:
         status = args.fn(args)
         _telemetry_finish(args, tele)

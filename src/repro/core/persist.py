@@ -627,23 +627,19 @@ CrosstalkTable = Dict[Tuple[str, str], Tuple[int, float, float]]
 class RunProfile:
     """One run's loaded analysis inputs, however they were persisted.
 
-    ``profile`` is the stitched end-to-end profile.  ``stages`` holds
-    the decoded per-stage runtimes when the source kept them (dump
-    files, dump directories, spool directories); it is empty for live
-    checkpoint directories, whose collectors fold their own state.
-    ``crosstalk`` is the run's merged crosstalk pair table in a
-    source-independent shape — ``(waiter, holder)`` display strings
-    mapping to ``(count, total_wait, max_wait)`` — so two runs align
-    regardless of which on-disk format each used.
+    ``profile`` is the stitched end-to-end profile.  ``crosstalk`` is
+    the run's merged crosstalk pair table in a source-independent
+    shape — ``(waiter, holder)`` display strings mapping to ``(count,
+    total_wait, max_wait)`` — so two runs align regardless of which
+    on-disk format each used.
     """
 
-    __slots__ = ("source", "kind", "profile", "stages", "crosstalk")
+    __slots__ = ("source", "kind", "profile", "crosstalk")
 
-    def __init__(self, source, kind: str, profile, stages, crosstalk):
+    def __init__(self, source, kind: str, profile, crosstalk):
         self.source = source
         self.kind = kind
         self.profile = profile
-        self.stages = stages
         self.crosstalk: CrosstalkTable = crosstalk
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -653,32 +649,38 @@ class RunProfile:
         )
 
 
-def crosstalk_table(stages) -> CrosstalkTable:
-    """Merge per-stage crosstalk pair stats into one aligned table.
+def _add_pair(table: CrosstalkTable, key: Tuple[str, str], count: int,
+              total: float, peak: float) -> None:
+    have = table.get(key)
+    if have is None:
+        table[key] = (count, total, peak)
+    else:
+        table[key] = (have[0] + count, have[1] + total, max(have[2], peak))
+
+
+def fold_crosstalk(table: CrosstalkTable, stages) -> CrosstalkTable:
+    """Merge per-stage crosstalk pair stats into the running ``table``.
 
     Keys are display strings (transaction types are already strings for
     classified apps like TPC-W; raw contexts stringify via ``repr``), so
     tables from different runs — and different dump formats — align.
+    Folding the stages in batches yields the same table, items and
+    order, as folding them all at once.
     """
-    folded: Dict[Tuple[str, str], List[float]] = {}
     for stage in stages:
         for (waiter, holder), stats in stage.crosstalk.pairs.items():
-            key = (str(waiter), str(holder))
-            acc = folded.get(key)
-            if acc is None:
-                folded[key] = [stats.count, stats.total, stats.max]
-            else:
-                acc[0] += stats.count
-                acc[1] += stats.total
-                if stats.max > acc[2]:
-                    acc[2] = stats.max
-    return {
-        key: (int(count), total, peak)
-        for key, (count, total, peak) in folded.items()
-    }
+            _add_pair(table, (str(waiter), str(holder)), int(stats.count),
+                      stats.total, stats.max)
+    return table
 
 
-def _stages_from_file(path: str) -> List[StageRuntime]:
+def crosstalk_table(stages) -> CrosstalkTable:
+    """One aligned crosstalk table over ``stages`` (see
+    :func:`fold_crosstalk`)."""
+    return fold_crosstalk({}, stages)
+
+
+def load_stages(path: str) -> List[StageRuntime]:
     """Every stage dump in one file.
 
     A v2 file may hold any number of concatenated WDP2 frames (one
@@ -707,14 +709,6 @@ def _dump_files_in(directory: str) -> List[str]:
         ):
             out.append(path)
     return out
-
-
-def _live_crosstalk(collector) -> CrosstalkTable:
-    return {
-        (str(waiter), str(holder)): (count, total, peak)
-        for waiter, holder, count, total, _mean, peak
-        in collector.crosstalk_pairs()
-    }
 
 
 def live_collectors(directory: str):
@@ -752,25 +746,20 @@ def _load_live_run(directory: str, strict: bool) -> RunProfile:
     crosstalk: CrosstalkTable = {}
     accumulator = ProfileAccumulator()
     for index, collector in live_collectors(directory):
-        for key, (count, total, peak) in _live_crosstalk(collector).items():
-            have = crosstalk.get(key)
-            if have is None:
-                crosstalk[key] = (count, total, peak)
-            else:
-                crosstalk[key] = (
-                    have[0] + count,
-                    have[1] + total,
-                    max(have[2], peak),
-                )
+        for waiter, holder, count, total, _mean, peak in (
+            collector.crosstalk_pairs()
+        ):
+            _add_pair(crosstalk, (str(waiter), str(holder)), count, total,
+                      peak)
         profile = collector.stitched_profile(strict=strict)
         if index is not None:
             accumulator.add_profile(_tag_unresolved(profile, f"@shard{index}"))
     if index is not None:
         profile = accumulator.finalize()
-    return RunProfile(directory, "live", profile, [], crosstalk)
+    return RunProfile(directory, "live", profile, crosstalk)
 
 
-def load_run(source, strict: bool = False, jobs: int = 1) -> RunProfile:
+def load_run(source, strict: bool = False) -> RunProfile:
     """Load one run's profile from any persisted shape.
 
     ``source`` may be:
@@ -784,39 +773,25 @@ def load_run(source, strict: bool = False, jobs: int = 1) -> RunProfile:
       ``shard-NNNN/`` collector directories), or
     - any other directory holding stage dump files.
 
-    Loading is non-strict by default: partial runs yield a partial
-    profile with an explicit completeness ratio, and a run that kept
-    nothing at all yields a valid empty profile (completeness 0.0)
-    instead of a traceback — the contract `repro diff` relies on.
+    Dumps go through :func:`repro.parallel.stitching.stitch_groups`:
+    a spool one shard at a time, anything else as one group.  Loading
+    is non-strict by default: partial runs yield a partial profile
+    with an explicit completeness ratio, and a run that kept nothing
+    at all yields a valid empty profile (completeness 0.0) instead of a
+    traceback — the contract `repro diff` relies on.
     """
-    from repro.core.stitch import stitch_profiles
+    from repro.parallel.stitching import spool_groups, stitch_groups
 
+    kind = "dumps"
     if isinstance(source, (list, tuple)):
-        stages = [
-            stage for path in source for stage in _stages_from_file(path)
-        ]
-        profile = stitch_profiles(stages, strict=strict)
-        return RunProfile(
-            list(source), "dumps", profile, stages, crosstalk_table(stages)
-        )
-    if os.path.isdir(source):
-        if os.path.isfile(os.path.join(source, MANIFEST_NAME)):
-            from repro.parallel import stitching
-
-            # One decode per dump serves the profile and `.stages`, so
-            # the stitch snapshot-copies where stitch_spool adopts.
-            groups = stitching.spool_groups(source)
-            stages = stitching.parallel_load(
-                [path for group in groups for path in group], jobs=jobs
-            )
-            decoded = iter(stages)
-            profile = stitching.fold_shards([
-                stitch_profiles([next(decoded) for _ in group], strict=strict)
-                for group in groups
-            ])
-            return RunProfile(
-                source, "spool", profile, stages, crosstalk_table(stages)
-            )
+        source = list(source)
+        groups = [source]
+    elif not os.path.isdir(source):
+        return load_run([source], strict=strict)
+    elif os.path.isfile(os.path.join(source, MANIFEST_NAME)):
+        kind = "spool"
+        groups = spool_groups(source)
+    else:
         from repro.live import list_checkpoints
 
         has_shards = any(
@@ -826,32 +801,9 @@ def load_run(source, strict: bool = False, jobs: int = 1) -> RunProfile:
         )
         if has_shards or list_checkpoints(source):
             return _load_live_run(source, strict)
-        files = _dump_files_in(source)
-        if not files:
+        groups = [_dump_files_in(source)]
+        if not groups[0]:
             raise ValueError(f"no profile dumps found in {source!r}")
-        stages = [
-            stage for path in files for stage in _stages_from_file(path)
-        ]
-        profile = stitch_profiles(stages, strict=strict)
-        return RunProfile(
-            source, "dumps", profile, stages, crosstalk_table(stages)
-        )
-    return load_run([source], strict=strict, jobs=jobs)
-
-
-def load_and_stitch(paths: List[str], jobs: int = 1, strict: bool = True):
-    """The presentation phase: load stage dumps and stitch end to end.
-
-    ``jobs > 1`` decodes the dumps in a process pool before the serial
-    resolve+merge (see :mod:`repro.parallel.stitching` for the sharded
-    map-reduce variant).
-    """
-    from repro.core.stitch import stitch_profiles
-
-    if jobs > 1 and len(paths) > 1:
-        from repro.parallel.stitching import parallel_load
-
-        stages = parallel_load(paths, jobs=jobs)
-    else:
-        stages = [load_stage(path) for path in paths]
-    return stitch_profiles(stages, strict=strict, adopt=True)
+    crosstalk: CrosstalkTable = {}
+    profile = stitch_groups(groups, strict=strict, crosstalk=crosstalk)
+    return RunProfile(source, kind, profile, crosstalk)

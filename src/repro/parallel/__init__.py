@@ -1,10 +1,9 @@
-"""Multi-core scale-out: sharded simulation and the parallel
-presentation phase.
+"""Multi-core scale-out: sharded simulation and its presentation phase.
 
-Whodunit's workflow (§7.1) is embarrassingly parallel on both ends:
-profile *collection* happens independently per stage process, and the
-post-mortem *presentation* phase independently resolves each dump
-before one deterministic merge.  This package exploits both:
+Whodunit's profile *collection* (§7.1) happens independently per stage
+process, so a workload shards into independent deployments that run
+across cores; the post-mortem *presentation* phase then folds the
+per-shard dumps in one process, one shard at a time:
 
 - :mod:`repro.parallel.shard` deterministically partitions a TPC-W or
   Haboob workload into N independent shards (per-shard seeds derived
@@ -16,10 +15,10 @@ before one deterministic merge.  This package exploits both:
 - :mod:`repro.parallel.runner` executes the shards across that pool,
   spooling per-stage profile dumps and returning plain-data summaries
   that merge post-hoc (including telemetry metrics);
-- :mod:`repro.parallel.stitching` is the map-reduce presentation
-  phase: workers load and pre-resolve dump groups in parallel, an
-  exact shard-ordered reduce merges the stitched profiles, so output
-  is byte-identical no matter how the work was scheduled;
+- :mod:`repro.parallel.stitching` is the presentation phase: each
+  shard's dumps are decoded and stitched, then dropped after an exact
+  shard-ordered fold, so output is byte-identical no matter how the
+  shards were scheduled;
 - :mod:`repro.parallel.reduce` is the hierarchical
   shard → group → global reduce tree, byte-identical to the flat
   reduce at every group size thanks to error-free (Shewchuk) weight
@@ -52,9 +51,8 @@ from repro.parallel.reduce import (
 )
 from repro.parallel.stitching import (
     canonical_profile_bytes,
-    parallel_load,
-    parallel_stitch,
     spool_groups,
+    stitch_groups,
     stitch_spool,
 )
 
@@ -72,13 +70,12 @@ __all__ = [
     "effective_jobs",
     "get_pool",
     "hierarchical_stitch",
-    "parallel_load",
-    "parallel_stitch",
     "partition_clients",
     "plan_groups",
     "plan_shards",
     "run_shards",
     "shutdown_pools",
     "spool_groups",
+    "stitch_groups",
     "stitch_spool",
 ]

@@ -1,13 +1,12 @@
 """Hierarchical two-level profile reduce: shard → group → global.
 
-The flat map-reduce presentation phase stitches each shard in a worker
-but folds *every* shard profile in the parent, so parent-side merge
-cost grows linearly with the shard count.  At cluster scale that fold
-becomes the new straggler.  The two-level reduce keeps it sublinear:
-shards are partitioned into contiguous *groups*, each group is merged
-inside a worker (which also did the expensive load+stitch), and the
-parent only folds the G ≈ √N group artifacts, streaming them frame by
-frame from the spool instead of loading whole files.
+The flat presentation phase folds every shard profile into one
+accumulator.  The two-level reduce partitions the shards into
+contiguous *groups*, merges each group into its own accumulator,
+spools it as a group artifact, and folds the G ≈ √N artifacts,
+streaming them frame by frame instead of loading whole files.  It
+runs serially and is kept as the reference grouping the flat fold is
+checked against (the ledger's ``postmortem`` workload prices both).
 
 **Exactness is what makes the tree legal.**  Shard profiles share
 fully-resolved contexts (that is the point of cross-shard
@@ -36,8 +35,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.cct import CallingContextTree
 from repro.core.context import TransactionContext
@@ -258,88 +256,46 @@ def default_group_size(count: int) -> int:
     return max(2, math.ceil(math.sqrt(count)))
 
 
-def reduce_group_task(task) -> Tuple[str, float, int]:
-    """Worker: stitch one group's shards, merge them, spool the artifact.
-
-    ``task`` is ``(shard_indices, dump_groups, strict, out_path)``;
-    returns ``(out_path, wall_seconds, entry_count)``.  Top-level so the
-    work-stealing pool can ship it under any start method.
-    """
-    from repro.parallel.stitching import _stitch_group, _tag_unresolved
-
-    shard_indices, dump_groups, strict, out_path = task
-    start = time.perf_counter()
-    accumulator = ProfileAccumulator()
-    for shard_index, paths in zip(shard_indices, dump_groups):
-        profile = _tag_unresolved(
-            _stitch_group((paths, strict)), f"@shard{shard_index}"
-        )
-        accumulator.add_profile(profile)
-    accumulator.write(out_path)
-    return out_path, time.perf_counter() - start, len(accumulator.entries)
-
-
 def hierarchical_stitch(
     groups: Sequence[Sequence[str]],
-    jobs: int = 1,
     group_size: int = 0,
     strict: bool = True,
-    reduce_dir: Optional[str] = None,
-    pool=None,
-    stats: Optional[Dict[str, Any]] = None,
 ) -> StitchedProfile:
     """Two-level reduce over per-shard dump groups.
 
-    Byte-identical to :func:`repro.parallel.stitching.parallel_stitch`
+    Byte-identical to :func:`repro.parallel.stitching.stitch_groups`
     over the same groups, for every ``group_size`` (see module
-    docstring).  ``group_size=0`` picks ≈√N.  ``reduce_dir`` keeps the
-    group artifacts (default: a temporary directory); pass ``stats`` to
-    receive group walls, artifact bytes and the parent fold time.
+    docstring).  ``group_size=0`` picks ≈√N.  Each group's merged
+    partials are spooled to a temporary artifact, and the artifacts
+    are then folded back frame by frame.
     """
+    from repro.parallel.stitching import (
+        _tag_unresolved,
+        stitch_group,
+        stitch_groups,
+    )
+
     groups = [list(group) for group in groups]
     if len(groups) <= 1:
-        from repro.parallel.stitching import parallel_stitch
-
-        return parallel_stitch(groups, jobs=jobs, strict=strict)
+        return stitch_groups(groups, strict=strict)
     if not group_size:
         group_size = default_group_size(len(groups))
-    slices = plan_groups(len(groups), group_size)
-    scratch = None
-    if reduce_dir is None:
-        scratch = tempfile.TemporaryDirectory(prefix="whodunit-reduce-")
-        reduce_dir = scratch.name
-    os.makedirs(reduce_dir, exist_ok=True)
-    try:
-        tasks = []
-        for group_index, shard_indices in enumerate(slices):
-            tasks.append((
-                shard_indices,
-                [groups[index] for index in shard_indices],
-                strict,
-                os.path.join(reduce_dir, GROUP_FILE.format(index=group_index)),
+    with tempfile.TemporaryDirectory(prefix="whodunit-reduce-") as reduce_dir:
+        artifacts = []
+        for group_index, shard_indices in enumerate(
+            plan_groups(len(groups), group_size)
+        ):
+            accumulator = ProfileAccumulator()
+            for shard_index in shard_indices:
+                accumulator.add_profile(_tag_unresolved(
+                    stitch_group(groups[shard_index], strict),
+                    f"@shard{shard_index}",
+                ))
+            artifacts.append(os.path.join(
+                reduce_dir, GROUP_FILE.format(index=group_index)
             ))
-        if pool is None and jobs > 1 and len(tasks) > 1:
-            from repro.parallel.scheduler import get_pool
-
-            pool = get_pool(jobs)
-        if pool is None or len(tasks) <= 1:
-            results = [reduce_group_task(task) for task in tasks]
-        else:
-            results = pool.run(reduce_group_task, tasks)
-        fold_start = time.perf_counter()
+            accumulator.write(artifacts[-1])
         accumulator = ProfileAccumulator()
-        for path, _, _ in results:  # task order == group-index order
+        for path in artifacts:
             accumulator.absorb_file(path)
-        merged = accumulator.finalize()
-        if stats is not None:
-            stats["group_size"] = group_size
-            stats["groups"] = len(slices)
-            stats["group_walls"] = [wall for _, wall, _ in results]
-            stats["group_bytes"] = [
-                os.path.getsize(path) for path, _, _ in results
-            ]
-            stats["parent_fold_s"] = time.perf_counter() - fold_start
-        return merged
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
+        return accumulator.finalize()

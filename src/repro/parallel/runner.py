@@ -159,6 +159,14 @@ def _run_haboob_shard(spec: ShardSpec) -> ShardResult:
     params = spec.params
     start = time.perf_counter()
     kernel = Kernel()
+    injector = None
+    if params.get("fault_plan"):
+        from repro.faults import install_faults
+
+        injector = install_faults(
+            kernel, params["fault_plan"],
+            params.get("fault_seed", 0) + spec.index,
+        )
     trace = WebTrace(Rng(spec.seed), objects=params.get("objects", 2000))
     server = HaboobServer(
         kernel,
@@ -168,6 +176,10 @@ def _run_haboob_shard(spec: ShardSpec) -> ShardResult:
         ),
     )
     server.start()
+    if injector is not None:
+        injector.schedule_crashes(
+            kernel, {stage.name: stage for stage in server.stages}
+        )
     HttpClientPool(
         kernel, server.listener, trace, clients=spec.clients
     ).start()
@@ -186,7 +198,10 @@ def _run_haboob_shard(spec: ShardSpec) -> ShardResult:
               server.stage_runtime.comm_context_bytes),
         dump_paths=dump_paths,
         dump_bytes=dump_bytes,
-        extra={"hit_ratio": server.page_cache.hit_ratio},
+        extra={
+            "hit_ratio": server.page_cache.hit_ratio,
+            "faults": injector.report() if injector is not None else {},
+        },
     )
 
 
@@ -404,6 +419,15 @@ class ShardedRun:
             if count
         }
 
+    def fault_report(self) -> Dict[str, int]:
+        """Fault-injection totals summed over the shards ({} if none
+        injected faults)."""
+        report: Dict[str, int] = {}
+        for result in self.results:
+            for name, count in result.extra.get("faults", {}).items():
+                report[name] = report.get(name, 0) + count
+        return report
+
     def merged_metrics(self):
         """One registry holding every shard's telemetry metrics."""
         from repro.telemetry.metrics import MetricsRegistry
@@ -441,26 +465,12 @@ class ShardedRun:
         return max(walls) / mean if mean else 1.0
 
     # -- presentation phase --------------------------------------------
-    def stitch(self, jobs: int = 1, strict: bool = True,
-               group_size: Optional[int] = None, stats=None):
-        """Map-reduce the spooled dumps into one merged profile.
+    def stitch(self, strict: bool = True):
+        """Fold the spooled dumps into one merged profile, one shard at
+        a time (:func:`repro.parallel.stitching.stitch_groups`)."""
+        from repro.parallel.stitching import stitch_groups
 
-        ``group_size=None`` is the flat reduce; any integer (0 for the
-        ≈√N default) uses the hierarchical shard→group→global tree.
-        Output bytes are identical either way.
-        """
-        if group_size is None:
-            from repro.parallel.stitching import parallel_stitch
-
-            return parallel_stitch(
-                self.dump_groups(), jobs=jobs, strict=strict
-            )
-        from repro.parallel.reduce import hierarchical_stitch
-
-        return hierarchical_stitch(
-            self.dump_groups(), jobs=jobs, group_size=group_size,
-            strict=strict, stats=stats,
-        )
+        return stitch_groups(self.dump_groups(), strict=strict)
 
 
 def _write_manifest(plan: ShardPlan, results: List[ShardResult]) -> Optional[str]:

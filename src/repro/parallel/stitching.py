@@ -1,68 +1,48 @@
-"""The parallel presentation phase: map-reduce profile stitching.
+"""The presentation phase over a sharded run: one serial, streaming fold.
 
-The map step loads one *group* of stage dumps (one shard's tiers — a
-self-contained resolution universe) and stitches it in a worker from
-the shared work-stealing pool (:mod:`repro.parallel.scheduler`); the
-reduce folds the per-group profiles through the exact accumulator from
-:mod:`repro.parallel.reduce`, so the merged profile is a pure function
-of the dump set — independent of worker count, scheduling, completion
-order, *and* reduce-tree shape (the hierarchical shard→group→global
-reduce produces byte-identical output).  The determinism proof in the
-scale-out benchmark serialises the merged profile with
-:func:`canonical_profile_bytes` and compares runs byte-for-byte.
-
-For a flat list of dumps that resolve against each other (the classic
-single-run, multi-tier layout), :func:`parallel_load` parallelises just
-the load/decode step and the caller stitches the loaded stages
-serially — resolution needs every synopsis table in one place.
+Each shard's dumps are one self-contained resolution universe.  The
+fold takes one shard at a time: decode its dumps, stitch them (the
+profile adopts the decoded trees), qualify its unresolved refs with
+``@shardN`` and add it to one exact accumulator from
+:mod:`repro.parallel.reduce`, then drop it before decoding the next.
+The merged profile is a pure function of the dump set — the exact
+accumulator makes it independent of how the shards are grouped too,
+so the hierarchical shard→group→global reduce produces byte-identical
+output.  The determinism proofs serialise the merged profile with
+:func:`canonical_profile_bytes` and compare runs byte-for-byte.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.context import TransactionContext, UnresolvedRef
-from repro.core.persist import MANIFEST_NAME
+from repro.core.persist import (
+    MANIFEST_NAME,
+    CrosstalkTable,
+    fold_crosstalk,
+    load_stages,
+)
 from repro.core.stitch import StitchedProfile, stitch_profiles
 
 
-def _pool(jobs: int):
-    """The shared session pool (persistent; startup paid once)."""
-    from repro.parallel.scheduler import get_pool
+def stitch_group(
+    paths: Sequence[str],
+    strict: bool = True,
+    crosstalk: Optional[CrosstalkTable] = None,
+) -> StitchedProfile:
+    """Decode one shard's dumps and stitch them end to end.
 
-    return get_pool(jobs)
-
-
-# ----------------------------------------------------------------------
-# Map workers (top-level for pickling)
-# ----------------------------------------------------------------------
-def _load_one(path: str):
-    from repro.core.persist import load_stage
-
-    return load_stage(path)
-
-
-def _stitch_group(task: Tuple[Sequence[str], bool]) -> StitchedProfile:
-    paths, strict = task
-    # Decoded here and dropped on return: the profile takes the trees.
-    stages = [_load_one(path) for path in paths]
-    return stitch_profiles(stages, strict=strict, adopt=True)
-
-
-# ----------------------------------------------------------------------
-# Public API
-# ----------------------------------------------------------------------
-def parallel_load(paths: Sequence[str], jobs: int = 1) -> List:
-    """Load dumps (v1 or v2) with up to ``jobs`` worker processes.
-
-    Results come back in input order regardless of scheduling.
+    The decoded stages are dropped on return: the profile adopts their
+    trees.  Their crosstalk pairs are first folded into ``crosstalk``,
+    when given.
     """
-    paths = list(paths)
-    if jobs <= 1 or len(paths) <= 1:
-        return [_load_one(path) for path in paths]
-    return _pool(jobs).run(_load_one, paths)
+    stages = [stage for path in paths for stage in load_stages(path)]
+    if crosstalk is not None:
+        fold_crosstalk(crosstalk, stages)
+    return stitch_profiles(stages, strict=strict, adopt=True)
 
 
 def _tag_unresolved(profile: StitchedProfile, tag: str) -> StitchedProfile:
@@ -97,44 +77,27 @@ def _tag_unresolved(profile: StitchedProfile, tag: str) -> StitchedProfile:
     return tagged
 
 
-def parallel_stitch(
+def stitch_groups(
     groups: Sequence[Sequence[str]],
-    jobs: int = 1,
     strict: bool = True,
-    pool=None,
+    crosstalk: Optional[CrosstalkTable] = None,
 ) -> StitchedProfile:
-    """Stitch dump groups in parallel and reduce deterministically.
+    """Fold per-shard dump groups into one profile, one shard at a time.
 
-    Each group is one self-contained resolution universe (one shard's
-    per-stage dumps).  With a single group this degenerates to the
-    serial presentation phase.  The multi-group reduce goes through the
-    exact accumulator, so it is byte-identical to
-    :func:`repro.parallel.reduce.hierarchical_stitch` over the same
-    groups at any group size.
+    Shards go through the exact accumulator in shard order, each tagged
+    with its index; a single group is returned as stitched — no tag,
+    no fold, the classic serial presentation phase.  ``crosstalk``, when
+    given, receives every dump's crosstalk pairs in group order.
     """
-    groups = [list(group) for group in groups]
-    tasks = [(group, strict) for group in groups]
-    if pool is None and jobs > 1 and len(tasks) > 1:
-        pool = _pool(jobs)
-    if pool is None or len(tasks) <= 1:
-        profiles = [_stitch_group(task) for task in tasks]
-    else:
-        profiles = pool.run(_stitch_group, tasks)
-    return fold_shards(profiles)
-
-
-def fold_shards(profiles: Sequence[StitchedProfile]) -> StitchedProfile:
-    """Reduce per-shard profiles, in shard order, through the exact
-    accumulator.  Consumes ``profiles``."""
-    if len(profiles) <= 1:
-        # Single resolution universe: no shard tagging, no fold — the
-        # classic serial presentation phase.
-        return profiles[0] if profiles else StitchedProfile()
+    if len(groups) == 1:
+        return stitch_group(groups[0], strict, crosstalk)
     from repro.parallel.reduce import ProfileAccumulator
 
     accumulator = ProfileAccumulator()
-    for index, profile in enumerate(profiles):
-        accumulator.add_profile(_tag_unresolved(profile, f"@shard{index}"))
+    for index, paths in enumerate(groups):
+        accumulator.add_profile(_tag_unresolved(
+            stitch_group(paths, strict, crosstalk), f"@shard{index}"
+        ))
     return accumulator.finalize()
 
 
@@ -156,26 +119,22 @@ def spool_groups(spool_dir: str) -> List[List[str]]:
 
 def stitch_spool(
     spool_dir: str,
-    jobs: int = 1,
     strict: bool = True,
     group_size: Optional[int] = None,
-    stats=None,
 ) -> StitchedProfile:
     """Stitch a spool directory written by :func:`repro.parallel.runner.
     run_shards`, using its manifest to group dumps per shard.
 
-    ``group_size=None`` runs the flat map-reduce; any integer (0 for
-    the ≈√N default) routes through the hierarchical two-level reduce —
-    output bytes are identical either way.
+    ``group_size=None`` runs the flat fold; any integer (0 for the ≈√N
+    default) routes through the hierarchical two-level reduce — output
+    bytes are identical either way.
     """
     groups = spool_groups(spool_dir)
     if group_size is None:
-        return parallel_stitch(groups, jobs=jobs, strict=strict)
+        return stitch_groups(groups, strict=strict)
     from repro.parallel.reduce import hierarchical_stitch
 
-    return hierarchical_stitch(
-        groups, jobs=jobs, group_size=group_size, strict=strict, stats=stats
-    )
+    return hierarchical_stitch(groups, group_size=group_size, strict=strict)
 
 
 def canonical_profile_bytes(profile: StitchedProfile) -> bytes:

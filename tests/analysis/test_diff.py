@@ -58,7 +58,7 @@ def golden_diff(run_pair):
 def test_loader_kinds_align(run_pair, tmp_path):
     before, _ = run_pair
     assert before.kind == "dumps"
-    assert len(before.stages) == 3
+    assert len(before.profile.stages()) == 3
     assert before.profile.completeness == 1.0
     # v1 dumps of the same run load to the same stitched weights.
     v1_dir = tmp_path / "v1"

@@ -12,7 +12,7 @@ from repro.core.persist import (
     decode_stage,
     encode_context,
     encode_stage,
-    load_and_stitch,
+    load_run,
     load_stage,
     save_stage,
 )
@@ -103,7 +103,7 @@ def test_presentation_phase_stitches_from_files(tmp_path):
     save_stage(web, web_path)
     save_stage(db, db_path)
 
-    profile = load_and_stitch([web_path, db_path])
+    profile = load_run([web_path, db_path], strict=True).profile
     assert profile.cct("db", send_ctxt).weight_of(("svc", "sort")) == 40.0
 
 

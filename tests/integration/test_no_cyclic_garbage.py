@@ -14,9 +14,9 @@ from contextlib import contextmanager
 
 from repro.apps.haboob import HaboobConfig, HaboobServer
 from repro.apps.tpcw import TpcwSystem
-from repro.core.persist import load_stage
-from repro.core.stitch import stitch_profiles
+from repro.core.persist import load_run
 from repro.live import attach_collector
+from repro.parallel import plan_shards, run_shards
 from repro.sim import Kernel, Rng
 from repro.workloads import OpenLoopClientPool, WebTrace
 
@@ -64,13 +64,14 @@ def test_live_collector_eviction_makes_no_cyclic_garbage(tmp_path):
 
 
 def test_load_and_stitch_make_no_cyclic_garbage(tmp_path):
-    system = TpcwSystem(clients=10, seed=42)
-    system.run(duration=8.0, warmup=2.0)
-    paths = sorted(system.save_profiles(str(tmp_path), "v2").values())
+    spool = str(tmp_path)
+    run_shards(plan_shards(
+        "tpcw", seed=42, clients=10, shards=2, duration=8.0, warmup=2.0,
+        spool_dir=spool, profile_format="v2",
+    ))
 
     def load_and_stitch():
-        profile = stitch_profiles([load_stage(path) for path in paths])
-        assert profile.entries
+        assert load_run(spool).profile.entries
 
     load_and_stitch()
     with collector_off():

@@ -17,9 +17,10 @@ import pytest
 from repro.parallel import (
     canonical_profile_bytes,
     hierarchical_stitch,
-    parallel_stitch,
     plan_shards,
     run_shards,
+    stitch_groups,
+    stitch_spool,
 )
 from repro.parallel.reduce import (
     ProfileAccumulator,
@@ -99,7 +100,7 @@ class TestAssociativity:
     def test_every_group_size_matches_flat(self, tmp_path, profile_format):
         run = _run(tmp_path, profile_format)
         groups = run.dump_groups()
-        flat = parallel_stitch(groups)
+        flat = stitch_groups(groups)
         flat_bytes = canonical_profile_bytes(flat)
         for group_size in range(1, SHARDS + 1):
             merged = hierarchical_stitch(groups, group_size=group_size)
@@ -110,15 +111,19 @@ class TestAssociativity:
             assert merged.unresolved_refs == flat.unresolved_refs
 
     def test_sharded_run_stitch_group_size(self, tmp_path, profile_format):
+        # The run's own fold and the tree over its spool agree.
         run = _run(tmp_path, profile_format)
+        spool = str(tmp_path / profile_format)
         flat = canonical_profile_bytes(run.stitch())
-        assert canonical_profile_bytes(run.stitch(group_size=0)) == flat
-        assert canonical_profile_bytes(run.stitch(group_size=2)) == flat
+        for group_size in (0, 2):
+            assert canonical_profile_bytes(
+                stitch_spool(spool, group_size=group_size)
+            ) == flat
 
 
 def test_load_run_decodes_each_spooled_dump_once(tmp_path, monkeypatch):
-    """One decode per dump serves both the profile and ``.stages``; the
-    result still matches the map-reduce, which adopts what it decodes."""
+    """One decode per dump serves both the profile and the crosstalk
+    table; the result matches ``ShardedRun.stitch``."""
     import repro.core.persist as persist
 
     run = _run(tmp_path, "v2")
@@ -134,17 +139,15 @@ def test_load_run_decodes_each_spooled_dump_once(tmp_path, monkeypatch):
     monkeypatch.setattr(persist, "decode_stage_v2", counting_decode)
     loaded = persist.load_run(str(tmp_path / "v2"), strict=True)
     assert len(decoded) == len(dumps)
-    assert [stage.name for stage in loaded.stages] == decoded
     assert canonical_profile_bytes(loaded.profile) == expected
 
 
 class TestAccumulator:
     def test_feeding_order_is_invisible(self, tmp_path):
         run = _run(tmp_path, "v2")
-        profiles = [
-            parallel_stitch([group]) for group in run.dump_groups()
-        ]
-        from repro.parallel.stitching import _tag_unresolved
+        from repro.parallel.stitching import _tag_unresolved, stitch_group
+
+        profiles = [stitch_group(group) for group in run.dump_groups()]
 
         tagged = [
             _tag_unresolved(profile, f"@shard{index}")
@@ -169,11 +172,11 @@ class TestAccumulator:
     def test_write_absorb_round_trip(self, tmp_path):
         run = _run(tmp_path, "v2")
         accumulator = ProfileAccumulator()
-        for index, group in enumerate(run.dump_groups()):
-            from repro.parallel.stitching import _stitch_group, _tag_unresolved
+        from repro.parallel.stitching import _tag_unresolved, stitch_group
 
+        for index, group in enumerate(run.dump_groups()):
             accumulator.add_profile(
-                _tag_unresolved(_stitch_group((group, True)), f"@shard{index}")
+                _tag_unresolved(stitch_group(group), f"@shard{index}")
             )
         direct = canonical_profile_bytes(accumulator.finalize())
 
@@ -197,9 +200,9 @@ class TestAccumulator:
     def test_absorb_rejects_truncated(self, tmp_path):
         run = _run(tmp_path, "v2")
         accumulator = ProfileAccumulator()
-        from repro.parallel.stitching import _stitch_group
+        from repro.parallel.stitching import stitch_group
 
-        accumulator.add_profile(_stitch_group((run.dump_groups()[0], True)))
+        accumulator.add_profile(stitch_group(run.dump_groups()[0]))
         artifact = str(tmp_path / "group.wdr")
         accumulator.write(artifact)
         with open(artifact, "rb") as handle:
@@ -209,43 +212,3 @@ class TestAccumulator:
             handle.write(blob[: len(blob) // 2])
         with pytest.raises(ValueError):
             ProfileAccumulator().absorb_file(clipped)
-
-
-class TestHierarchicalStats:
-    def test_stats_describe_the_tree(self, tmp_path):
-        run = _run(tmp_path, "v2")
-        stats = {}
-        hierarchical_stitch(run.dump_groups(), group_size=2, stats=stats)
-        assert stats["group_size"] == 2
-        assert stats["groups"] == 3  # ceil(5 / 2)
-        assert len(stats["group_walls"]) == 3
-        assert all(wall >= 0 for wall in stats["group_walls"])
-        assert all(size > 0 for size in stats["group_bytes"])
-        assert stats["parent_fold_s"] >= 0
-
-    def test_reduce_dir_keeps_artifacts(self, tmp_path):
-        run = _run(tmp_path, "v2")
-        reduce_dir = tmp_path / "reduce"
-        hierarchical_stitch(
-            run.dump_groups(), group_size=2, reduce_dir=str(reduce_dir)
-        )
-        artifacts = sorted(p.name for p in reduce_dir.iterdir())
-        assert artifacts == [
-            "group-0000.wdr", "group-0001.wdr", "group-0002.wdr",
-        ]
-
-    def test_parallel_reduce_matches_serial(self, tmp_path):
-        from repro.parallel import shutdown_pools
-
-        run = _run(tmp_path, "v2")
-        groups = run.dump_groups()
-        serial = canonical_profile_bytes(
-            hierarchical_stitch(groups, jobs=1, group_size=2)
-        )
-        try:
-            parallel = canonical_profile_bytes(
-                hierarchical_stitch(groups, jobs=2, group_size=2)
-            )
-        finally:
-            shutdown_pools()
-        assert parallel == serial

@@ -1,14 +1,12 @@
 """Scale-out determinism: sharded output is a pure function of the plan.
 
-Three guarantees, each load-bearing for trusting a profile produced on
+Two guarantees, each load-bearing for trusting a profile produced on
 N cores:
 
 1. **Scheduling independence** — the same 4-shard plan executed with 1
    worker and with several workers yields byte-identical shard dumps
    and a byte-identical merged profile (after canonical ordering).
-2. **Parallel stitch == serial stitch** — the map-reduce presentation
-   phase produces exactly the profile a serial fold produces.
-3. **Serial equivalence** — a ``shards=1`` plan writes dumps that are
+2. **Serial equivalence** — a ``shards=1`` plan writes dumps that are
    byte-for-byte the files the legacy in-process path writes, in both
    formats.
 """
@@ -19,9 +17,9 @@ from repro.apps.tpcw import TpcwSystem
 from repro.core.persist import PROFILE_FORMATS
 from repro.parallel import (
     canonical_profile_bytes,
-    parallel_stitch,
     plan_shards,
     run_shards,
+    stitch_groups,
     stitch_spool,
 )
 
@@ -72,22 +70,20 @@ def test_jobs_do_not_change_the_output(tmp_path):
     assert serial.crosstalk_wait_ms() == pooled.crosstalk_wait_ms()
     assert serial.db_cpu_share() == pooled.db_cpu_share()
 
-    a = serial.stitch(jobs=1)
-    b = pooled.stitch(jobs=2)
+    a = serial.stitch()
+    b = pooled.stitch()
     assert canonical_profile_bytes(a) == canonical_profile_bytes(b)
     # Exactly the same per-stage weights, not just approximately.
     assert _stage_weights(a) == _stage_weights(b)
 
 
 def test_parallel_stitch_equals_serial_stitch(tmp_path):
-    run, spool = _run(tmp_path, shards=4, jobs=1, tag="stitch")
-    groups = run.dump_groups()
-    serial = parallel_stitch(groups, jobs=1)
-    pooled = parallel_stitch(groups, jobs=3)
-    assert canonical_profile_bytes(serial) == canonical_profile_bytes(pooled)
-    # The spool manifest reconstructs the same groups.
-    from_manifest = stitch_spool(spool, jobs=2)
-    assert canonical_profile_bytes(from_manifest) == canonical_profile_bytes(serial)
+    """Shards run on a pool stitch to the bytes of a fold over the same
+    dump groups, and the spool manifest reconstructs those groups."""
+    run, spool = _run(tmp_path, shards=4, jobs=2, tag="stitch")
+    serial = canonical_profile_bytes(stitch_groups(run.dump_groups()))
+    assert canonical_profile_bytes(run.stitch()) == serial
+    assert canonical_profile_bytes(stitch_spool(spool)) == serial
 
 
 def test_single_shard_matches_legacy_serial_path(tmp_path):
@@ -161,20 +157,28 @@ def test_openloop_shards_are_deterministic(tmp_path):
     assert serial.mean_response() == pooled.mean_response()
     assert serial.sessions_started() == 600  # the budget, exactly
     assert canonical_profile_bytes(serial.stitch()) == canonical_profile_bytes(
-        pooled.stitch(jobs=2, group_size=2)
+        stitch_spool(str(tmp_path / "pooled"), group_size=2)
     )
 
 
-def test_parallel_load_ships_stages_across_the_pool(tmp_path):
-    """Loaded StageRuntimes must pickle back from pool workers (the
-    default crosstalk classifier was once a lambda and couldn't)."""
-    from repro.parallel import parallel_load
+def test_sharded_haboob_injects_faults(tmp_path):
+    """A haboob shard installs the plan's faults, seeded per shard."""
 
-    system = TpcwSystem(clients=10, seed=7)
-    system.run(duration=5.0, warmup=1.0)
-    paths = list(system.save_profiles(str(tmp_path), "v2").values())
-    serial = parallel_load(paths, jobs=1)
-    pooled = parallel_load(paths, jobs=2)
-    assert [stage.name for stage in pooled] == [stage.name for stage in serial]
-    for a, b in zip(serial, pooled):
-        assert a.total_weight() == b.total_weight()
+    def run(faults):
+        plan = plan_shards(
+            "haboob",
+            seed=SEED,
+            clients=6,
+            shards=2,
+            duration=2.0,
+            params={"fault_plan": faults, "fault_seed": 3},
+        )
+        return run_shards(plan, jobs=1)
+
+    clean = run(None)
+    lossy = run("drop=0.2")
+    assert clean.fault_report() == {}
+    report = lossy.fault_report()
+    assert report["dropped"] > 0
+    assert report["messages_seen"] >= report["dropped"]
+    assert lossy.served() < clean.served()

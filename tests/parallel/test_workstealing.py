@@ -158,7 +158,7 @@ class TestShardRunnerStealOrder:
             random.Random(spool.name).shuffle(order)
             run = run_shards(plan, jobs=2, submit_order=order)
             return hashlib.sha256(
-                canonical_profile_bytes(run.stitch(jobs=2))
+                canonical_profile_bytes(run.stitch())
             ).hexdigest()
 
         try:

@@ -60,8 +60,6 @@ def test_bad_seconds_is_a_usage_error(command, seconds, capsys):
         ["tpcw", "--duration", "nan"],
         ["tpcw", "--warmup", "-1"],
         ["tpcw", "--warmup", "inf"],
-        ["stitch", "dump.json", "--jobs", "0"],
-        ["diff", "a", "b", "--jobs", "0"],
     ],
 )
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
@@ -166,6 +164,56 @@ def test_tpcw_save_profiles_and_stitch(tmp_path, capsys):
     by_name = capsys.readouterr().out
     assert main(["stitch", "--digest", str(tmp_path)]) == 0
     assert capsys.readouterr().out == by_name
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        ["tpcw", "--clients", "8", "--duration", "5", "--warmup", "1"],
+        ["haboob", "--clients", "4", "--seconds", "1"],
+    ],
+    ids=["tpcw", "haboob"],
+)
+def test_spool_without_shards_spools_the_unsharded_run(run, tmp_path, capsys):
+    # --spool without --shards > 1 used to be ignored without a word.
+    spool, saved = tmp_path / "spool", tmp_path / "saved"
+    assert main(run + ["--spool", str(spool)]) == 0
+    assert (spool / "manifest.json").is_file()
+    assert main(run + ["--save-profiles", str(saved)]) == 0
+    capsys.readouterr()
+    assert main(["stitch", "--digest", str(spool)]) == 0
+    spooled = capsys.readouterr().out
+    assert main(["stitch", "--digest", str(saved)]) == 0
+    assert capsys.readouterr().out == spooled
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tpcw", "--shards", "2", "--telemetry", "spans", "--trace-out", "t.json"],
+        ["haboob", "--shards", "2", "--telemetry", "full", "--metrics-out", "m.prom"],
+        ["tpcw", "--spool", "s", "--telemetry", "spans", "--trace-out", "t.json"],
+        ["openloop", "--telemetry", "spans", "--trace-out", "t.json"],
+    ],
+)
+def test_sharded_trace_and_metrics_out_are_usage_errors(argv, tmp_path,
+                                                        capsys, monkeypatch):
+    # They used to write a 0-span trace: the shards keep their spans.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sharded_telemetry_prints_no_empty_parent_summary(capsys):
+    argv = ["tpcw", "--shards", "2", "--clients", "8", "--duration", "5",
+            "--warmup", "1", "--telemetry", "spans"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "spans recorded across shards:" in out
+    assert "live telemetry summary" not in out
 
 
 def _seeded_tpcw_profiles(directory, clients="8", duration="5"):
