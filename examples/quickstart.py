@@ -43,7 +43,7 @@ def main(trace_out: Optional[str] = None) -> None:
                 with frame(thread, procedure):
                     with frame(thread, "rpc_call"):
                         for _ in range(repeats):
-                            yield from work(thread, caller_cpu, 1e-3)
+                            yield work(thread, caller_cpu, 1e-3)
                             yield from call(
                                 thread,
                                 connection.to_server,
@@ -63,7 +63,7 @@ def main(trace_out: Optional[str] = None) -> None:
                         with frame(thread, "callee_rpc_svc"):
                             # bar's requests are 4x as expensive.
                             cost = 2e-3 if request.payload == "foo" else 8e-3
-                            yield from work(thread, callee_cpu, cost)
+                            yield work(thread, callee_cpu, cost)
                     yield from send_response(
                         thread, connection.to_client, request, "result", 1024
                     )

@@ -103,7 +103,7 @@ class Database:
     def execute(self, thread: SimThread, plan: QueryPlan) -> Iterator:
         """Run one query to completion on behalf of ``thread``."""
         with frame(thread, "mysql_parse"):
-            yield from work(thread, self.cpu, self.PARSE_COST)
+            yield work(thread, self.cpu, self.PARSE_COST)
 
         shared: List[Mutex] = []
         for table_name in sorted(set(plan.reads)):
@@ -136,7 +136,7 @@ class Database:
         name = frames[0]
         with frame(thread, name):
             if len(frames) == 1:
-                yield from work(thread, self.cpu, cost)
+                yield work(thread, self.cpu, cost)
             else:
                 yield from self._burn(thread, frames[1:], cost)
 

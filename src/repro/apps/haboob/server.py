@@ -176,18 +176,18 @@ class HaboobServer:
     # Stage handlers (Fig 10's graph)
     # ------------------------------------------------------------------
     def _listen_handler(self, stage: SedaStage, thread, connection) -> Iterator:
-        yield from work(thread, self.cpu, self.config.accept_cost)
+        yield work(thread, self.cpu, self.config.accept_cost)
         stage.enqueue(thread, self.http_server.input_queue, connection)
 
     def _http_server_handler(self, stage: SedaStage, thread, connection) -> Iterator:
-        yield from work(thread, self.cpu, self.config.http_server_cost)
+        yield work(thread, self.cpu, self.config.http_server_cost)
         stage.enqueue(
             thread, self.read_stage.input_queue, _RequestState(connection)
         )
 
     def _read_handler(self, stage: SedaStage, thread, state: _RequestState) -> Iterator:
         message = yield Recv(state.connection.to_server)
-        yield from work(thread, self.cpu, self.config.read_cost)
+        yield work(thread, self.cpu, self.config.read_cost)
         verb, object_id = message.payload
         if verb == CLOSE:
             return
@@ -195,11 +195,11 @@ class HaboobServer:
         stage.enqueue(thread, self.http_recv.input_queue, state)
 
     def _http_recv_handler(self, stage: SedaStage, thread, state: _RequestState) -> Iterator:
-        yield from work(thread, self.cpu, self.config.parse_cost)
+        yield work(thread, self.cpu, self.config.parse_cost)
         stage.enqueue(thread, self.cache_stage.input_queue, state)
 
     def _cache_handler(self, stage: SedaStage, thread, state: _RequestState) -> Iterator:
-        yield from work(thread, self.cpu, self.config.cache_lookup_cost)
+        yield work(thread, self.cpu, self.config.cache_lookup_cost)
         entry = self.page_cache.lookup(state.object_id)
         if entry is not None:
             _, state.size = entry
@@ -208,19 +208,19 @@ class HaboobServer:
             stage.enqueue(thread, self.miss_stage.input_queue, state)
 
     def _miss_handler(self, stage: SedaStage, thread, state: _RequestState) -> Iterator:
-        yield from work(thread, self.cpu, self.config.miss_cost)
+        yield work(thread, self.cpu, self.config.miss_cost)
         stage.enqueue(thread, self.file_io.input_queue, state)
 
     def _file_io_handler(self, stage: SedaStage, thread, state: _RequestState) -> Iterator:
         size = self.trace.size_of(state.object_id)
         yield ReadDisk(self.disk, size)
-        yield from work(thread, self.cpu, size * self.config.disk_per_byte_cost)
+        yield work(thread, self.cpu, size * self.config.disk_per_byte_cost)
         state.size = size
         self.page_cache.insert(state.object_id, state.object_id, size)
         stage.enqueue(thread, self.write_stage.input_queue, state)
 
     def _write_handler(self, stage: SedaStage, thread, state: _RequestState) -> Iterator:
-        yield from work(
+        yield work(
             thread,
             self.cpu,
             self.config.write_base_cost

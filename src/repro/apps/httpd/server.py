@@ -118,7 +118,7 @@ class HttpdServer:
                 while True:
                     with frame(thread, "apr_socket_accept"):
                         connection = yield Accept(self.listener_socket)
-                        yield from work(thread, self.cpu, self.config.accept_cost)
+                        yield work(thread, self.cpu, self.config.accept_cost)
                     sd = self._register(connection)
                     pool = self._next_pool
                     self._next_pool += 1
@@ -158,10 +158,10 @@ class HttpdServer:
             if self.config.use_allocator:
                 block = yield from self._apr_palloc(thread)
             with frame(thread, "ap_process_http_request"):
-                yield from work(thread, self.cpu, self.config.parse_cost)
+                yield work(thread, self.cpu, self.config.parse_cost)
             size = self.trace.size_of(object_id)
             with frame(thread, "sendfile"):
-                yield from work(
+                yield work(
                     thread,
                     self.cpu,
                     self.config.response_base_cost + size * self.config.per_byte_cost,

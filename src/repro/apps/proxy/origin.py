@@ -65,7 +65,7 @@ class OriginServer:
                 request = yield Recv(connection.to_server)
                 key = request.payload
                 size = self.size_of(key)
-                yield from work(
+                yield work(
                     thread, self.cpu, self.base_cost + size * self.per_byte_cost
                 )
                 chunks = max(1, math.ceil(size / CHUNK_BYTES))

@@ -132,7 +132,7 @@ class SquidProxy:
     # ------------------------------------------------------------------
     def _http_accept(self, loop: EventLoop, event: Event) -> Iterator:
         connection = self.listener.try_accept()
-        yield from work(self.thread, self.cpu, self.config.accept_cost)
+        yield work(self.thread, self.cpu, self.config.accept_cost)
         if connection is not None:
             telemetry.admit(self.stage.name, self.kernel)
             state = _ClientState(connection)
@@ -153,14 +153,14 @@ class SquidProxy:
     def _client_read_request(self, loop: EventLoop, event: Event) -> Iterator:
         state: _ClientState = event.payload
         message = state.connection.to_server.try_recv()
-        yield from work(self.thread, self.cpu, self.config.read_request_cost)
+        yield work(self.thread, self.cpu, self.config.read_request_cost)
         if message is None:
             return
         verb = message.payload[0] if isinstance(message.payload, tuple) else None
         if verb == CLOSE:
             return
         state.key = message.payload
-        yield from work(self.thread, self.cpu, self.config.cache_lookup_cost)
+        yield work(self.thread, self.cpu, self.config.cache_lookup_cost)
         entry = (
             self.cache.lookup(state.key) if self.cacheable(state.key) else None
         )
@@ -182,7 +182,7 @@ class SquidProxy:
 
     def _comm_connect_handle(self, loop: EventLoop, event: Event) -> Iterator:
         state: _ClientState = event.payload
-        yield from work(self.thread, self.cpu, self.config.connect_cost)
+        yield work(self.thread, self.cpu, self.config.connect_cost)
         state.origin_connection = self.origin_listener.connect()
         yield from self._forward_to_origin(loop, state)
 
@@ -217,7 +217,7 @@ class SquidProxy:
                 )
             )
             return
-        yield from work(
+        yield work(
             self.thread,
             self.cpu,
             self.config.reply_base_cost
@@ -246,7 +246,7 @@ class SquidProxy:
 
     def _comm_handle_write(self, loop: EventLoop, event: Event) -> Iterator:
         state: _ClientState = event.payload
-        yield from work(
+        yield work(
             self.thread,
             self.cpu,
             self.config.write_base_cost

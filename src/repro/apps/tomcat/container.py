@@ -167,13 +167,13 @@ class TomcatServer:
     def _serve_static(self, thread: SimThread, key: Any) -> Iterator:
         size = self.static_size_of(key)
         with frame(thread, "default_servlet"):
-            yield from work(thread, self.cpu, self.static_cost)
+            yield work(thread, self.cpu, self.static_cost)
         return ("IMG", key), size
 
     def _dispatch(self, thread: SimThread, servlet_name: str, param: Any) -> Iterator:
         servlet = self.servlets.get(servlet_name)
         if servlet is None:
-            yield from work(thread, self.cpu, self.static_cost)
+            yield work(thread, self.cpu, self.static_cost)
             return ("404", servlet_name), 512
         with frame(thread, servlet.name):
             if self.caching and servlet.cacheable:
@@ -181,7 +181,7 @@ class TomcatServer:
                 if cached is not None:
                     payload, size = cached
                     # Serving from cache still renders the page body.
-                    yield from work(thread, self.cpu, 0.3e-3)
+                    yield work(thread, self.cpu, 0.3e-3)
                     return payload, size
             payload, size = yield from servlet.run(self, thread, param)
             if self.caching and servlet.cacheable:

@@ -42,11 +42,11 @@ class TpcwServlet(Servlet):
     def run(self, container: TomcatServer, thread: SimThread, param: Any) -> Iterator:
         self.executions += 1
         with frame(thread, "doGet"):
-            yield from work(thread, container.cpu, TOMCAT_SERVLET_COST / 2)
+            yield work(thread, container.cpu, TOMCAT_SERVLET_COST / 2)
             for plan in self.model.query_plans(self.name, param):
                 yield from container.query(thread, plan)
             with frame(thread, "render_page"):
-                yield from work(thread, container.cpu, TOMCAT_SERVLET_COST / 2)
+                yield work(thread, container.cpu, TOMCAT_SERVLET_COST / 2)
         return (self.name, param), self.page_bytes
 
 

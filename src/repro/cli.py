@@ -224,10 +224,22 @@ def _cmd_haboob_sharded(args: argparse.Namespace) -> int:
     if plan.specs[0].spool_dir:
         print(f"spooled {run.dump_bytes()} profile bytes "
               f"({args.profile_format}) to {plan.specs[0].spool_dir}")
+    _print_shard_telemetry(args, run)
     if plan.specs[0].live_dir:
         print(f"live checkpoints in {plan.specs[0].live_dir}/shard-*/ "
               f"(fold with: live-report {plan.specs[0].live_dir})")
     return 0
+
+
+def _print_shard_telemetry(args: argparse.Namespace, run) -> None:
+    """What the shards' own telemetry recorded (nothing if it was off)."""
+    if args.telemetry == "full":
+        print()
+        print("-- merged metrics (all shards) --")
+        for line in _merged_metric_lines(run.merged_metrics()):
+            print(line)
+    if args.telemetry != "off":
+        print(f"spans recorded across shards: {run.span_count()}")
 
 
 def _print_fault_line(report) -> None:
@@ -374,6 +386,7 @@ def _cmd_tpcw_sharded(args: argparse.Namespace) -> int:
             f"{args.shards} shards x {plan.specs[0].clients} clients, "
             f"{args.jobs} jobs, {run.wall_seconds:.2f}s wall"
         )
+        _print_fault_line(run.fault_report())
         print(
             f"throughput {run.throughput():.0f} interactions/min; "
             f"mean response {run.mean_response() * 1000:.0f} ms; "
@@ -398,13 +411,7 @@ def _cmd_tpcw_sharded(args: argparse.Namespace) -> int:
             f"stitched {len(profile.entries)} contexts; "
             f"completeness {100.0 * profile.completeness:.2f}%"
         )
-        if args.telemetry == "full":
-            print()
-            print("-- merged metrics (all shards) --")
-            for line in _merged_metric_lines(run.merged_metrics()):
-                print(line)
-        if args.telemetry != "off":
-            print(f"spans recorded across shards: {run.span_count()}")
+        _print_shard_telemetry(args, run)
         if plan.specs[0].live_dir:
             print(f"live checkpoints in {plan.specs[0].live_dir}/shard-*/ "
                   f"(fold with: live-report {plan.specs[0].live_dir})")
@@ -734,6 +741,7 @@ def cmd_openloop(args: argparse.Namespace) -> int:
     if args.spool:
         print(f"spooled {run.dump_bytes()} profile bytes "
               f"({args.profile_format}) to {args.spool}")
+    _print_shard_telemetry(args, run)
     return 0
 
 

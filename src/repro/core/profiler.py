@@ -19,7 +19,7 @@ import enum
 import math
 import random as _random
 import zlib
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro import telemetry as _telemetry
 from repro.core.cct import CallingContextTree
@@ -539,18 +539,16 @@ class StageRuntime:
         return f"<StageRuntime {self.name} mode={self.mode.value} ccts={len(self.ccts)}>"
 
 
-def work(thread: SimThread, cpu: CPU, seconds: float) -> Iterator:
-    """Consume CPU for ``seconds`` of useful work, plus profiler overhead.
+def work(thread: SimThread, cpu: CPU, seconds: float) -> UseCPU:
+    """The CPU demand for ``seconds`` of useful work, plus profiler overhead.
 
     The standard way application code burns CPU::
 
-        yield from work(thread, cpu, 0.0015)
+        yield work(thread, cpu, 0.0015)
 
-    When the thread's stage profiles, the demand is inflated by the
-    overhead model, which is how Table 2 and §9.2/9.3's throughput
-    deltas arise.
+    The syscall's result is the demand served.  When the thread's stage
+    profiles, the demand is inflated by the overhead model, which is
+    how Table 2 and §9.2/9.3's throughput deltas arise.
     """
     stage = thread.stage
-    demand = stage.inflate(thread, seconds) if stage is not None else seconds
-    yield UseCPU(cpu, demand)
-    return demand
+    return UseCPU(cpu, stage.inflate(thread, seconds) if stage is not None else seconds)

@@ -147,6 +147,7 @@ def _run_tpcw_shard(spec: ShardSpec) -> ShardResult:
                 if system.faults is not None
                 else 1.0
             ),
+            "faults": system.faults.report() if system.faults is not None else {},
         },
     )
 

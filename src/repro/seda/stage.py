@@ -35,7 +35,7 @@ class StageEvent:
 
     def __init__(self, payload: Any, tran_ctxt: Optional[TransactionContext] = None):
         self.payload = payload
-        self.tran_ctxt = tran_ctxt or TransactionContext.empty()
+        self.tran_ctxt = TransactionContext.empty() if tran_ctxt is None else tran_ctxt
         self.enqueued_at: Optional[float] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -387,8 +387,7 @@ class SedaStage:
         Returns False when the downstream queue rejected the element
         (admission control on a bounded queue).
         """
-        context = thread.tran_ctxt or TransactionContext.empty()
-        return queue.enqueue(StageEvent(payload, context))
+        return queue.enqueue(StageEvent(payload, thread.tran_ctxt))
 
     def inject(self, payload: Any) -> bool:
         """Enqueue external work (no transaction context yet)."""

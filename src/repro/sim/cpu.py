@@ -61,25 +61,48 @@ class _Job:
 
 
 class _Slice:
-    """One scheduled slice, preceded by ``skipped`` unscheduled quanta.
+    """One slice on the kernel's wheel, preceded by ``skipped`` unscheduled quanta.
 
-    With ``skipped == 0`` this is the slice of ``job`` that began at
-    ``started_at`` and whose end ``event`` marks.  With ``skipped > 0``
+    The slice is its own wheel entry: ``cpu.kernel.wake_at(due, slice)``
+    fires :meth:`step` at ``due``, and ``unwake(due, slice)`` withdraws
+    it.  With ``skipped == 0`` this is the slice of ``job`` that began
+    at ``started_at`` and ends at ``due``.  With ``skipped > 0``
     (single-core round-robin only) ``job`` and ``started_at`` describe
     the quantum in flight, ``skipped`` full quanta — that one included —
     rotate through the run queue without completing anything, and
-    ``event`` / ``length`` belong to the slice after them.
+    ``due`` / ``length`` belong to the slice after them.
     """
 
-    __slots__ = ("job", "event", "started_at", "length", "extended", "skipped")
+    __slots__ = ("cpu", "job", "due", "started_at", "length", "extended", "skipped")
 
-    def __init__(self, job: _Job, started_at: float, length: float, extended: bool):
+    def __init__(
+        self, cpu: "CPU", job: _Job, started_at: float, length: float, extended: bool
+    ):
+        self.cpu = cpu
         self.job = job
-        self.event = None
+        self.due = 0.0
         self.started_at = started_at
         self.length = length
         self.extended = extended
         self.skipped = 0
+
+    def step(self, value: None = None) -> None:
+        """The slice has ended: complete or requeue its job."""
+        cpu = self.cpu
+        if not self.extended or cpu._run_queue:
+            cpu._slice_done(self)
+            return
+        # A run-to-completion slice with nobody waiting: its job is done
+        # and there is nothing to dispatch, so this is _slice_done and
+        # _complete inlined for the commonest slice end.
+        cpu._slices.remove(self)
+        cpu._busy += self.length
+        cpu.completed_jobs += 1
+        job = self.job
+        thread = job.thread
+        if thread.stage is not None:
+            thread.stage.on_cpu(thread, job.total)
+        cpu.kernel.resume(thread, job.total)
 
 
 class CPU:
@@ -142,6 +165,14 @@ class CPU:
         self.total_demand += amount
         job = _Job(thread, amount)
         slices = self._slices
+        if len(slices) < self.cores and not self._run_queue:
+            # An idle core and nobody waiting: run to completion now.
+            kernel = self.kernel
+            current = _Slice(self, job, kernel.now, amount, True)
+            current.due = due = kernel.now + amount
+            kernel.wake_at(due, current)
+            slices.append(current)
+            return
         if slices and slices[0].skipped:
             self._join_rotation(slices[0], job)
             return
@@ -156,8 +187,7 @@ class CPU:
         for running in list(self._slices):
             if not running.extended:
                 continue
-            running.event.cancel()
-            running.event = None
+            self.kernel.unwake(running.due, running)
             self._slices.remove(running)
             elapsed = self.kernel.now - running.started_at
             self._busy += elapsed
@@ -177,19 +207,19 @@ class CPU:
             if self.quantum is None or not run_queue:
                 # With no competitors (and for quantum=None CPUs), run
                 # to completion — exact timing, one event.
-                current = _Slice(job, kernel.now, job.remaining, True)
-                current.event = kernel.schedule(
-                    job.remaining, self._slice_done, current
-                )
+                current = _Slice(self, job, kernel.now, job.remaining, True)
+                current.due = due = kernel.now + job.remaining
+                kernel.wake_at(due, current)
             elif cores == 1:
-                current = _Slice(job, kernel.now, 0.0, False)
+                current = _Slice(self, job, kernel.now, 0.0, False)
                 self._plan(current)
             else:
                 # Several cores rotate one queue at staggered times;
                 # serve one quantum per event and requeue.
                 length = min(self.quantum, job.remaining)
-                current = _Slice(job, kernel.now, length, False)
-                current.event = kernel.schedule(length, self._slice_done, current)
+                current = _Slice(self, job, kernel.now, length, False)
+                current.due = due = kernel.now + length
+                kernel.wake_at(due, current)
             slices.append(current)
 
     def _plan(self, current: _Slice) -> None:
@@ -219,9 +249,8 @@ class CPU:
         length = min(quantum, remaining)
         current.skipped = skipped
         current.length = length
-        current.event = self.kernel.schedule_at(
-            starts_at + length, self._slice_done, current
-        )
+        current.due = due = starts_at + length
+        self.kernel.wake_at(due, current)
 
     def _apply_skipped(self, current: _Slice, before: float) -> None:
         """Serve ``current``'s skipped quanta that end before ``before``."""
@@ -256,18 +285,15 @@ class CPU:
         # The arrival's first turn comes after one pass over the jobs
         # already waiting; a planned slice inside that pass still stands.
         if current.skipped >= len(run_queue):
-            current.event.cancel()
+            self.kernel.unwake(current.due, current)
             self._plan(current)
 
     def _slice_done(self, current: _Slice) -> None:
-        # The completed slice rides on its own event, so no end-time
-        # scan is needed; _slices is at most ``cores`` entries.
+        # The slice is its own wheel entry, so no end-time scan is
+        # needed; _slices is at most ``cores`` entries.
         if current.skipped:
             self._apply_skipped(current, _INF)
         self._slices.remove(current)
-        # The event's args hold the slice: drop the back-reference so the
-        # pair is freed by refcount now, not by a later collector pass.
-        current.event = None
         self._busy += current.length
         job = current.job
         job.remaining -= current.length

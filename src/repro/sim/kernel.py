@@ -19,10 +19,15 @@ a two-level structure — a hashed timing wheel with an exact-time cursor:
   of events scheduled at it (its bucket).  Scheduling is an O(1) dict
   append; buckets are in FIFO order by construction because the global
   sequence number only ever grows.  A bucket entry is either a
-  cancellable :class:`ScheduledEvent` or — for the spawn/resume/Delay
-  thread wakeups that dominate transaction workloads and that nothing
-  can ever hold a handle to — a bare ``(thread, value)`` pair, which
-  costs neither an event object nor a bound method per wakeup.
+  cancellable :class:`ScheduledEvent` or a bare ``(target, value)``
+  pair that fires as ``target.step(value)`` and costs neither an event
+  object nor a bound method.  Bare entries are the thread wakeups
+  (spawn, resume, ``Delay``) that dominate transaction workloads, and
+  the CPU's slices (:meth:`Kernel.wake_at`).  A wakeup is never
+  withdrawn; a slice can be, by :meth:`Kernel.unwake`, which takes the
+  entry out of its bucket (dropping the bucket when it empties) or,
+  when its batch is already in flight, replaces it there with a
+  cancelled placeholder, so a withdrawn slice never fires.
 - ``_times``: a heap of the distinct pending timestamps (plain floats,
   so every comparison runs in C).  One heap operation per *timestamp*,
   not per event: a bucket of ten thousand same-time events costs one
@@ -138,6 +143,7 @@ class Kernel:
         "livelock_limit",
         "_same_time_events",
         "_ready",
+        "_in_flight",
         "_wheel",
         "_times",
         "_num_events",
@@ -172,6 +178,9 @@ class Kernel:
         # At most one bare wakeup due at ``now``, ahead of the wheel (see
         # module docstring); not counted in ``_num_events``.
         self._ready: Optional[tuple] = None
+        # The batch run() is dispatching, for unwake() to find entries
+        # that have left the wheel but not fired yet.
+        self._in_flight: Optional[list] = None
         # Only live threads: finished/failed threads are reaped (see
         # :meth:`reap`), so deadlock checks and live_threads stay O(live)
         # however many short-lived threads a run spawns.
@@ -234,11 +243,13 @@ class Kernel:
             raise ValueError("delay must be finite (delay=%r)" % delay)
         return self._push(self.now + delay, fn, args)
 
-    def schedule_at(self, when: float, fn: Callable, *args: Any) -> ScheduledEvent:
-        """Run ``fn(*args)`` at the absolute virtual time ``when``.
+    def wake_at(self, when: float, target: Any, value: Any = None) -> None:
+        """Call ``target.step(value)`` at the absolute virtual time ``when``.
 
-        For callers that computed the timestamp themselves and need it
-        bit for bit: ``now + (when - now)`` is not ``when`` in floats.
+        The entry is a bare ``(target, value)`` pair, not an event: the
+        caller withdraws it, if at all, with :meth:`unwake`.  ``when``
+        is taken bit for bit, for callers that computed it themselves:
+        ``now + (when - now)`` is not ``when`` in floats.
         """
         if when < self.now:
             raise ValueError(
@@ -246,7 +257,43 @@ class Kernel:
             )
         if when != when or when == _INF:
             raise ValueError("time must be finite (when=%r)" % when)
-        return self._push(when, fn, args)
+        self._num_events += 1
+        bucket = self._wheel.get(when)
+        if bucket is None:
+            self._wheel[when] = [(target, value)]
+            _heappush(self._times, when)
+        else:
+            bucket.append((target, value))
+
+    def unwake(self, when: float, target: Any) -> None:
+        """Withdraw ``target``'s pending :meth:`wake_at` entry at ``when``.
+
+        An emptied bucket is dropped; its timestamp stays in the heap
+        and :meth:`run` skips it.  An entry whose batch is already in
+        flight is not on the wheel: it is replaced in the batch by a
+        cancelled placeholder, which the batch skips without counting,
+        as it skips an event cancelled from inside its batch.
+        """
+        bucket = self._wheel.get(when)
+        if bucket is not None:
+            for index, entry in enumerate(bucket):
+                if entry.__class__ is tuple and entry[0] is target:
+                    del bucket[index]
+                    self._num_events -= 1
+                    if not bucket:
+                        del self._wheel[when]
+                    if self._tele_cancelled is not None:
+                        self._tele_cancelled.inc()
+                    return
+        batch = self._in_flight
+        if batch is not None:
+            for index, entry in enumerate(batch):
+                if entry.__class__ is tuple and entry[0] is target:
+                    placeholder = ScheduledEvent(when, None, ())
+                    placeholder.cancelled = True
+                    batch[index] = placeholder
+                    return
+        raise SimulationError("no pending wakeup of %r at %r" % (target, when))
 
     def _push(self, when: float, fn: Callable, args: tuple) -> ScheduledEvent:
         event = ScheduledEvent(when, fn, args)
@@ -310,7 +357,7 @@ class Kernel:
             live = []
             for event in bucket:
                 if event.__class__ is tuple:
-                    live.append(event)  # wakeup pairs are never cancelled
+                    live.append(event)  # bare entries are withdrawn, not flagged
                 elif event.cancelled:
                     event.kernel = None
                 else:
@@ -492,18 +539,22 @@ class Kernel:
                     return until
                 if when < now:
                     raise SimulationError("time went backwards")
-                batch = pop_bucket(when)
+                batch = pop_bucket(when, None)
+                if batch is None:
+                    # Every entry at this timestamp was withdrawn.
+                    continue
                 if len(batch) == 1:
                     # Fast path: one event at this timestamp (the common
                     # case for distinct timer deadlines).  No batch
                     # slicing is ever needed, so no requeue either.  A
                     # bucket entry is either a ScheduledEvent or a bare
-                    # ``(thread, value)`` wakeup pair (spawn/resume/Delay);
-                    # pairs are uncancellable by construction.
+                    # ``(target, value)`` pair (a thread wakeup or a CPU
+                    # slice); nothing runs between a lone entry's pop and
+                    # its firing, so nothing can withdraw it here.
                     event = batch[0]
                     self._num_events -= 1
                     if event.__class__ is tuple:
-                        thread, value = event
+                        target, value = event
                         if when > now:
                             self.now = now = when
                             self._same_time_events = 0
@@ -515,7 +566,7 @@ class Kernel:
                                     f"livelock: {livelock_limit} events fired "
                                     f"at t={now} without the clock advancing"
                                 )
-                        thread.step(value)
+                        target.step(value)
                         if tele_events is not None:
                             tele_events.inc()
                             fired_total += 1
@@ -569,6 +620,7 @@ class Kernel:
                     same = self._same_time_events
                 fired = 0
                 event = None
+                self._in_flight = batch
                 try:
                     for event in batch:
                         if event.__class__ is tuple:
@@ -592,10 +644,12 @@ class Kernel:
                 except BaseException:
                     # The raising event is consumed; everything after it
                     # goes back so a later run() resumes exactly there.
+                    self._in_flight = None
                     self._unready()
                     self._requeue(when, batch, event)
                     self._same_time_events = max(same + fired, 0)
                     raise
+                self._in_flight = None
                 same += fired
                 self._same_time_events = max(same, 0)
                 if same > livelock_limit:

@@ -13,7 +13,6 @@ and the thread's current transaction context.
 
 from __future__ import annotations
 
-from heapq import heappush as _heappush
 from typing import Any, Iterator, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -58,19 +57,11 @@ class Delay(Syscall):
         self.dt = dt
 
     def execute(self, kernel: "Kernel", thread: "SimThread") -> None:
-        # Inlined kernel.schedule(dt, thread.step, None): a sleep is the
-        # single most common timer, nothing ever holds (or cancels) its
-        # event, so the wakeup goes on the wheel as a bare
+        # A sleep is the single most common timer and nothing ever
+        # cancels it, so the wakeup goes on the wheel as a bare
         # ``(thread, value)`` pair — no ScheduledEvent, no bound method.
         thread.blocked_on = self
-        when = kernel.now + self.dt
-        kernel._num_events += 1
-        bucket = kernel._wheel.get(when)
-        if bucket is None:
-            kernel._wheel[when] = [(thread, None)]
-            _heappush(kernel._times, when)
-        else:
-            bucket.append((thread, None))
+        kernel.wake_at(kernel.now + self.dt, thread)
 
     def __repr__(self) -> str:
         return f"Delay({self.dt})"
@@ -316,21 +307,6 @@ class SimThread:
     # ------------------------------------------------------------------
     # Profiler support
     # ------------------------------------------------------------------
-    def push_frame(self, name: str) -> None:
-        """Enter a named procedure (gprof's call-count hook lives here)."""
-        self.call_stack.append(name)
-        if self.stage is not None:
-            self.stage.on_call(self)
-
-    def pop_frame(self, name: str) -> None:
-        """Leave a named procedure; must match the top of the stack."""
-        if not self.call_stack or self.call_stack[-1] != name:
-            raise RuntimeError(
-                f"{self.name}: pop_frame({name!r}) does not match stack "
-                f"{self.call_stack!r}"
-            )
-        self.call_stack.pop()
-
     def call_path(self) -> tuple:
         """The current call path as an immutable tuple of frame names."""
         return tuple(self.call_stack)
@@ -359,11 +335,17 @@ class frame:
         self.name = name
 
     def __enter__(self) -> "frame":
-        self.thread.push_frame(self.name)
+        thread = self.thread
+        thread.call_stack.append(self.name)
+        stage = thread.stage
+        if stage is not None:
+            # gprof's call-count hook.
+            stage.on_call(thread)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # On exception paths the stack may already have been torn down
-        # by thread.fail(); only pop when the frame is still on top.
-        if self.thread.call_stack and self.thread.call_stack[-1] == self.name:
-            self.thread.pop_frame(self.name)
+        # On exception paths the stack may already have been unwound
+        # past this frame; only pop when the frame is still on top.
+        stack = self.thread.call_stack
+        if stack and stack[-1] == self.name:
+            stack.pop()

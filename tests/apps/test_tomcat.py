@@ -14,7 +14,7 @@ class EchoServlet(Servlet):
     name = "Echo"
 
     def run(self, container, thread, param):
-        yield from work(thread, container.cpu, 1e-4)
+        yield work(thread, container.cpu, 1e-4)
         return ("echo", param), 1000
 
 
@@ -28,7 +28,7 @@ class CacheableServlet(Servlet):
 
     def run(self, container, thread, param):
         self.executions += 1
-        yield from work(thread, container.cpu, 1e-3)
+        yield work(thread, container.cpu, 1e-3)
         return ("fresh", param), 2000
 
 

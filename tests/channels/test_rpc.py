@@ -188,7 +188,7 @@ def test_two_transaction_paths_create_two_callee_contexts():
                 for _ in range(2):
                     request = yield from recv_request(thread, conn.to_server)
                     with frame(thread, "callee_rpc_svc"):
-                        yield from work(thread, cpu, 0.01)
+                        yield work(thread, cpu, 0.01)
                     yield from send_response(
                         thread, conn.to_client, request, "ok", 10
                     )

@@ -11,7 +11,7 @@ from repro.core.profiler import (
     StageRuntime,
     work,
 )
-from repro.sim import CPU, CurrentThread, Join, Kernel, Spawn
+from repro.sim import CPU, CurrentThread, Join, Kernel, Spawn, UseCPU
 from repro.sim.process import frame
 
 
@@ -48,7 +48,7 @@ def test_deterministic_sampling_weight_equals_time_times_freq():
     def body(thread, cpu):
         with frame(thread, "main"):
             with frame(thread, "handle"):
-                yield from work(thread, cpu, 0.5)
+                yield work(thread, cpu, 0.5)
 
     run_worker(stage, body)
     cct = stage.ccts[LOCAL]
@@ -60,12 +60,36 @@ def test_off_mode_records_nothing_and_adds_no_overhead():
 
     def body(thread, cpu):
         with frame(thread, "main"):
-            demand = yield from work(thread, cpu, 0.5)
+            demand = yield work(thread, cpu, 0.5)
             assert demand == 0.5
 
     kernel = run_worker(stage, body)
     assert stage.ccts == {}
     assert kernel.now == pytest.approx(0.5)
+
+
+def test_work_returns_its_use_cpu_with_the_inflated_demand():
+    # gprof samples and instruments, and entering the frame queues one
+    # call's cost: all three land in the one demand work() builds.
+    overhead = OverheadModel(sample_cost=100e-6, call_cost=3e-6, call_density=2000.0)
+    stage = make_stage(mode=ProfilerMode.GPROF, overhead=overhead)
+    twin = make_stage(mode=ProfilerMode.GPROF, overhead=overhead)
+    seen = {}
+
+    def body(thread, cpu):
+        with frame(thread, "main"):
+            twin.add_pending(thread, overhead.call_cost)
+            expected = twin.inflate(thread, 0.5)
+            syscall = work(thread, cpu, 0.5)
+            assert type(syscall) is UseCPU
+            assert syscall.cpu is cpu and syscall.amount == expected
+            assert stage.take_pending(thread) == 0.0  # folded in
+            seen["served"] = yield syscall
+            seen["expected"] = expected
+
+    kernel = run_worker(stage, body)
+    assert seen["expected"] > 0.5 + 0.5 * 1000.0 * overhead.sample_cost
+    assert seen["served"] == seen["expected"] == kernel.now
 
 
 def test_sampling_overhead_inflates_cpu_demand():
@@ -74,7 +98,7 @@ def test_sampling_overhead_inflates_cpu_demand():
 
     def body(thread, cpu):
         with frame(thread, "main"):
-            yield from work(thread, cpu, 1.0)
+            yield work(thread, cpu, 1.0)
 
     kernel = run_worker(stage, body)
     # 1000 samples/s * 100us = 10% overhead
@@ -88,9 +112,9 @@ def test_gprof_charges_per_call_and_counts_calls():
     def body(thread, cpu):
         with frame(thread, "main"):
             with frame(thread, "foo"):
-                yield from work(thread, cpu, 0.1)
+                yield work(thread, cpu, 0.1)
             with frame(thread, "foo"):
-                yield from work(thread, cpu, 0.1)
+                yield work(thread, cpu, 0.1)
 
     kernel = run_worker(stage, body)
     assert stage.total_calls == 3  # main, foo, foo
@@ -113,7 +137,7 @@ def test_stochastic_sampling_converges_to_deterministic():
     def body(thread, cpu):
         with frame(thread, "main"):
             for _ in range(50):
-                yield from work(thread, cpu, 0.01)
+                yield work(thread, cpu, 0.01)
 
     run_worker(det, body)
     run_worker(sto, body)
@@ -141,7 +165,7 @@ def test_stochastic_sampling_is_seeded():
 
         def body(thread, cpu):
             with frame(thread, "main"):
-                yield from work(thread, cpu, 0.1)
+                yield work(thread, cpu, 0.1)
 
         run_worker(stage, body)
         return stage.total_weight()
@@ -157,7 +181,7 @@ def test_gprof_call_density_inflates_with_useful_cpu():
 
     def body(thread, cpu):
         with frame(thread, "main"):
-            yield from work(thread, cpu, 1.0)
+            yield work(thread, cpu, 1.0)
 
     kernel = run_worker(stage, body)
     # 100k calls/s * 1us = 10% mcount overhead, plus one frame push.
@@ -172,7 +196,7 @@ def test_csprof_has_no_call_density_overhead():
 
     def body(thread, cpu):
         with frame(thread, "main"):
-            yield from work(thread, cpu, 1.0)
+            yield work(thread, cpu, 1.0)
 
     kernel = run_worker(stage, body)
     assert kernel.now == pytest.approx(1.0)
@@ -184,7 +208,7 @@ def test_csprof_ignores_transaction_context_whodunit_uses_it():
     def body(thread, cpu):
         thread.tran_ctxt = ctxt
         with frame(thread, "main"):
-            yield from work(thread, cpu, 0.1)
+            yield work(thread, cpu, 0.1)
 
     whodunit = make_stage(mode=ProfilerMode.WHODUNIT, hz=100.0)
     run_worker(whodunit, body)
@@ -204,9 +228,9 @@ def test_separate_ccts_per_context_label():
     def body(thread, cpu):
         with frame(thread, "main"):
             thread.tran_ctxt = a
-            yield from work(thread, cpu, 0.1)
+            yield work(thread, cpu, 0.1)
             thread.tran_ctxt = b
-            yield from work(thread, cpu, 0.3)
+            yield work(thread, cpu, 0.3)
 
     run_worker(stage, body)
     assert stage.ccts[a].total_weight() == pytest.approx(10.0)
@@ -225,7 +249,7 @@ def test_send_request_allocates_synopsis_and_remembers_origin_cct():
         with frame(thread, "main"):
             with frame(thread, "foo"):
                 sent["syn"] = stage.send_request(thread)
-        yield from work(thread, cpu, 0.01)
+        yield work(thread, cpu, 0.01)
 
     box = {}
     box["t"] = kernel.spawn(worker(), name="w", stage=stage)
@@ -246,7 +270,7 @@ def test_context_at_send_includes_inherited_prefix():
         thread.tran_ctxt = TransactionContext((SynopsisRef("web", 5),))
         with frame(thread, "svc"):
             out["ctxt"] = stage.context_at_send(thread)
-        yield from work(thread, cpu, 0.0)
+        yield work(thread, cpu, 0.0)
 
     box = {}
     box["t"] = kernel.spawn(worker(), name="w", stage=stage)
@@ -281,7 +305,7 @@ def test_request_response_round_trip_switches_contexts():
                 assert caller.receive_response(thread, composite)
                 # Switched back to the context active at send time.
                 assert thread.tran_ctxt == original_ctxt
-        yield from work(thread, cpu, 0.0)
+        yield work(thread, cpu, 0.0)
 
     def callee_thread():
         thread = yield CurrentThread()
@@ -290,7 +314,7 @@ def test_request_response_round_trip_switches_contexts():
         with frame(thread, "svc_run"):
             with frame(thread, "send"):
                 log["response"] = callee.send_response(thread, log["request_syn"])
-        yield from work(thread, cpu, 0.0)
+        yield work(thread, cpu, 0.0)
 
     box["caller"] = kernel.spawn(caller_thread(), name="caller", stage=caller)
     kernel.run()
@@ -318,7 +342,7 @@ def test_receive_response_ignores_foreign_composites():
         from repro.core.synopsis import CompositeSynopsis
 
         out["handled"] = stage.receive_response(thread, CompositeSynopsis(12345, 1))
-        yield from work(thread, cpu, 0.0)
+        yield work(thread, cpu, 0.0)
 
     box["t"] = kernel.spawn(worker(), name="w", stage=stage)
     kernel.run()
@@ -338,7 +362,7 @@ def test_tracking_disabled_send_wrappers_are_noops():
         out["resp"] = stage.send_response(thread, 1)
         stage.receive_request(thread, "x", None)
         out["ctxt"] = thread.tran_ctxt
-        yield from work(thread, cpu, 0.0)
+        yield work(thread, cpu, 0.0)
 
     box["t"] = kernel.spawn(worker(), name="w", stage=stage)
     kernel.run()
@@ -371,7 +395,7 @@ def test_receive_response_pops_matched_request():
         out["in_flight"] = stage.in_flight_requests
         # A stale response carrying the same prefix no longer matches.
         out["stale"] = stage.receive_response(thread, composite)
-        yield from work(thread, cpu, 0.0)
+        yield work(thread, cpu, 0.0)
 
     box["t"] = kernel.spawn(worker(), name="w", stage=stage)
     kernel.run()
@@ -402,7 +426,7 @@ def test_identical_in_flight_requests_each_match_a_response():
             stage.receive_response(thread, composite),
             stage.receive_response(thread, composite),
         ]
-        yield from work(thread, cpu, 0.0)
+        yield work(thread, cpu, 0.0)
 
     box["t"] = kernel.spawn(worker(), name="w", stage=stage)
     kernel.run()
@@ -461,8 +485,8 @@ def test_pending_overhead_consumed_once():
     def worker():
         thread = box["t"]
         stage.add_pending(thread, 0.05)
-        yield from work(thread, cpu, 0.1)  # 0.15 total
-        yield from work(thread, cpu, 0.1)  # pending already consumed
+        yield work(thread, cpu, 0.1)  # 0.15 total
+        yield work(thread, cpu, 0.1)  # pending already consumed
 
     box["t"] = kernel.spawn(worker(), name="w", stage=stage)
     kernel.run()

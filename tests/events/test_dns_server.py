@@ -37,26 +37,26 @@ class DnsServer:
 
     def recv_query(self, loop, event):
         name = event.payload
-        yield from work(loop.thread, self.cpu, 10e-6)
+        yield work(loop.thread, self.cpu, 10e-6)
         if name in self.cache:
             loop.event_add(Event("cache_hit", self.cache_hit, payload=name))
         else:
             loop.event_add(Event("cache_miss", self.cache_miss, payload=name))
 
     def cache_hit(self, loop, event):
-        yield from work(loop.thread, self.cpu, 5e-6)
+        yield work(loop.thread, self.cpu, 5e-6)
         self.answered.append((event.payload, "hit"))
 
     def cache_miss(self, loop, event):
         # Recursive resolution: ask upstream, wait via a timer event.
-        yield from work(loop.thread, self.cpu, 30e-6)
+        yield work(loop.thread, self.cpu, 30e-6)
         loop.event_add_timer(
             Event("upstream_reply", self.upstream_reply, payload=event.payload),
             delay=0.02,
         )
 
     def upstream_reply(self, loop, event):
-        yield from work(loop.thread, self.cpu, 15e-6)
+        yield work(loop.thread, self.cpu, 15e-6)
         self.cache[event.payload] = "1.2.3.4"
         self.answered.append((event.payload, "miss"))
 

@@ -266,12 +266,12 @@ def test_samples_annotated_with_event_context():
 
     def accept_handler(lp, ev):
         t = lp_thread()
-        yield from work(t, cpu, 0.1)
+        yield work(t, cpu, 0.1)
         lp.event_add(Event("read_handler", read_handler))
 
     def read_handler(lp, ev):
         t = lp_thread()
-        yield from work(t, cpu, 0.3)
+        yield work(t, cpu, 0.3)
         lp.stop()
 
     def lp_thread():

@@ -135,11 +135,11 @@ def test_samples_annotated_with_stage_context():
     runtime = StageRuntime("haboob", mode=ProfilerMode.WHODUNIT, overhead=ZERO)
 
     def cache_handler(stage, thread, payload):
-        yield from work(thread, cpu, 0.2)
+        yield work(thread, cpu, 0.2)
         stage.enqueue(thread, write.input_queue, payload)
 
     def write_handler(stage, thread, payload):
-        yield from work(thread, cpu, 0.4)
+        yield work(thread, cpu, 0.4)
 
     cache = SedaStage(kernel, "CacheStage", cache_handler, stage_runtime=runtime)
     write = SedaStage(kernel, "WriteStage", write_handler, stage_runtime=runtime)

@@ -99,6 +99,93 @@ def test_same_completions_and_counters_as_per_quantum_events(
     )
 
 
+class PinnedCore(PerQuantumCPU):
+    """One reference core of a :class:`Pinned` bank."""
+
+    def __init__(self, bank, kernel):
+        super().__init__(kernel)
+        self.bank = bank
+
+    def _complete(self, job):
+        # Every slice of an uncontended core runs its job to completion,
+        # so the bank's busy time grows by whole demands, in the order
+        # the jobs complete.
+        self.bank.busy_time += job.total
+        self.bank.completed_jobs += 1
+        super()._complete(job)
+
+
+class Pinned:
+    """A reference core per thread: what a multi-core ``CPU`` must do
+    while every arrival finds an idle core."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.cores = {}
+        self.busy_time = 0.0
+        self.completed_jobs = 0
+
+    def submit(self, thread, amount):
+        core = self.cores.get(thread.tid)
+        if core is None:
+            core = self.cores[thread.tid] = PinnedCore(self, self.kernel)
+        core.submit(thread, amount)
+
+    @property
+    def queue_length(self):
+        return sum(core.queue_length for core in self.cores.values())
+
+
+# Zero-length demands are drawn often: each is a slice due at the very
+# instant it starts.
+idle_demand_units = st.one_of(
+    st.just(0.0),
+    st.integers(min_value=0, max_value=4).map(float),
+    st.floats(min_value=0.0, max_value=4.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([None, 1e-3, 0.25]),
+    st.integers(min_value=2, max_value=4),
+    st.lists(
+        st.tuples(arrival_units, st.lists(idle_demand_units, min_size=1, max_size=3)),
+        min_size=1,
+        max_size=4,
+    ),
+    horizon_units,
+)
+def test_idle_multi_core_arrivals_run_as_if_each_had_its_own_core(
+    quantum, cores, jobs_in_units, horizons_in_units
+):
+    # No more threads than cores: every arrival finds a core idle and
+    # starts its slice in ``submit``.
+    cores = max(cores, len(jobs_in_units))
+    unit = quantum or 0.01
+    jobs = [
+        (arrival * unit, [demand * unit for demand in demands])
+        for arrival, demands in jobs_in_units
+    ]
+    horizons = [horizon * unit for horizon in horizons_in_units]
+    multi_core = execute(
+        lambda kernel, _: CPU(kernel, cores=cores, quantum=quantum),
+        quantum, jobs, horizons,
+    )
+    assert multi_core == execute(
+        lambda kernel, _: Pinned(kernel), quantum, jobs, horizons
+    )
+
+
+def test_zero_length_demands_on_a_busy_core_match():
+    # Each zero-length arrival cuts the running slice short and
+    # completes in the bucket after it.
+    jobs = [(0.0, [1.0, 0.0]), (0.25, [0.0, 0.0]), (0.5, [0.0, 0.25]), (1.0, [0.0])]
+    assert execute(fast, 0.01, jobs, [0.5, 1.0]) == execute(
+        reference, 0.01, jobs, [0.5, 1.0]
+    )
+
+
 def test_arrival_mid_rotation_replans_to_the_same_schedule():
     # Two long jobs rotate for 40 quanta before the first completion; a
     # short job lands mid-quantum, mid-plan, and completes at its first

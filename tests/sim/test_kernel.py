@@ -45,6 +45,17 @@ def test_negative_delay_rejected():
         kernel.schedule(-1.0, lambda: None)
 
 
+class Target:
+    """A bare wheel target: records each firing's value and time."""
+
+    def __init__(self, kernel, seen):
+        self.kernel = kernel
+        self.seen = seen
+
+    def step(self, value=None):
+        self.seen.append((value, self.kernel.now))
+
+
 def test_schedule_at_fires_at_the_exact_timestamp():
     kernel = Kernel()
     seen = []
@@ -55,38 +66,39 @@ def test_schedule_at_fires_at_the_exact_timestamp():
     for _ in range(7):
         when += 0.1
     assert kernel.now + (when - kernel.now) != when  # why schedule() won't do
-    kernel.schedule_at(when, lambda: seen.append(kernel.now))
+    kernel.wake_at(when, Target(kernel, seen), "x")
     kernel.run()
-    assert seen == [when]
+    assert seen == [("x", when)]
 
 
 def test_schedule_at_rejects_the_past_and_non_finite_times():
     kernel = Kernel()
+    target = Target(kernel, [])
     kernel.schedule(1.0, lambda: None)
     kernel.run()
     for when in (0.5, float("-inf")):
         with pytest.raises(ValueError, match="past"):
-            kernel.schedule_at(when, lambda: None)
+            kernel.wake_at(when, target)
     for when in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
-            kernel.schedule_at(when, lambda: None)
+            kernel.wake_at(when, target)
     assert kernel.pending_events() == 0
-    kernel.schedule_at(kernel.now, lambda: None)  # now itself is allowed
+    kernel.wake_at(kernel.now, target)  # now itself is allowed
     assert kernel.pending_events() == 1
 
 
 def test_schedule_at_crosses_a_run_horizon():
     kernel = Kernel()
     seen = []
-    kernel.schedule_at(2.5, seen.append, "late")
-    kernel.schedule_at(1.0, seen.append, "on the horizon")
+    kernel.wake_at(2.5, Target(kernel, seen), "late")
+    kernel.wake_at(1.0, Target(kernel, seen), "on the horizon")
     assert kernel.run(until=1.0) == 1.0
-    assert seen == ["on the horizon"]
+    assert seen == [("on the horizon", 1.0)]
     assert kernel.pending_events() == 1
     assert kernel.run(until=2.0) == 2.0
-    assert seen == ["on the horizon"]
+    assert seen == [("on the horizon", 1.0)]
     kernel.run()
-    assert seen == ["on the horizon", "late"]
+    assert seen == [("on the horizon", 1.0), ("late", 2.5)]
     assert kernel.now == 2.5
 
 

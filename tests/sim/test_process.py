@@ -25,29 +25,15 @@ def test_push_pop_frame_tracks_call_path():
 
     def worker():
         thread = yield CurrentThread()
-        thread.push_frame("a")
-        thread.push_frame("b")
+        with frame(thread, "a"):
+            with frame(thread, "b"):
+                paths.append(thread.call_path())
+            paths.append(thread.call_path())
         paths.append(thread.call_path())
-        thread.pop_frame("b")
-        paths.append(thread.call_path())
-        thread.pop_frame("a")
 
     kernel.spawn(worker())
     kernel.run()
-    assert paths == [("a", "b"), ("a",)]
-
-
-def test_pop_frame_mismatch_raises():
-    kernel = Kernel()
-
-    def worker():
-        thread = yield CurrentThread()
-        thread.push_frame("a")
-        thread.pop_frame("b")
-
-    kernel.spawn(worker())
-    with pytest.raises(RuntimeError):
-        kernel.run()
+    assert paths == [("a", "b"), ("a",), ()]
 
 
 def test_frame_context_manager_survives_yields():

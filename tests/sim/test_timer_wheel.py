@@ -12,8 +12,10 @@ from the head of the next same-time bucket.
 
 import pytest
 
-from repro.sim import CurrentThread, Delay, Kernel, Syscall
+from repro import telemetry
+from repro.sim import CPU, CurrentThread, Delay, Kernel, Syscall, UseCPU
 from repro.sim.kernel import Deadlock, SimulationError
+from tests.sim.reference_cpu import PerQuantumCPU
 
 
 def test_non_finite_delays_rejected():
@@ -60,9 +62,20 @@ def test_zero_delay_schedule_and_call_soon_interleave_fifo():
     assert seen == ["a", "b", "c"]
 
 
+class Target:
+    """A bare wheel target: appends what each firing delivers."""
+
+    def __init__(self, seen):
+        self.seen = seen
+
+    def step(self, value=None):
+        self.seen.append(value)
+
+
 def test_schedule_at_shares_the_fifo_bucket_with_every_other_entry_kind():
     kernel = Kernel()
     seen = []
+    target = Target(seen)
 
     def sleeper():
         yield Delay(1.0)
@@ -76,36 +89,117 @@ def test_schedule_at_shares_the_fifo_bucket_with_every_other_entry_kind():
         seen.append((yield Park()))
 
     kernel.schedule(1.0, seen.append, "schedule")
-    kernel.schedule_at(1.0, seen.append, "schedule_at")
+    kernel.wake_at(1.0, target, "wake_at")
     kernel.spawn(sleeper())
     waiter = kernel.spawn(blocked())
 
     def at_one():
         # All three land in the bucket that is being dispatched.
         kernel.call_soon(seen.append, "call_soon")
-        kernel.schedule_at(kernel.now, seen.append, "schedule_at now")
+        kernel.wake_at(kernel.now, target, "wake_at now")
         kernel.resume(waiter, "resume")
 
-    kernel.schedule_at(1.0, at_one)
+    kernel.schedule(1.0, at_one)
     kernel.run()
     assert seen == [
-        "schedule", "schedule_at", "delay", "call_soon", "schedule_at now", "resume",
+        "schedule", "wake_at", "delay", "call_soon", "wake_at now", "resume",
     ]
 
 
-def test_schedule_at_events_cancel_and_purge_like_any_other():
+def test_pending_events_is_exact_after_unwake():
     kernel = Kernel()
     seen = []
-    events = [kernel.schedule_at(1.0 + index, seen.append, index) for index in range(100)]
-    for event in events[:80]:
-        event.cancel()
-    # Once the cancelled majority passed 64 entries the wheel was rebuilt.
-    assert sum(len(bucket) for bucket in kernel._wheel.values()) < 64
-    assert kernel.pending_events() == 20
+    targets = [Target(seen) for _ in range(100)]
+    for index, target in enumerate(targets):
+        kernel.wake_at(1.0 + index, target, index)
+    for index, target in enumerate(targets[:80]):
+        kernel.unwake(1.0 + index, target)
+        assert kernel.pending_events() == 99 - index
+    # Withdrawn entries leave the wheel at once: nothing to purge later.
+    assert sum(len(bucket) for bucket in kernel._wheel.values()) == 20
+    with pytest.raises(SimulationError, match="no pending wakeup"):
+        kernel.unwake(1.0, targets[0])
     kernel.run()
     assert seen == list(range(80, 100))
     assert kernel.pending_events() == 0
     assert kernel._wheel == {} and kernel._times == []
+
+
+def test_unwake_keeps_the_rest_of_the_bucket_in_order():
+    kernel = Kernel()
+    seen = []
+    targets = [Target(seen) for _ in range(4)]
+    kernel.schedule(1.0, seen.append, "event")
+    for index, target in enumerate(targets):
+        kernel.wake_at(1.0, target, index)
+    kernel.schedule(1.0, seen.append, "last")
+    kernel.unwake(1.0, targets[1])
+    assert kernel.pending_events() == 5
+    kernel.run()
+    assert seen == ["event", 0, 2, 3, "last"]
+
+
+def test_a_timestamp_whose_entries_were_all_withdrawn_neither_fires_nor_advances_now():
+    with telemetry.enabled("full") as tele:
+        kernel = Kernel()
+        seen = []
+        first, second = Target(seen), Target(seen)
+        kernel.wake_at(2.0, first, "first")
+        kernel.wake_at(2.0, second, "second")
+        kernel.unwake(2.0, second)
+        kernel.unwake(2.0, first)
+        assert 2.0 not in kernel._wheel  # whitebox: the bucket is gone
+        assert kernel.pending_events() == 0
+        assert kernel.run() == 0.0
+        assert seen == []
+        kernel.wake_at(3.0, first, "third")
+        assert kernel.run(until=2.5) == 2.5
+        assert kernel.run() == 3.0
+        assert seen == ["third"]
+        fired = tele.metrics.counter("repro_sim_events_fired_total").value
+        cancelled = tele.metrics.counter("repro_sim_events_cancelled_total").value
+    assert (fired, cancelled) == (1, 2)
+
+
+def cpu_run(make_cpu):
+    """``a`` holds the CPU until t = 1 in one run-to-completion slice;
+    ``b`` wakes at t = 1 in the same bucket, ahead of that slice, and
+    cuts it short just as it ends."""
+    with telemetry.enabled("full") as tele:
+        kernel = Kernel()
+        cpu = make_cpu(kernel)
+        done = []
+
+        def worker(tag, delay, demand):
+            if delay:
+                yield Delay(delay)
+            yield UseCPU(cpu, demand)
+            done.append((tag, kernel.now))
+
+        kernel.spawn(worker("b", 1.0, 0.5))
+        kernel.spawn(worker("a", 0.0, 1.0))
+        kernel.run()
+        return (
+            done,
+            cpu.completed_jobs,
+            cpu.busy_time,
+            tele.metrics.counter("repro_sim_events_fired_total").value,
+            tele.metrics.counter("repro_sim_events_cancelled_total").value,
+        )
+
+
+def test_slice_withdrawn_while_its_batch_is_in_flight_completes_its_job_once():
+    done, completed, busy, fired, cancelled = cpu_run(
+        lambda kernel: CPU(kernel, cores=1, quantum=0.25)
+    )
+    assert done == [("a", 1.0), ("b", 1.5)]
+    assert completed == 2 and busy == 1.5
+    # The withdrawn slice neither fires nor counts as cancelled, exactly
+    # as an event cancelled from inside its batch.
+    assert cancelled == 0
+    assert (done, completed, busy, fired, cancelled) == cpu_run(
+        lambda kernel: PerQuantumCPU(kernel, quantum=0.25)
+    )
 
 
 def test_events_scheduled_mid_batch_fire_after_the_batch():

@@ -216,6 +216,33 @@ def test_sharded_telemetry_prints_no_empty_parent_summary(capsys):
     assert "live telemetry summary" not in out
 
 
+def test_sharded_tpcw_prints_its_fault_line(capsys):
+    argv = ["tpcw", "--shards", "2", "--jobs", "1", "--clients", "10",
+            "--duration", "5", "--warmup", "1", "--faults", "drop=0.05"]
+    assert main(argv) == 0
+    lines = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("faults: ")
+    ]
+    assert len(lines) == 1
+    totals = dict(item.split("=") for item in lines[0][len("faults: "):].split(", "))
+    assert int(totals["messages_seen"]) > int(totals["dropped"]) > 0
+
+
+def test_sharded_haboob_prints_its_telemetry(capsys):
+    argv = ["haboob", "--shards", "2", "--jobs", "1", "--clients", "4",
+            "--seconds", "1", "--telemetry", "full"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "-- merged metrics (all shards) --" in out
+    assert "repro_seda_" in out
+    spans = [
+        line for line in out.splitlines()
+        if line.startswith("spans recorded across shards: ")
+    ]
+    assert len(spans) == 1 and int(spans[0].rsplit(" ", 1)[1]) > 0
+
+
 def _seeded_tpcw_profiles(directory, clients="8", duration="5"):
     assert (
         main(
