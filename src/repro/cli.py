@@ -76,21 +76,20 @@ def _telemetry_finish(args: argparse.Namespace, tele) -> None:
 def _live_setup(args: argparse.Namespace):
     """Attach the online streaming stitcher, if requested.
 
-    Must run *before* the simulated system is built: stage runtimes
-    capture the profile-event listeners at construction time.  Returns
-    a context manager yielding the collector (``None`` when not asked
-    for) and closing it on exit; the collector needs no telemetry.
+    Must run *before* the simulated system is built: the collector
+    adopts each stage runtime at its construction.  Returns a context
+    manager yielding the collector (``None`` when not asked for) and
+    closing it on exit; the collector needs no telemetry.
     """
     if not (getattr(args, "live", False) or getattr(args, "live_dir", None)):
         return contextlib.nullcontext()
     from repro.live import attach_collector
 
-    resident = args.live_resident if args.live_resident > 0 else None
     return contextlib.closing(attach_collector(
         telemetry.active(),
         directory=args.live_dir,
         interval=args.live_interval,
-        max_resident=resident,
+        max_resident=args.live_resident,
     ))
 
 
@@ -592,13 +591,13 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_live_report(args: argparse.Namespace) -> int:
     """Answer queries from live-collector checkpoint directories.
 
-    A single directory recovers one collector (bounded loss: anything
-    newer than its last checkpoint is gone, by design) and stitches it;
-    a directory holding ``shard-NNNN/`` subdirectories recovers every
-    shard and folds the per-shard profiles through the same exact
-    accumulator the sharded post-mortem reduce uses, with the same
-    ``@shardN`` qualification of unresolved refs — so the digest
-    matches ``stitch --digest`` over the equivalent spool.
+    The profile is :func:`repro.core.persist.load_run`'s: a single
+    directory recovers one collector (bounded loss: anything newer than
+    its last checkpoint is gone, by design) and stitches it; a
+    directory holding ``shard-NNNN/`` subdirectories recovers every
+    shard and folds them like the sharded post-mortem reduce, so the
+    digest matches ``stitch --digest`` over the equivalent spool.
+    ``--compact`` first collapses each collector's chain to one file.
     """
     import os
 
@@ -607,41 +606,36 @@ def cmd_live_report(args: argparse.Namespace) -> int:
         render_live_top,
         render_stitched_profile,
     )
-    from repro.core.persist import live_collectors
-    from repro.parallel.reduce import ProfileAccumulator
-    from repro.parallel.stitching import _tag_unresolved
+    from repro.core.persist import live_collectors, live_directories, load_run
+    from repro.live import LiveCollector, list_checkpoints
 
     directory = args.directory
     if not os.path.isdir(directory):
         print(f"error: {directory!r} is not a directory", file=sys.stderr)
         return 2
+    collector_dirs = live_directories(directory)
+    if not collector_dirs:
+        print(f"error: no checkpoints in {directory!r}", file=sys.stderr)
+        return 2
     strict = bool(args.strict)
-    accumulator = ProfileAccumulator()
-    shards = checkpoint_files = 0
-    for index, collector in live_collectors(directory):
-        if index is None and not collector.recovered_from:
-            print(f"error: no checkpoints in {directory!r}", file=sys.stderr)
-            return 2
-        profile = (
+    if args.compact:
+        for _index, collector in live_collectors(directory):
             collector.compact(strict=strict)
-            if args.compact
-            else collector.stitched_profile(strict=strict)
-        )
-        if index is not None:
-            shards += 1
-            checkpoint_files += collector.recovered_from
-            accumulator.add_profile(_tag_unresolved(profile, f"@shard{index}"))
-    if shards:
-        profile = accumulator.finalize()
+    profile = load_run(directory, strict=strict).profile
     if args.digest:
         return _print_digest(profile)
-    if shards:
+    sharded = collector_dirs[0][0] is not None
+    if sharded:
+        checkpoint_files = sum(
+            len(list_checkpoints(path)) for _index, path in collector_dirs
+        )
         print(
-            f"recovered {shards} shard collectors "
+            f"recovered {len(collector_dirs)} shard collectors "
             f"({checkpoint_files} checkpoint files)"
         )
         print()
     elif args.top:
+        collector = LiveCollector.recover(directory)
         print(render_live_top(collector, k=args.top))
         if collector.crosstalk_pairs():
             print()
@@ -799,6 +793,18 @@ def _warmup_seconds(text: str) -> float:
     return _seconds(text, zero_ok=True)
 
 
+def _resident_bound(text: str) -> Optional[int]:
+    """argparse type for --live-resident: an integer >= 0, where 0
+    means unbounded (``None``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value or None
+
+
 def _positive_int(text: str) -> int:
     """argparse type for a count of shards or worker processes: >= 1."""
     try:
@@ -857,14 +863,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--live-interval",
-            type=float,
+            type=_run_seconds,
             default=5.0,
             metavar="SECONDS",
             help="virtual seconds between live checkpoints",
         )
         p.add_argument(
             "--live-resident",
-            type=int,
+            type=_resident_bound,
             default=512,
             metavar="N",
             help="LRU bound on resident live CCTs; colder trees spill "
@@ -1180,8 +1186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--compact",
         action="store_true",
-        help="collapse the directory to one superseding full snapshot "
-        "after stitching",
+        help="first collapse each collector's chain to one superseding "
+        "full snapshot",
     )
     p.set_defaults(fn=cmd_live_report)
 

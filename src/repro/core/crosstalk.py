@@ -91,10 +91,6 @@ class CrosstalkRecorder:
         # contention metrics and the lock-wait spans.
         tele = _telemetry.ACTIVE
         self._tele = tele
-        # Raw profile-event stream for the online stitcher (see
-        # repro.live): the owning StageRuntime sets it to its own
-        # emitter; None means nobody listens.
-        self.emit_profile: Optional[Callable[[Tuple[Any, ...]], None]] = None
         if tele is not None and tele.wants_metrics:
             self._tele_wait = tele.metrics.histogram(
                 "repro_crosstalk_wait_seconds",
@@ -145,10 +141,6 @@ class CrosstalkRecorder:
         self._pair_stats((waiter_type, holder_type)).add(wait)
         self._waiter_stats(waiter_type).add(wait)
         self._events.append((waiter_type, holder_type, wait))
-        if self.emit_profile is not None:
-            self.emit_profile(
-                ("crosstalk", self.owner, waiter_type, holder_type, wait)
-            )
         if self._tele_wait is not None:
             self._tele_wait.observe(wait)
 

@@ -203,16 +203,14 @@ def decode_stage(data: Dict[str, Any]) -> StageRuntime:
         data["name"],
         mode=ProfilerMode(data["mode"]),
         sampling_hz=data["sampling_hz"],
+        live=False,
     )
     for entry in data["ccts"]:
         label = decode_context(entry["label"])
         cct = stage.cct_for(label)
         _decode_cct_node(cct.root, entry["tree"])
     for entry in data["synopses"]:
-        context = decode_context(entry["context"])
-        # Re-register under the original value.
-        stage.synopses._by_context[context] = entry["value"]
-        stage.synopses._by_value[entry["value"]] = context
+        stage.synopses.register(decode_context(entry["context"]), entry["value"])
     for entry in data["crosstalk"]:
         stage.crosstalk.record(
             _decode_type(entry["waiter"]),
@@ -417,7 +415,9 @@ def decode_stage_v2(data: List[Any]) -> StageRuntime:
         _v2_decode_context(cells, strings)
         for cells in _v2_undelta_contexts(context_cells)
     ]
-    stage = StageRuntime(name, mode=ProfilerMode(mode), sampling_hz=hz)
+    stage = StageRuntime(
+        name, mode=ProfilerMode(mode), sampling_hz=hz, live=False
+    )
     for label_id, parents, names, weights, counts in ccts:
         cct = stage.cct_for(contexts[label_id])
         CCTNode.attach_rows(
@@ -428,10 +428,7 @@ def decode_stage_v2(data: List[Any]) -> StageRuntime:
             )),
         )
     for ctx_id, remainder in synopses:
-        context = contexts[ctx_id]
-        value = base + remainder
-        stage.synopses._by_context[context] = value
-        stage.synopses._by_value[value] = context
+        stage.synopses.register(contexts[ctx_id], base + remainder)
     for waiter, holder, wait in crosstalk:
         stage.crosstalk.record(
             _v2_decode_type(waiter, strings, contexts),
@@ -711,14 +708,15 @@ def _dump_files_in(directory: str) -> List[str]:
     return out
 
 
-def live_collectors(directory: str):
-    """Recover the collectors of a live checkpoint directory.
+def live_directories(directory: str) -> List[Tuple[Optional[int], str]]:
+    """The collector directories of a live checkpoint directory.
 
-    Yields ``(shard_index, collector)`` per ``shard-NNNN/``
-    subdirectory, in shard order; a directory holding none yields its
-    own collector once, with index ``None``.
+    ``(shard_index, path)`` per ``shard-NNNN/`` subdirectory, in shard
+    order; a directory holding none is its own collector directory
+    (index ``None``) if it holds checkpoints.  ``[]``: not a live
+    checkpoint directory.
     """
-    from repro.live import LiveCollector
+    from repro.live import list_checkpoints
 
     shard_names = sorted(
         name
@@ -727,12 +725,20 @@ def live_collectors(directory: str):
         and os.path.isdir(os.path.join(directory, name))
     )
     if not shard_names:
-        yield None, LiveCollector.recover(directory)
-    for name in shard_names:
-        yield (
-            int(name.split("-", 1)[1]),
-            LiveCollector.recover(os.path.join(directory, name)),
-        )
+        return [(None, directory)] if list_checkpoints(directory) else []
+    return [
+        (int(name.split("-", 1)[1]), os.path.join(directory, name))
+        for name in shard_names
+    ]
+
+
+def live_collectors(directory: str):
+    """Recover the collectors of a live checkpoint directory: yields
+    ``(shard_index, collector)`` per :func:`live_directories` entry."""
+    from repro.live import LiveCollector
+
+    for index, path in live_directories(directory):
+        yield index, LiveCollector.recover(path)
 
 
 def _load_live_run(directory: str, strict: bool) -> RunProfile:
@@ -791,16 +797,9 @@ def load_run(source, strict: bool = False) -> RunProfile:
     elif os.path.isfile(os.path.join(source, MANIFEST_NAME)):
         kind = "spool"
         groups = spool_groups(source)
+    elif live_directories(source):
+        return _load_live_run(source, strict)
     else:
-        from repro.live import list_checkpoints
-
-        has_shards = any(
-            name.startswith("shard-")
-            and os.path.isdir(os.path.join(source, name))
-            for name in os.listdir(source)
-        )
-        if has_shards or list_checkpoints(source):
-            return _load_live_run(source, strict)
         groups = [_dump_files_in(source)]
         if not groups[0]:
             raise ValueError(f"no profile dumps found in {source!r}")

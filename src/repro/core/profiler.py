@@ -19,7 +19,7 @@ import enum
 import math
 import random as _random
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, Mapping, Optional, TYPE_CHECKING
 
 from repro import telemetry as _telemetry
 from repro.core.cct import CallingContextTree
@@ -80,27 +80,11 @@ class OverheadModel:
 
 LOCAL = TransactionContext.empty()
 
-#: Listeners on the raw profile-event stream (samples, synopsis mints,
-#: crash clears, lock waits), each called with one event tuple.  The
-#: online stitcher (:func:`repro.live.attach_collector`) adds itself
-#: here; whoever adds a listener removes it.  Stage runtimes capture the
-#: list once, at construction, so attach before building the system.
-PROFILE_LISTENERS: List[Callable[[Tuple[Any, ...]], None]] = []
-
-
-def _profile_emitter() -> Optional[Callable[[Tuple[Any, ...]], None]]:
-    """The current listeners as one callable, or ``None`` for none."""
-    listeners = tuple(PROFILE_LISTENERS)
-    if not listeners:
-        return None
-    if len(listeners) == 1:
-        return listeners[0]
-
-    def fan_out(event: Tuple[Any, ...]) -> None:
-        for listener in listeners:
-            listener(event)
-
-    return fan_out
+#: The attached online stitcher (:func:`repro.live.attach_collector`),
+#: or ``None``.  A stage runtime built while one is attached hands it
+#: its CCT dictionary at construction, so attach before building the
+#: system; whoever attaches a collector closes it, which empties the slot.
+COLLECTOR: Optional[Any] = None
 
 
 class StageRuntime:
@@ -116,6 +100,7 @@ class StageRuntime:
         deterministic: bool = True,
         seed: int = 0,
         crosstalk_capacity: Optional[int] = None,
+        live: bool = True,
     ):
         self.name = name
         self.sampling_hz = sampling_hz
@@ -132,7 +117,6 @@ class StageRuntime:
         # flags the hot paths test instead of enum comparisons.
         self.mode = mode
         self.synopses = SynopsisTable(name)
-        self.ccts: Dict[TransactionContext, CallingContextTree] = {}
         if crosstalk_capacity is None:
             self.crosstalk = CrosstalkRecorder(type_of=type_of, owner=name)
         else:
@@ -175,11 +159,14 @@ class StageRuntime:
         # Telemetry, captured once at construction (zero-cost when off).
         tele = _telemetry.ACTIVE
         self._tele = tele
-        # Raw profile-event stream for online stitching: None unless a
-        # listener (see repro.live) was added before the system was
-        # built, so an ordinary run pays one ``is None`` test per sample.
-        # The crosstalk recorder emits lock waits into the same stream.
-        self._emit_profile = self.crosstalk.emit_profile = _profile_emitter()
+        # The live collector owning this stage's CCTs (see repro.live):
+        # the one attached when the runtime is built, unless ``live`` is
+        # False (a stage rebuilt from a dump for analysis).  Without one
+        # the CCTs are a plain dict and a sample pays one ``is None``.
+        self.ccts: Mapping[TransactionContext, CallingContextTree] = {}
+        self._live = None
+        if live and COLLECTOR is not None:
+            COLLECTOR.adopt(self)
         if tele is not None and tele.wants_metrics:
             m = tele.metrics
             self._tele_samples = m.counter(
@@ -240,7 +227,10 @@ class StageRuntime:
         return self._tracking
 
     def cct_for(self, label: TransactionContext) -> CallingContextTree:
-        """The CCT labeled with ``label``, created on first use (§7.1)."""
+        """The CCT labeled with ``label``, created on first use (§7.1),
+        for the caller to change."""
+        if self._live is not None:
+            return self._live.tree_for_update(self.ccts, label)
         cct = self.ccts.get(label)
         if cct is None:
             cct = CallingContextTree(label)
@@ -279,14 +269,14 @@ class StageRuntime:
             if weight == 0.0:
                 return
         path = tuple(thread.call_stack)
-        cct = self.ccts.get(label)
-        if cct is None:
-            cct = self.ccts[label] = CallingContextTree(label)
-        cct.record_sample(path, weight)
-        if self._emit_profile is not None:
-            self._emit_profile(
-                ("sample", self.name, label, path, weight, thread.kernel.now)
-            )
+        live = self._live
+        if live is None:
+            cct = self.ccts.get(label)
+            if cct is None:
+                cct = self.ccts[label] = CallingContextTree(label)
+            cct.record_sample(path, weight)
+        else:
+            live.on_sample(self.ccts, label, path, weight, thread.kernel.now)
         if self._tele_samples is not None:
             self._tele_samples.inc()
             self._tele_sample_weight.inc(weight)
@@ -371,17 +361,17 @@ class StageRuntime:
         if not self._tracking:
             return None
         context = self.context_at_send(thread)
-        emit = self._emit_profile
-        if emit is None:
+        live = self._live
+        if live is None:
             value = self.synopses.synopsis(context)
         else:
-            # Emit a mint event only when this send actually allocated a
-            # new synopsis — the online stitcher mirrors the table, not
-            # the traffic.
+            # Tell the collector only when this send actually allocated
+            # a new synopsis: it logs the table's changes, not the
+            # traffic.
             before = self.synopses.next_value
             value = self.synopses.synopsis(context)
             if self.synopses.next_value != before:
-                emit(("synopsis", self.name, value, context, thread.kernel.now))
+                live.on_mint(self.ccts, value, context, thread.kernel.now)
         entry = self._sent_requests.get(value)
         if entry is None:
             self._sent_requests[value] = [thread.tran_ctxt, 1]
@@ -426,13 +416,13 @@ class StageRuntime:
         local = TransactionContext.from_call_path(thread.call_path())
         self.add_pending(thread, self.overhead.synopsis_cost)
         self.comm_context_bytes_full += local.wire_size()
-        emit = self._emit_profile
-        if emit is None:
+        live = self._live
+        if live is None:
             return self.synopses.make_response(request_synopsis, local)
         before = self.synopses.next_value
         composite = self.synopses.make_response(request_synopsis, local)
         if self.synopses.next_value != before:
-            emit(("synopsis", self.name, composite.suffix, local, thread.kernel.now))
+            live.on_mint(self.ccts, composite.suffix, local, thread.kernel.now)
         return composite
 
     def receive_response(self, thread: SimThread, composite: Optional[CompositeSynopsis]) -> bool:
@@ -510,10 +500,9 @@ class StageRuntime:
         if self._tele_inflight is not None:
             self._tele_inflight.set(0)
         lost = self.synopses.clear_mappings()
-        if self._emit_profile is not None:
-            # The online stitcher mirrors the amnesia: its shadow table
-            # forgets the same mappings the real table just lost.
-            self._emit_profile(("crash", self.name, lost))
+        if self._live is not None:
+            # The collector logs the clear for its checkpoints' replay.
+            self._live.on_crash(self.ccts, lost)
         return lost
 
     @property

@@ -184,6 +184,12 @@ class SynopsisTable:
             self._by_value[value] = context
         return value
 
+    def register(self, context: TransactionContext, value: int) -> None:
+        """Restore one persisted mapping under its original value (a
+        decoded dump, or a live checkpoint's replayed mint)."""
+        self._by_context[context] = value
+        self._by_value[value] = context
+
     def resolve(self, value: int) -> TransactionContext:
         """The context a synopsis stands for (post-mortem stitching)."""
         try:

@@ -1,15 +1,15 @@
 """repro.live — the online streaming stitcher.
 
 Turns the batch presentation phase into a continuous-profiling
-service: a :class:`LiveCollector` listens on the profiler's raw event
-stream (:data:`repro.core.profiler.PROFILE_LISTENERS`; no telemetry
-or spans needed) during the run, keeps incrementally-stitched
-state under bounded memory (LRU of resident CCTs spilling to an
-append-only log that a chain of WDR2 interval checkpoints references),
-answers live queries (``top_contexts``,
+service: a :class:`LiveCollector` attached before the system is built
+owns the stage runtimes' CCT dictionaries (no telemetry or spans
+needed), keeps them under one LRU bound for the whole process (colder
+trees spill to an append-only log that a chain of WDR2 interval
+checkpoints references), answers live queries (``top_contexts``,
 ``stage_weights``, ``completeness``, crosstalk pairs) at any virtual
-time, and — after final compaction — produces a profile byte-identical
-to the post-mortem stitch of the same run.
+time, and — after final compaction — produces the profile the
+post-mortem stitch of the same run gives, because it stitches the same
+trees.
 
 See ``docs/observability.md`` for the architecture walkthrough.
 """

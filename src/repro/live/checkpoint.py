@@ -1,7 +1,7 @@
 """WDR2-framed checkpoints and spill log for the online streaming stitcher.
 
 A live collector (:mod:`repro.live.collector`) periodically persists
-its shadow profiling state so that a crash never loses more than one
+the profiling state it owns so that a crash never loses more than one
 checkpoint interval (plus the gap to the next sample, which is what
 triggers the write), and appends the trees its LRU evicts to a spill
 log those checkpoints reference.  Both reuse the framing primitives
@@ -67,6 +67,7 @@ import os
 from typing import IO, Any, Dict, List, Optional
 
 from repro.core.cct import CCTNode, CallingContextTree
+from repro.core.crosstalk import PairStats
 from repro.core.persist import (
     decode_context,
     decode_crosstalk_type,
@@ -248,25 +249,26 @@ def decode_syn_op(cell: List[Any]) -> Any:
     return ("c", cell[1])
 
 
-def encode_crosstalk(pairs: Dict[Any, Any]) -> List[List[Any]]:
+def encode_crosstalk(pairs: Dict[Any, PairStats]) -> List[List[Any]]:
     """Cumulative crosstalk aggregate: rows ``[waiter, holder, count,
     total, max]`` keyed by ordered type pair."""
     return [
         [
             encode_crosstalk_type(waiter),
             encode_crosstalk_type(holder),
-            stats[0],
-            stats[1],
-            stats[2],
+            stats.count,
+            stats.total,
+            stats.max,
         ]
         for (waiter, holder), stats in pairs.items()
     ]
 
 
-def decode_crosstalk(rows: List[List[Any]]) -> Dict[Any, List[Any]]:
-    return {
-        (decode_crosstalk_type(row[0]), decode_crosstalk_type(row[1])): [
-            row[2], row[3], row[4]
-        ]
-        for row in rows
-    }
+def decode_crosstalk(rows: List[List[Any]]) -> Dict[Any, PairStats]:
+    pairs = {}
+    for waiter, holder, count, total, peak in rows:
+        stats = pairs[
+            (decode_crosstalk_type(waiter), decode_crosstalk_type(holder))
+        ] = PairStats()
+        stats.count, stats.total, stats.max = count, total, peak
+    return pairs

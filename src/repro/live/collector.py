@@ -1,57 +1,57 @@
 """The online streaming stitcher: live profiles without post-mortem dumps.
 
 Whodunit's presentation phase is batch: run, dump per-stage profiles,
-stitch.  :class:`LiveCollector` is the continuous-profiling version —
-a long-lived listener on the profiler's raw event stream
-(:data:`repro.core.profiler.PROFILE_LISTENERS`: CPU samples, synopsis
-mints, crash amnesia, crosstalk waits) that maintains *shadow*
-per-stage profiling state incrementally and can answer "top contexts
-right now" at any virtual time, while the simulation keeps running.
-It needs no telemetry: spans are neither built nor read for it.
+stitch.  :class:`LiveCollector` is the continuous-profiling version.
+It *owns* the CCT dictionaries of the stage runtimes built while it is
+attached (:data:`repro.core.profiler.COLLECTOR`): a sample, a synopsis
+mint and a crash clear each reach it as one direct call, and it can
+answer "top contexts right now" at any virtual time while the
+simulation keeps running.  It needs no telemetry: spans are neither
+built nor read for it.
 
-Equivalence guarantee
----------------------
+Equivalence
+-----------
 
-The collector does not approximate: it replays the exact per-stage
-operations the real :class:`~repro.core.profiler.StageRuntime` applied,
-in the same order, with the same floats — shadow CCTs receive the same
-``record_sample`` calls, shadow synopsis tables the same mints and the
-same crash clears.  Final compaction therefore feeds
-:func:`repro.core.stitch.stitch_profiles` bit-identical inputs, and
-the compacted profile serialises to the *same bytes*
+There is no second copy to keep equal.  An adopted stage's ``ccts`` is
+the collector's :class:`StageTrees` — a mapping, in first-seen label
+order, over the very trees each sample is recorded into once — and the
+synopsis tables and crosstalk aggregates the collector resolves and
+reports are the runtimes' own.  Compaction runs
+:func:`repro.core.stitch.stitch_profiles` on the runtimes themselves,
+so the compacted profile serialises to the same bytes
 (:func:`repro.parallel.stitching.canonical_profile_bytes`) as the
-post-mortem stitch of the same seeded run.  Eviction round-trips
-(``to_rows``/``attach_rows`` through JSON) are float-exact, so bounded
-memory does not weaken the guarantee.
+post-mortem stitch of the same run by construction.  Eviction round
+trips (``to_rows``/``attach_rows`` through JSON) are float-exact, so
+bounded memory does not weaken that.
 
 Bounded memory
 --------------
 
-Resident CCTs live in an LRU; when the resident count exceeds
-``max_resident`` the coldest trees are dropped, the dirty ones first
-appended to the directory's spill log (one frame per tree, a
-cumulative snapshot superseding its earlier frames — see
-:mod:`repro.live.checkpoint`), then faulted back in on their next
-sample by decoding that one frame.  Scalar per-context weight
+Resident trees of every adopted stage share one LRU.  Before admitting
+a tree past ``max_resident`` the coldest ones are dropped, the dirty
+ones first appended to the directory's spill log (one frame per tree,
+a cumulative snapshot superseding its earlier frames — see
+:mod:`repro.live.checkpoint`).  Nothing else holds a stage's trees, so
+the bound holds for the process, not just for the collector.  A sample
+on an evicted tree revives it by decoding that one frame, and so does
+a change through :meth:`~repro.core.profiler.StageRuntime.cct_for`
+(gprof's call counts).  Reading the mapping (reports, the stitch)
+decodes an evicted tree for the reader without making it resident, so
+reads never move the LRU or its counters.  Scalar per-context weight
 aggregates stay resident regardless, so live queries never touch
-evicted trees.  Periodic interval checkpoints — the replay chain —
-persist every dirty resident tree and reference the log for the
-evicted ones.  A sample whose virtual time has reached the next
-checkpoint triggers it, so a collector crash loses at most one
-interval plus the gap to the next sample;
-:meth:`LiveCollector.recover` rebuilds the shadow state (cold — trees
-stay on disk) by replaying the directory.
+evicted trees.
 
-Absorption and failures
------------------------
+Periodic interval checkpoints — the replay chain — persist every dirty
+resident tree and reference the log for the evicted ones.  A sample
+whose virtual time has reached the next checkpoint triggers it, so a
+collector crash loses at most one interval plus the gap to the next
+sample; :meth:`LiveCollector.recover` rebuilds the state (cold — trees
+stay on disk) by replaying the directory into fresh, unattached stage
+runtimes.
 
-``on_profile_event`` is O(1): append + a counter check + a clock
-check.  Absorption runs in batches, *inline in the producer's call*
-once the pending buffer reaches ``batch`` events or a checkpoint falls
-due — the producer pays for absorption instead of growing an unbounded
-queue.  Nothing catches what absorption raises: a failed spill append
-or checkpoint write propagates out of the simulation step that emitted
-the event, so a run never finishes with a silently partial live
+Nothing catches what the collector raises: a failed spill append or
+checkpoint write propagates out of the simulation step that recorded
+the sample, so a run never finishes with a silently partial live
 profile.
 """
 
@@ -59,83 +59,82 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from collections.abc import Mapping
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core import profiler as _profiler
 from repro.core.cct import CallingContextTree
 from repro.core.context import TransactionContext, UnresolvedRef
+from repro.core.crosstalk import PairStats
+from repro.core.profiler import StageRuntime
 from repro.core.stitch import StitchStats, resolve_context, stitch_profiles
 from repro.live import checkpoint as _ckpt
 
-__all__ = ["LiveCollector", "attach_collector"]
-
-
-class _ShadowSynopses:
-    """Mirror of a stage's synopsis table, fed by mint/crash events.
-
-    Duck-types the slice of :class:`~repro.core.synopsis.SynopsisTable`
-    the resolver uses (``resolve``), so shadow stages drop straight
-    into :func:`resolve_context` / :func:`stitch_profiles`.
-    """
-
-    __slots__ = ("stage_name", "by_value")
-
-    def __init__(self, stage_name: str):
-        self.stage_name = stage_name
-        self.by_value: Dict[int, TransactionContext] = {}
-
-    def resolve(self, value: int) -> TransactionContext:
-        try:
-            return self.by_value[value]
-        except KeyError:
-            raise KeyError(
-                f"stage {self.stage_name!r} has no synopsis {value:#010x}"
-            ) from None
+__all__ = ["LiveCollector", "StageTrees", "attach_collector"]
 
 
 class _Entry:
-    """Per-(stage, label) shadow state: the CCT (or None when spilled)
-    plus the scalar aggregates that never leave memory."""
+    """One (stage, label): its tree (None while evicted), where its
+    newest snapshot is, and the scalar aggregates that never leave
+    memory."""
 
-    __slots__ = ("cct", "weight", "dirty", "resolved")
+    __slots__ = ("stage", "label", "cct", "weight", "dirty", "resolved", "where")
 
-    def __init__(self):
+    def __init__(self, stage: str, label: TransactionContext):
+        self.stage = stage
+        self.label = label
         self.cct: Optional[CallingContextTree] = None
         self.weight = 0.0
         self.dirty = False
         self.resolved: Optional[TransactionContext] = None
+        # The newest persisted snapshot: an offset into the spill log
+        # (int), the path of the chain document holding it as a cell
+        # (str), or None (never persisted).
+        self.where: Union[int, str, None] = None
 
 
-class _ShadowStage:
-    """Shadow of one StageRuntime's profile state."""
+class StageTrees(Mapping):
+    """An adopted stage's ``ccts``: label -> tree, in first-seen order.
 
-    __slots__ = (
-        "name", "synopses", "labels", "order", "new_labels",
-        "pending_ops", "crosstalk", "crashes",
-    )
+    Reading an evicted tree decodes its newest snapshot for the reader
+    and leaves the LRU alone; changes go through the collector
+    (samples, and :meth:`~repro.core.profiler.StageRuntime.cct_for`).
+    """
 
-    def __init__(self, name: str):
+    __slots__ = ("collector", "name", "entries", "new_labels", "ops")
+
+    def __init__(self, collector: "LiveCollector", name: str):
+        self.collector = collector
         self.name = name
-        self.synopses = _ShadowSynopses(name)
-        self.labels: Dict[TransactionContext, _Entry] = {}
-        # First-seen label order — replayed at compaction so the shadow
-        # ccts dict iterates exactly like the real stage's.
-        self.order: List[TransactionContext] = []
-        # Order of labels first seen since the last checkpoint write.
+        self.entries: Dict[TransactionContext, _Entry] = {}
+        # Labels first seen, and synopsis ops (mints and crash clears,
+        # in order), since the last checkpoint write.
         self.new_labels: List[TransactionContext] = []
-        # Synopsis op log since the last checkpoint write.
-        self.pending_ops: List[Any] = []
-        # Cumulative (count, total, max) per ordered type pair.
-        self.crosstalk: Dict[Tuple[Any, Any], List[Any]] = {}
-        self.crashes = 0
+        self.ops: List[Any] = []
+
+    def __getitem__(self, label: TransactionContext) -> CallingContextTree:
+        entry = self.entries[label]
+        if entry.cct is not None:
+            return entry.cct
+        return self.collector._load_tree(entry)
+
+    def __contains__(self, label: object) -> bool:
+        return label in self.entries
+
+    def __iter__(self) -> Iterator[TransactionContext]:
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
 
 class LiveCollector:
-    """Consumes the raw profile-event stream; answers live queries.
+    """Owns the CCTs of the stages built while attached; answers live
+    queries.
 
     Attach via :func:`attach_collector` (or :meth:`attach`) *before*
-    constructing the simulated system — stage runtimes capture the
-    profile listeners at construction.
+    constructing the simulated system: a stage runtime is adopted at
+    construction.  One collector is attached at a time.
     """
 
     def __init__(
@@ -143,37 +142,36 @@ class LiveCollector:
         directory: Optional[str] = None,
         interval: float = 5.0,
         max_resident: Optional[int] = 512,
-        batch: int = 512,
     ):
-        if directory is None and max_resident is not None:
+        if not (math.isfinite(interval) and interval > 0):
+            raise ValueError(
+                f"interval must be a finite number of seconds > 0, got {interval!r}"
+            )
+        if max_resident is not None and max_resident < 1:
+            raise ValueError(
+                f"max_resident must be >= 1 (None: unbounded), got {max_resident!r}"
+            )
+        if directory is None:
             # Nowhere to spill: eviction would lose samples.
             max_resident = None
         self.directory = directory
         self.interval = interval
         self.max_resident = max_resident
-        self.batch = max(1, batch)
-        self._pending: List[Tuple[Any, ...]] = []
-        self._stages: Dict[str, _ShadowStage] = {}
-        # LRU over resident (stage, label) entries, coldest first.
-        self._lru: "OrderedDict[Tuple[str, TransactionContext], _Entry]" = (
-            OrderedDict()
-        )
-        # Where each non-resident label's newest cumulative tree is: an
-        # offset into the spill log (int), or the path of the chain
-        # document holding it as a cell (str).
-        self._spill_index: Dict[
-            Tuple[str, TransactionContext], Union[int, str]
-        ] = {}
+        # The adopted stage runtimes by name, in adoption order (after
+        # recover(), the ones rebuilt from the directory).
+        self._stages: Dict[str, StageRuntime] = {}
+        # LRU over resident entries, coldest first.
+        self._lru: "OrderedDict[_Entry, None]" = OrderedDict()
         self._spill = _ckpt.SpillLog(directory) if directory is not None else None
         # Log offsets no chain document references yet.
-        self._unreferenced: Dict[Tuple[str, TransactionContext], int] = {}
+        self._unreferenced: Dict[_Entry, int] = {}
         self._doc_cache: Tuple[Optional[str], Any] = (None, None)
         # Incremental resolution state for the live query index.
         self._cache: Dict[TransactionContext, TransactionContext] = {}
         self._missing: set = set()
         self._resolved_weights: Dict[Tuple[str, TransactionContext], float] = {}
         self._index_dirty = False
-        # Virtual time of the newest absorbed event.
+        # Virtual time of the newest sample or mint.
         self.now = 0.0
         self._seq = 0
         # Virtual time the next interval checkpoint falls due (never,
@@ -185,143 +183,118 @@ class LiveCollector:
         self.synopses_minted = 0
         self.synopses_lost = 0
         self.crashes = 0
-        self.crosstalk_events = 0
         self.spans_seen = 0
         self.hops_seen = 0
-        self.events_absorbed = 0
         self.evictions = 0
         self.revivals = 0
         self.checkpoints_written = 0
         self.peak_resident = 0
         self.recovered_from = 0
-        # Absorption method table: one dict hit per event replaces the
-        # string-compare chain drain() used to run per event kind.
-        self._absorb = {
-            "sample": self._on_sample,
-            "synopsis": self._on_synopsis,
-            "crash": self._on_crash,
-            "crosstalk": self._on_crosstalk,
-        }
+
+    @property
+    def crosstalk_events(self) -> int:
+        """Lock waits the adopted stages recorded."""
+        return sum(
+            stats.count
+            for stage in self._stages.values()
+            for stats in stage.crosstalk.pairs.values()
+        )
+
+    @property
+    def events_absorbed(self) -> int:
+        """Samples, synopsis mints, crash clears and lock waits so far."""
+        return (
+            self.samples + self.synopses_minted + self.crashes
+            + self.crosstalk_events
+        )
 
     # ------------------------------------------------------------------
-    # Listener and span-sink entry points (hot path)
+    # Attachment
     # ------------------------------------------------------------------
     def attach(self, tele: Any) -> "LiveCollector":
-        """Start listening on the profile-event channel.
+        """Take the collector slot: stage runtimes built from now on
+        are adopted.
 
         With a ``tele`` hub the collector also becomes one of its span
         sinks — it counts spans and hops, and ``telemetry.uninstall()``
-        closes it, which ends the subscription.  Without one, the caller
-        closes it.  Returns the collector.
+        closes it, which empties the slot.  Without one, the caller
+        closes it.  Raises ``ValueError`` while another collector is
+        attached.  Returns the collector.
         """
-        _profiler.PROFILE_LISTENERS.append(self.on_profile_event)
+        if _profiler.COLLECTOR is not None:
+            raise ValueError("a live collector is already attached")
+        _profiler.COLLECTOR = self
         if tele is not None:
             tele.add_sink(self)
         return self
+
+    def adopt(self, stage: StageRuntime) -> None:
+        """Take over ``stage``'s CCTs (its constructor calls this while
+        the collector is attached)."""
+        if stage.name in self._stages:
+            raise ValueError(
+                f"the live collector already holds a stage named {stage.name!r}"
+            )
+        self._stages[stage.name] = stage
+        stage.ccts = StageTrees(self, stage.name)
+        stage._live = self
 
     def on_span(self, span: Any) -> None:
         self.spans_seen += 1
         if span.category == "transaction.hop":
             self.hops_seen += 1
 
-    def on_profile_event(self, event: Tuple[Any, ...]) -> None:
-        pending = self._pending
-        pending.append(event)
-        # Samples carry the clock; crash and crosstalk events carry no
-        # time and ride the batch.
-        if len(pending) >= self.batch or (
-            event[0] == "sample" and event[5] >= self._next_ckpt
-        ):
-            self.drain()
-
     # ------------------------------------------------------------------
-    # Absorption
+    # The adopted stages' calls (hot path)
     # ------------------------------------------------------------------
-    def drain(self) -> None:
-        """Absorb every pending event into the shadow state."""
-        absorb = self._absorb
-        while self._pending:
-            batch, self._pending = self._pending, []
-            for event in batch:
-                handler = absorb.get(event[0])
-                if handler is not None:
-                    handler(event)
-            self.events_absorbed += len(batch)
-        if self.now >= self._next_ckpt:
-            self.checkpoint()
-
-    def _stage(self, name: str) -> _ShadowStage:
-        shadow = self._stages.get(name)
-        if shadow is None:
-            shadow = self._stages[name] = _ShadowStage(name)
-        return shadow
-
-    def _on_sample(self, event) -> None:
-        _, stage_name, label, path, weight, t = event
-        self.now = t
+    def on_sample(
+        self,
+        trees: StageTrees,
+        label: TransactionContext,
+        path: Tuple[str, ...],
+        weight: float,
+        t: float,
+    ) -> None:
+        entry = self._touch(trees, label)
+        entry.cct.record_sample(path, weight)
+        entry.weight += weight
         self.samples += 1
         self.sample_weight += weight
-        shadow = self._stage(stage_name)
-        entry = shadow.labels.get(label)
-        key = (stage_name, label)
-        if entry is None:
-            entry = _Entry()
-            shadow.labels[label] = entry
-            shadow.order.append(label)
-            shadow.new_labels.append(label)
-            entry.cct = CallingContextTree(label)
-            self._admit(key, entry)
-            entry.resolved = self._resolve_label(label)
-        elif entry.cct is None:
-            self._revive(key, entry, shadow)
-        else:
-            self._lru.move_to_end(key)
-        entry.cct.record_sample(path, weight)
-        entry.dirty = True
-        entry.weight += weight
         if not self._index_dirty and entry.resolved is not None:
-            rkey = (stage_name, entry.resolved)
-            self._resolved_weights[rkey] = (
-                self._resolved_weights.get(rkey, 0.0) + weight
+            key = (trees.name, entry.resolved)
+            self._resolved_weights[key] = (
+                self._resolved_weights.get(key, 0.0) + weight
             )
+        self.now = t
+        if t >= self._next_ckpt:
+            self.checkpoint()
 
-    def _on_synopsis(self, event) -> None:
-        _, stage_name, value, context, t = event
+    def tree_for_update(
+        self, trees: StageTrees, label: TransactionContext
+    ) -> CallingContextTree:
+        """``label``'s tree, resident and marked dirty, for a change
+        that is not a sample (gprof's call counts)."""
+        return self._touch(trees, label).cct
+
+    def on_mint(
+        self, trees: StageTrees, value: int, context: TransactionContext, t: float
+    ) -> None:
         self.now = t
         self.synopses_minted += 1
-        shadow = self._stage(stage_name)
-        shadow.synopses.by_value[value] = context
-        shadow.pending_ops.append(("s", value, context))
-        if (stage_name, value) in self._missing:
+        trees.ops.append(("s", value, context))
+        if (trees.name, value) in self._missing:
             # A reference that previously failed to resolve just became
             # resolvable; re-bucket the scalar index on next query.
             self._index_dirty = True
 
-    def _on_crash(self, event) -> None:
-        _, stage_name, lost = event
+    def on_crash(self, trees: StageTrees, lost: int) -> None:
         self.crashes += 1
         self.synopses_lost += lost
-        shadow = self._stage(stage_name)
-        shadow.crashes += 1
-        shadow.synopses.by_value.clear()
-        shadow.pending_ops.append(("c", lost))
+        trees.ops.append(("c", lost))
         # Earlier resolutions may have read mappings that no longer
         # exist; queries resolve against *current* tables, like the
         # post-mortem pass resolves against end-of-run tables.
         self._index_dirty = True
-
-    def _on_crosstalk(self, event) -> None:
-        _, stage_name, waiter, holder, wait = event
-        self.crosstalk_events += 1
-        shadow = self._stage(stage_name or "<anonymous>")
-        stats = shadow.crosstalk.get((waiter, holder))
-        if stats is None:
-            shadow.crosstalk[(waiter, holder)] = [1, wait, wait]
-        else:
-            stats[0] += 1
-            stats[1] += wait
-            if wait > stats[2]:
-                stats[2] = wait
 
     # ------------------------------------------------------------------
     # LRU + spill
@@ -330,50 +303,61 @@ class LiveCollector:
     def resident_contexts(self) -> int:
         return len(self._lru)
 
-    def _admit(self, key, entry: _Entry) -> None:
+    def _touch(self, trees: StageTrees, label: TransactionContext) -> _Entry:
+        """Make ``label``'s tree resident and most recently used, and
+        mark it dirty: the caller is about to change it."""
+        entry = trees.entries.get(label)
+        if entry is None:
+            entry = trees.entries[label] = _Entry(trees.name, label)
+            trees.new_labels.append(label)
+            self._admit(entry)
+            entry.cct = CallingContextTree(label)
+            entry.resolved = self._resolve_label(label)
+        elif entry.cct is None:
+            self._admit(entry)
+            entry.cct = self._load_tree(entry)
+            self.revivals += 1
+        else:
+            self._lru.move_to_end(entry)
+        entry.dirty = True
+        return entry
+
+    def _admit(self, entry: _Entry) -> None:
+        lru = self._lru
         limit = self.max_resident
-        if limit is not None and len(self._lru) >= limit:
+        if limit is not None and len(lru) >= limit:
             self._evict(max(1, limit // 4))
-        self._lru[key] = entry
-        if len(self._lru) > self.peak_resident:
-            self.peak_resident = len(self._lru)
+        lru[entry] = None
+        if len(lru) > self.peak_resident:
+            self.peak_resident = len(lru)
 
     def _evict(self, count: int) -> None:
         """Drop the coldest ``count`` resident trees, appending the
         dirty ones to the spill log first."""
-        victims: List[Tuple[Tuple[str, TransactionContext], _Entry]] = []
-        for key in list(self._lru):
-            if len(victims) >= count:
-                break
-            victims.append((key, self._lru[key]))
-        for key, entry in victims:
+        lru = self._lru
+        for _ in range(min(count, len(lru))):
+            entry = next(iter(lru))
             if entry.dirty:
-                offset = self._spill.append(_ckpt.encode_cct(key[1], entry.cct))
-                self._spill_index[key] = self._unreferenced[key] = offset
+                offset = self._spill.append(_ckpt.encode_cct(entry.label, entry.cct))
+                entry.where = self._unreferenced[entry] = offset
             entry.cct = None
             entry.dirty = False
-            del self._lru[key]
+            del lru[entry]
             self.evictions += 1
 
-    def _revive(self, key, entry: _Entry, shadow: _ShadowStage) -> None:
-        """Fault a spilled tree back in from its latest snapshot."""
-        entry.cct = self._load_tree(key)
-        self._admit(key, entry)
-        self.revivals += 1
-
-    def _load_tree(self, key) -> CallingContextTree:
-        stage_name, label = key
-        where = self._spill_index.get(key)
+    def _load_tree(self, entry: _Entry) -> CallingContextTree:
+        """Decode ``entry``'s newest snapshot."""
+        where = entry.where
         if where is None:
-            # Never persisted (clean empty entry from recovery edge
+            # Never persisted (a clean empty entry from recovery edge
             # cases): start a fresh tree.
-            return CallingContextTree(label)
+            return CallingContextTree(entry.label)
         if isinstance(where, int):
             cct = _ckpt.decode_cct(self._spill.read(where))
-            if cct.label != label:
+            if cct.label != entry.label:
                 raise ValueError(
                     f"spill log {self._spill.path!r} holds {cct.label!r} at "
-                    f"offset {where}, not {stage_name!r} label {label!r}"
+                    f"offset {where}, not {entry.stage!r} label {entry.label!r}"
                 )
             return cct
         # The newest snapshot is a cell of a chain document (a clean
@@ -384,13 +368,17 @@ class LiveCollector:
         else:
             doc = _ckpt.read_checkpoint(where)
             self._doc_cache = (where, doc)
-        for cell in doc["stages"].get(stage_name, {}).get("ccts", []):
-            if _ckpt.cct_cell_label(cell) == label:
+        for cell in doc["stages"].get(entry.stage, {}).get("ccts", []):
+            if _ckpt.cct_cell_label(cell) == entry.label:
                 return _ckpt.decode_cct(cell)
         raise ValueError(
-            f"checkpoint {where!r} lost the snapshot for {stage_name!r} "
-            f"label {label!r}"
+            f"checkpoint {where!r} lost the snapshot for {entry.stage!r} "
+            f"label {entry.label!r}"
         )
+
+    def _entries(self) -> Iterator[_Entry]:
+        for stage in self._stages.values():
+            yield from stage.ccts.entries.values()
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -413,41 +401,36 @@ class LiveCollector:
             "unresolved": stats.unresolved,
         }
 
-    def _write_doc(
-        self,
-        snapshot_keys: Iterable[Tuple[str, TransactionContext]],
-        kind: str = "interval",
-    ) -> str:
+    def _write_doc(self, snapshot: List[_Entry], kind: str = "interval") -> str:
         """Persist one superseding checkpoint document (see
         :mod:`repro.live.checkpoint` for the replay semantics)."""
-        stages_doc: Dict[str, Any] = {}
-        by_stage: Dict[str, List[TransactionContext]] = {}
-        for key in snapshot_keys:
-            by_stage.setdefault(key[0], []).append(key[1])
-            self._unreferenced.pop(key, None)
+        cells: Dict[str, List[Any]] = {}
+        for entry in snapshot:
+            cells.setdefault(entry.stage, []).append(
+                _ckpt.encode_cct(entry.label, entry.cct)
+            )
+            self._unreferenced.pop(entry, None)
         # What is left sits evicted, so its last frame is its state.
         spilled: Dict[str, List[Any]] = {}
-        for (stage_name, label), offset in self._unreferenced.items():
-            spilled.setdefault(stage_name, []).append(
-                [_ckpt.encode_context(label), offset]
+        for entry, offset in self._unreferenced.items():
+            spilled.setdefault(entry.stage, []).append(
+                [_ckpt.encode_context(entry.label), offset]
             )
         self._unreferenced = {}
-        for name, shadow in self._stages.items():
-            cct_cells = []
-            for label in by_stage.get(name, []):
-                entry = shadow.labels[label]
-                cct_cells.append(_ckpt.encode_cct(label, entry.cct))
+        stages_doc: Dict[str, Any] = {}
+        for name, stage in self._stages.items():
+            trees = stage.ccts
             stages_doc[name] = {
                 "new_labels": [
-                    _ckpt.encode_context(label) for label in shadow.new_labels
+                    _ckpt.encode_context(label) for label in trees.new_labels
                 ],
-                "syn_ops": [_ckpt.encode_syn_op(op) for op in shadow.pending_ops],
-                "ccts": cct_cells,
+                "syn_ops": [_ckpt.encode_syn_op(op) for op in trees.ops],
+                "ccts": cells.get(name, []),
                 "spilled": spilled.get(name, []),
-                "crosstalk": _ckpt.encode_crosstalk(shadow.crosstalk),
+                "crosstalk": _ckpt.encode_crosstalk(stage.crosstalk.pairs),
             }
-            shadow.new_labels = []
-            shadow.pending_ops = []
+            trees.new_labels = []
+            trees.ops = []
         document = {
             "seq": self._seq,
             "t": self.now,
@@ -461,38 +444,28 @@ class LiveCollector:
         self._seq += 1
         self.checkpoints_written += 1
         self._doc_cache = (None, None)
-        for key in snapshot_keys:
-            self._spill_index[key] = path
-            entry = self._stages[key[0]].labels[key[1]]
+        for entry in snapshot:
+            entry.where = path
             entry.dirty = False
         return path
 
     def checkpoint(self) -> Optional[str]:
-        """Write an interval checkpoint of everything dirty.
+        """Write an interval checkpoint of every dirty resident tree.
 
-        After this returns, a collector crash loses only events newer
+        After this returns, a collector crash loses only samples newer
         than the write.  A sample at or past the due time triggers the
         next one, so that is at most one checkpoint interval plus the
         gap to the next sample.
         """
         if self.directory is None:
             return None
-        dirty = [
-            (name, label)
-            for name, shadow in self._stages.items()
-            for label, entry in shadow.labels.items()
-            if entry.dirty and entry.cct is not None
-        ]
-        path = self._write_doc(dirty)
+        path = self._write_doc([entry for entry in self._lru if entry.dirty])
         self._next_ckpt = self.now + self.interval
         return path
 
     def finalize(self) -> Optional[str]:
-        """Absorb everything pending and write a final interval
-        checkpoint (the end-of-run flush path for shard runners)."""
-        self.drain()
-        if self.directory is None:
-            return None
+        """Write a final interval checkpoint (the end-of-run flush path
+        for shard runners)."""
         return self.checkpoint()
 
     # ------------------------------------------------------------------
@@ -504,32 +477,28 @@ class LiveCollector:
         directory: str,
         interval: float = 5.0,
         max_resident: Optional[int] = 512,
-        batch: int = 512,
     ) -> "LiveCollector":
         """Rebuild a collector from a checkpoint directory.
 
-        State is reconstructed *cold*: synopsis tables and scalar
-        aggregates come back resident, CCTs stay on disk until touched.
-        Everything newer than the last completed checkpoint is gone
-        (at most one interval plus the gap to the next sample) — the
-        bounded-loss guarantee, not a bug.  Spill-log frames newer than
-        that checkpoint are referenced by nothing and ignored.  The
-        directory is only read.
+        State is reconstructed *cold* into fresh stage runtimes that no
+        simulation drives: synopsis tables (replayed from the op log),
+        crosstalk aggregates and scalar weights come back resident,
+        CCTs stay on disk until read.  Everything newer than the last
+        completed checkpoint is gone (at most one interval plus the gap
+        to the next sample) — the bounded-loss guarantee, not a bug.
+        Spill-log frames newer than that checkpoint are referenced by
+        nothing and ignored.  The directory is only read.
         """
         collector = cls(
-            directory=directory,
-            interval=interval,
-            max_resident=max_resident,
-            batch=batch,
+            directory=directory, interval=interval, max_resident=max_resident
         )
         paths = _ckpt.list_checkpoints(directory)
         for path in paths:
             collector._replay(_ckpt.read_checkpoint(path), path)
-        for key, offset in collector._spill_index.items():
-            if isinstance(offset, int):
-                entry = collector._stages[key[0]].labels[key[1]]
+        for entry in collector._entries():
+            if isinstance(entry.where, int):
                 entry.weight = math.fsum(
-                    _ckpt.cct_cell_weights(collector._spill.read(offset))
+                    _ckpt.cct_cell_weights(collector._spill.read(entry.where))
                 )
         if paths:
             collector.recovered_from = len(paths)
@@ -543,7 +512,6 @@ class LiveCollector:
             # older files (compaction normally deletes them anyway).
             self._stages.clear()
             self._lru.clear()
-            self._spill_index.clear()
         self._seq = doc["seq"] + 1
         self.now = doc["t"]
         counters = doc["counters"]
@@ -552,60 +520,50 @@ class LiveCollector:
         self.synopses_minted = counters["synopses_minted"]
         self.synopses_lost = counters["synopses_lost"]
         self.crashes = counters["crashes"]
-        self.crosstalk_events = counters["crosstalk_events"]
         self.spans_seen = counters["spans_seen"]
         self.hops_seen = counters["hops_seen"]
-        self.events_absorbed = counters["events_absorbed"]
         self.evictions = counters["evictions"]
         self.revivals = counters["revivals"]
         for name, stage_doc in doc["stages"].items():
-            shadow = self._stage(name)
+            stage = self._stages.get(name)
+            if stage is None:
+                stage = StageRuntime(name, live=False)
+                self.adopt(stage)
+            entries = stage.ccts.entries
             for cells in stage_doc["new_labels"]:
                 label = _ckpt.decode_context(cells)
-                if label not in shadow.labels:
-                    shadow.labels[label] = _Entry()
-                    shadow.order.append(label)
+                if label not in entries:
+                    entries[label] = _Entry(name, label)
             for cell in stage_doc["syn_ops"]:
                 op = _ckpt.decode_syn_op(cell)
                 if op[0] == "s":
-                    shadow.synopses.by_value[op[1]] = op[2]
+                    stage.synopses.register(op[2], op[1])
                 else:
-                    shadow.synopses.by_value.clear()
-                    shadow.crashes += 1
+                    stage.synopses.clear_mappings()
+                    stage.crashes += 1
             for cell in stage_doc["ccts"]:
                 label = _ckpt.cct_cell_label(cell)
-                entry = shadow.labels.get(label)
+                entry = entries.get(label)
                 if entry is None:
-                    entry = shadow.labels[label] = _Entry()
-                    shadow.order.append(label)
-                entry.cct = None
-                entry.dirty = False
+                    entry = entries[label] = _Entry(name, label)
                 entry.weight = math.fsum(_ckpt.cct_cell_weights(cell))
-                self._spill_index[(name, label)] = path
+                entry.where = path
             # Absent from documents written before the spill log.
             for cells, offset in stage_doc.get("spilled", ()):
-                # The label is known (evicted means sampled before) and
-                # cold already; recover() weighs the frames that are
-                # still the newest once the whole chain is replayed.
-                self._spill_index[(name, _ckpt.decode_context(cells))] = offset
+                # The label is known (evicted means sampled before);
+                # recover() weighs the frames that are still the newest
+                # once the whole chain is replayed.
+                entries[_ckpt.decode_context(cells)].where = offset
             if stage_doc["crosstalk"]:
-                shadow.crosstalk = {
-                    key: list(stats)
-                    for key, stats in _ckpt.decode_crosstalk(
-                        stage_doc["crosstalk"]
-                    ).items()
-                }
+                stage.crosstalk.pairs = _ckpt.decode_crosstalk(
+                    stage_doc["crosstalk"]
+                )
 
     # ------------------------------------------------------------------
     # Live queries
     # ------------------------------------------------------------------
-    def _stage_map(self) -> Dict[str, _ShadowStage]:
-        return self._stages
-
     def _resolve_label(self, label: TransactionContext) -> TransactionContext:
-        resolved = resolve_context(
-            label, self._stages, self._cache, strict=False
-        )
+        resolved = resolve_context(label, self._stages, self._cache, strict=False)
         for element in resolved:
             if isinstance(element, UnresolvedRef):
                 self._missing.add((element.origin, element.value))
@@ -617,9 +575,8 @@ class LiveCollector:
         on the same state)."""
         stats = StitchStats()
         cache: Dict[TransactionContext, TransactionContext] = {}
-        for shadow in self._stages.values():
-            for label in shadow.order:
-                resolve_context(label, self._stages, cache, False, stats)
+        for entry in self._entries():
+            resolve_context(entry.label, self._stages, cache, False, stats)
         return stats
 
     def _refresh_index(self) -> None:
@@ -628,15 +585,13 @@ class LiveCollector:
         self._cache = {}
         self._missing.clear()
         self._resolved_weights = {}
-        for name, shadow in self._stages.items():
-            for label in shadow.order:
-                entry = shadow.labels[label]
-                entry.resolved = self._resolve_label(label)
-                if entry.weight:
-                    rkey = (name, entry.resolved)
-                    self._resolved_weights[rkey] = (
-                        self._resolved_weights.get(rkey, 0.0) + entry.weight
-                    )
+        for entry in self._entries():
+            entry.resolved = self._resolve_label(entry.label)
+            if entry.weight:
+                key = (entry.stage, entry.resolved)
+                self._resolved_weights[key] = (
+                    self._resolved_weights.get(key, 0.0) + entry.weight
+                )
         self._index_dirty = False
 
     def top_contexts(
@@ -645,10 +600,9 @@ class LiveCollector:
         """The ``k`` heaviest (stage, resolved context) entries right
         now: rows ``(stage, context, weight, share-of-stage)``.
 
-        Served from the scalar index — never touches spilled trees, so
+        Served from the scalar index — never touches evicted trees, so
         a query mid-run is cheap at any memory pressure.
         """
-        self.drain()
         self._refresh_index()
         totals = self.stage_weights()
         rows = sorted(
@@ -662,41 +616,33 @@ class LiveCollector:
 
     def stage_weights(self) -> Dict[str, float]:
         """Total sample weight per stage, at the current virtual time."""
-        self.drain()
         return {
-            name: math.fsum(entry.weight for entry in shadow.labels.values())
-            for name, shadow in self._stages.items()
+            name: math.fsum(entry.weight for entry in stage.ccts.entries.values())
+            for name, stage in self._stages.items()
         }
 
     def completeness(self) -> float:
         """Fraction of synopsis references resolvable *right now*."""
-        self.drain()
         return self._fresh_stats().completeness
 
     def stitch_stats(self) -> Tuple[int, int]:
         """Current ``(attempted, unresolved)`` resolution tallies."""
-        self.drain()
         stats = self._fresh_stats()
         return stats.attempted, stats.unresolved
 
     def crosstalk_pairs(self) -> List[Tuple[Any, Any, int, float, float, float]]:
         """Crosstalk aggregated across stages: rows ``(waiter, holder,
         count, total, mean, max)``, heaviest total first."""
-        self.drain()
-        folded: Dict[Tuple[Any, Any], List[Any]] = {}
-        for shadow in self._stages.values():
-            for key, stats in shadow.crosstalk.items():
+        folded: Dict[Tuple[Any, Any], PairStats] = {}
+        for stage in self._stages.values():
+            for key, stats in stage.crosstalk.pairs.items():
                 acc = folded.get(key)
                 if acc is None:
-                    folded[key] = list(stats)
-                else:
-                    acc[0] += stats[0]
-                    acc[1] += stats[1]
-                    if stats[2] > acc[2]:
-                        acc[2] = stats[2]
+                    acc = folded[key] = PairStats()
+                acc.add_stats(stats)
         rows = [
-            (waiter, holder, count, total, total / count if count else 0.0, peak)
-            for (waiter, holder), (count, total, peak) in folded.items()
+            (waiter, holder, acc.count, acc.total, acc.mean, acc.max)
+            for (waiter, holder), acc in folded.items()
         ]
         rows.sort(key=lambda row: -row[3])
         return rows
@@ -704,40 +650,16 @@ class LiveCollector:
     # ------------------------------------------------------------------
     # Compaction: the live profile, byte-identical to post-mortem
     # ------------------------------------------------------------------
-    class _StitchView:
-        """Duck-typed StageRuntime slice for :func:`stitch_profiles`."""
-
-        __slots__ = ("name", "ccts", "synopses")
-
-        def __init__(self, name, ccts, synopses):
-            self.name = name
-            self.ccts = ccts
-            self.synopses = synopses
-
-    def _views(self) -> List["LiveCollector._StitchView"]:
-        views = []
-        for name, shadow in self._stages.items():
-            ccts: Dict[TransactionContext, CallingContextTree] = {}
-            for label in shadow.order:
-                entry = shadow.labels[label]
-                if entry.cct is not None:
-                    ccts[label] = entry.cct
-                else:
-                    ccts[label] = self._load_tree((name, label))
-            views.append(self._StitchView(name, ccts, shadow.synopses))
-        return views
-
     def stitched_profile(self, strict: bool = False):
-        """The full end-to-end profile of everything absorbed so far.
+        """The full end-to-end profile of everything recorded so far.
 
-        Materialises every spilled tree (this is the end-of-run path —
-        bounded-memory queries should use :meth:`top_contexts` /
-        :meth:`stage_weights` instead) and runs the very same
-        :func:`stitch_profiles` the post-mortem presentation phase
-        runs, on bit-identical inputs.
+        Runs the very same :func:`stitch_profiles` the post-mortem
+        presentation phase runs, on the adopted runtimes themselves;
+        every evicted tree is decoded once for it (this is the
+        end-of-run path — bounded-memory queries should use
+        :meth:`top_contexts` / :meth:`stage_weights` instead).
         """
-        self.drain()
-        return stitch_profiles(self._views(), strict=strict)
+        return stitch_profiles(self._stages.values(), strict=strict)
 
     def compact(self, strict: bool = False):
         """Finalize: stitch, then collapse the checkpoint directory to
@@ -748,56 +670,47 @@ class LiveCollector:
         chain, the full document holding every tree as a cell;
         :func:`repro.cli` exposes this as ``repro live-report``.
         """
-        self.drain()
         if self.directory is None:
             return self.stitched_profile(strict=strict)
         # The full document needs every tree resident; fault them in
-        # first so the stitch reads each one once, from memory.
-        keys = [
-            (name, label)
-            for name, shadow in self._stages.items()
-            for label in shadow.order
-        ]
-        for key in keys:
-            entry = self._stages[key[0]].labels[key[1]]
+        # first so the stitch reads each one once, from memory.  This
+        # is not a sample: the LRU's counters do not move.
+        everything = list(self._entries())
+        for entry in everything:
             if entry.cct is None:
-                entry.cct = self._load_tree(key)
-                self._lru[key] = entry
+                entry.cct = self._load_tree(entry)
+                self._lru[entry] = None
         profile = self.stitched_profile(strict=strict)
         older = _ckpt.list_checkpoints(self.directory)
-        for shadow in self._stages.values():
+        for stage in self._stages.values():
             # Full documents carry absolute state: every label in
             # first-seen order, the whole current synopsis table.
-            shadow.new_labels = list(shadow.order)
-            shadow.pending_ops = [
-                ("s", value, context)
-                for value, context in shadow.synopses.by_value.items()
+            trees = stage.ccts
+            trees.new_labels = list(trees.entries)
+            trees.ops = [
+                ("s", value, context) for context, value in stage.synopses.items()
             ]
-        final = self._write_doc(keys, kind="full")
+        final = self._write_doc(everything, kind="full")
         _ckpt.remove_checkpoints([p for p in older if p != final])
         self._spill.remove()
         return profile
 
     def flush(self) -> None:
-        self.drain()
+        """Span-sink protocol: nothing is buffered."""
 
     def close(self) -> None:
-        """Stop listening: leave the profile-event channel, drain, and
-        release the spill log's file handle (held from the first dirty
-        eviction on).
+        """Detach, and release the spill log's file handle (held from
+        the first dirty eviction on).
 
-        Idempotent.  The collector stays queryable and reopens the log
-        at its next eviction; systems built while it listened still
-        hold its emitter.
+        Idempotent.  Empties the collector slot if this collector holds
+        it, so systems built afterwards keep plain CCT dicts.  The
+        collector stays queryable, and stages it adopted keep recording
+        into it; it reopens the log at its next eviction.
         """
-        listeners = _profiler.PROFILE_LISTENERS
-        if self.on_profile_event in listeners:
-            listeners.remove(self.on_profile_event)
-        try:
-            self.drain()
-        finally:
-            if self._spill is not None:
-                self._spill.close()
+        if _profiler.COLLECTOR is self:
+            _profiler.COLLECTOR = None
+        if self._spill is not None:
+            self._spill.close()
 
 
 def attach_collector(
@@ -805,19 +718,16 @@ def attach_collector(
     directory: Optional[str] = None,
     interval: float = 5.0,
     max_resident: Optional[int] = 512,
-    batch: int = 512,
 ) -> LiveCollector:
-    """Create a LiveCollector listening on the profile-event channel.
+    """Create a LiveCollector and attach it (see
+    :meth:`LiveCollector.attach`).
 
-    Must run before the simulated system is built (stage runtimes
-    capture the listeners at construction).  ``tele`` may be ``None``;
-    see :meth:`LiveCollector.attach` for what a hub adds, and who then
+    Must run before the simulated system is built (stage runtimes are
+    adopted at construction).  ``tele`` may be ``None``; see
+    :meth:`LiveCollector.attach` for what a hub adds, and who then
     closes the collector.
     """
     collector = LiveCollector(
-        directory=directory,
-        interval=interval,
-        max_resident=max_resident,
-        batch=batch,
+        directory=directory, interval=interval, max_resident=max_resident
     )
     return collector.attach(tele)

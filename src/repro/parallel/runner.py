@@ -301,7 +301,7 @@ def run_one_shard(spec: ShardSpec) -> ShardResult:
 
     A spec with ``live_dir`` set attaches an online streaming stitcher
     (:mod:`repro.live`; it needs no telemetry) before the system is
-    built, finalizes it (drain + last checkpoint) into
+    built, finalizes it (a last checkpoint) into
     ``live_dir/shard-NNNN/`` when the shard ends, so the parent (or
     ``live-report``) can fold the per-shard state, and closes it
     however the shard ends.
@@ -324,7 +324,7 @@ def run_one_shard(spec: ShardSpec) -> ShardResult:
                 tele,
                 directory=shard_live,
                 interval=spec.live_interval,
-                max_resident=spec.live_resident or None,
+                max_resident=spec.live_resident,
             )
         result = _WORKLOAD_RUNNERS[spec.workload](spec)
         result.span_count, result.metrics = _collect_telemetry(tele)

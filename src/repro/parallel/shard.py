@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 #: Workload kinds the runner knows how to execute.
 WORKLOADS = ("tpcw", "haboob", "openloop")
@@ -78,8 +78,8 @@ class ShardSpec:
     live_dir: str = ""
     #: Virtual seconds between live checkpoints.
     live_interval: float = 5.0
-    #: LRU bound on resident live CCTs (0 = unbounded).
-    live_resident: int = 512
+    #: LRU bound on resident live CCTs (None = unbounded).
+    live_resident: Optional[int] = 512
 
 
 @dataclass
@@ -114,7 +114,7 @@ def plan_shards(
     telemetry_mode: str = "off",
     live_dir: str = "",
     live_interval: float = 5.0,
-    live_resident: int = 512,
+    live_resident: Optional[int] = 512,
 ) -> ShardPlan:
     """Build the deterministic shard plan for a run."""
     if workload not in WORKLOADS:

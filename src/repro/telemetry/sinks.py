@@ -14,8 +14,9 @@ Sink contract
   final flush.  Every sink is a context manager (``__exit__`` closes),
   so CLI paths no longer rely on interpreter exit to flush trace files.
 
-Sinks see spans only.  The raw profiler stream the online stitcher
-folds has its own channel (:data:`repro.core.profiler.PROFILE_LISTENERS`).
+Sinks see spans only.  The online stitcher does not read profiles from
+spans: it owns the stage runtimes' trees
+(:data:`repro.core.profiler.COLLECTOR`).
 
 A sink that raises from any callback is detached by the recorder and
 counted in ``sink_errors`` — one bad sink must never crash the kernel

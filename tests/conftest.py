@@ -6,10 +6,9 @@ from repro.core import profiler
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_profile_listener():
-    """Fail any test that leaves a listener on the profile-event
-    channel: every system built after it would feed that listener."""
+def _no_leaked_collector():
+    """Fail any test that leaves a live collector attached: every
+    system built after it would be adopted by that collector."""
     yield
-    leaked = list(profiler.PROFILE_LISTENERS)
-    profiler.PROFILE_LISTENERS.clear()
-    assert not leaked, f"profile listeners left attached: {leaked!r}"
+    leaked, profiler.COLLECTOR = profiler.COLLECTOR, None
+    assert leaked is None, f"live collector left attached: {leaked!r}"

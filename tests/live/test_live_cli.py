@@ -68,18 +68,20 @@ def test_haboob_live_with_checkpoints(tmp_path, capsys):
 
 def test_live_report_digest_matches_postmortem_stitch(tmp_path, capsys):
     """The acceptance proof, end to end through the CLI: a sharded run
-    writes both live checkpoints and post-mortem spool dumps; the
-    live-report fold and the spool stitch print the same SHA-256."""
+    writes live checkpoints, a second run of the same seed without a
+    collector writes post-mortem spool dumps; the live-report fold and
+    the spool stitch print the same SHA-256."""
     live = tmp_path / "live"
     spool = tmp_path / "spool"
-    assert main(_TPCW + [
-        "--shards", "2", "--jobs", "1",
+    sharded = _TPCW + ["--shards", "2", "--jobs", "1"]
+    assert main(sharded + [
         "--live-dir", str(live), "--live-interval", "2",
         "--live-resident", "4",
-        "--spool", str(spool), "--profile-format", "v2",
     ]) == 0
     out = capsys.readouterr().out
     assert "live checkpoints in" in out
+    assert main(sharded + ["--spool", str(spool), "--profile-format", "v2"]) == 0
+    capsys.readouterr()
     # Each shard left its interval chain and one spill log beside it.
     for shard in sorted(os.listdir(live)):
         names = os.listdir(live / shard)
@@ -154,3 +156,40 @@ def test_live_report_rejects_bad_directory(tmp_path, capsys):
 def test_sharded_live_without_dir_warns(tmp_path, capsys):
     assert main(_TPCW + ["--shards", "2", "--jobs", "1", "--live"]) == 0
     assert "--live with --shards needs --live-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--live-interval", "0"],
+        ["--live-interval", "-2"],
+        ["--live-interval", "nan"],
+        ["--live-interval", "inf"],
+        ["--live-resident", "-1"],
+        ["--live-resident", "1.5"],
+    ],
+)
+@pytest.mark.parametrize("shards", ["1", "2"])
+def test_out_of_range_live_options_are_usage_errors(argv, shards, capsys):
+    # --live-interval 0 wrote a checkpoint per sample and nan never
+    # wrote one; a sharded --live-resident -1 was a limit of -1.
+    with pytest.raises(SystemExit) as exit_info:
+        main(_TPCW + ["--shards", shards, "--live-dir", "unused"] + argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[0]}" in err
+    assert "usage:" in err
+
+
+def test_live_resident_zero_is_unbounded(tmp_path, capsys):
+    live = ["--live-interval", "2", "--live-resident", "0"]
+    assert main(_TPCW + live + ["--live-dir", str(tmp_path / "one")]) == 0
+    assert "0 evicted / 0 revived" in capsys.readouterr().out
+    sharded = tmp_path / "sharded"
+    assert main(_TPCW + live + [
+        "--shards", "2", "--jobs", "1", "--live-dir", str(sharded),
+    ]) == 0
+    # Nothing was evicted, so no shard's collector opened a spill log.
+    for shard in ("shard-0000", "shard-0001"):
+        names = os.listdir(sharded / shard)
+        assert names and SPILL_NAME not in names

@@ -1,23 +1,30 @@
-"""The profile-event channel the live collector listens on.
+"""Who owns a stage's trees: the collector slot.
 
-Stage runtimes capture ``repro.core.profiler.PROFILE_LISTENERS`` once,
-at construction, and hand the same emitter to their crosstalk
-recorders.  These tests pin who listens when: a collector hears only
-systems built while it was attached, it needs no telemetry, two of
-them can share one stream, and a collector that cannot absorb an event
-stops the run instead of being quietly dropped.
+A live collector attached in ``repro.core.profiler.COLLECTOR`` adopts
+every stage runtime built while it sits there: the runtime's ``ccts``
+becomes the collector's store, and samples, mints and crash clears are
+direct calls into it.  These tests pin who owns what when: only
+systems built while a collector is attached are adopted, it needs no
+telemetry, one collector and one runtime per stage name at a time,
+decoded dumps stay the caller's, each sample is recorded once, the
+LRU bounds the trees of the whole process, and a collector that
+cannot spill stops the run instead of being quietly dropped.
 """
 
-import hashlib
+import gc
+import os
 
 import pytest
 
 from repro import telemetry
 from repro.apps.tpcw import TpcwSystem
 from repro.core import profiler
-from repro.live import attach_collector
+from repro.core.cct import CallingContextTree
+from repro.core.persist import load_run, load_stage, save_stage
+from repro.core.profiler import StageRuntime
+from repro.live import LiveCollector, attach_collector
 from repro.live.checkpoint import SpillLog
-from repro.parallel import canonical_profile_bytes
+from repro.live.collector import StageTrees
 
 
 @pytest.fixture(autouse=True)
@@ -26,13 +33,9 @@ def _telemetry_teardown():
     telemetry.uninstall()
 
 
-def _digest(profile) -> str:
-    return hashlib.sha256(canonical_profile_bytes(profile)).hexdigest()
-
-
-def _emitters(system):
+def _owners(system):
     return [
-        (stage._emit_profile, stage.crosstalk.emit_profile)
+        (type(stage.ccts), stage._live)
         for stage in system.stages_by_name.values()
     ]
 
@@ -41,26 +44,29 @@ def _run(system):
     return system.run(duration=3.0, warmup=0.5)
 
 
-def test_a_system_captures_the_listeners_at_construction():
-    assert _emitters(TpcwSystem(clients=4, seed=3)) == [(None, None)] * 3
+def _stages(collector):
+    return list(collector._stages.values())
+
+
+def test_a_system_built_while_attached_is_adopted():
+    assert _owners(TpcwSystem(clients=4, seed=3)) == [(dict, None)] * 3
     collector = attach_collector(None, directory=None)
     try:
         system = TpcwSystem(clients=4, seed=3)
-        for sample_emit, crosstalk_emit in _emitters(system):
-            # One listener: the collector's own entry point, no fan-out.
-            assert sample_emit == collector.on_profile_event
-            assert crosstalk_emit is sample_emit
+        assert _owners(system) == [(StageTrees, collector)] * 3
+        assert sorted(collector._stages) == sorted(system.stages_by_name)
     finally:
         collector.close()
+    assert profiler.COLLECTOR is None
 
 
 @pytest.mark.parametrize("with_telemetry", [True, False])
 def test_a_system_built_after_the_collector_closed_feeds_nothing(
     with_telemetry,
 ):
-    """Ending the subscription — ``telemetry.uninstall()`` for a
+    """Ending the attachment — ``telemetry.uninstall()`` for a
     collector attached to a hub, ``close()`` for one attached without —
-    leaves later systems with no emitter at all."""
+    leaves later systems with plain dicts."""
     tele = telemetry.install("spans") if with_telemetry else None
     old = attach_collector(tele, directory=None)
     _run(TpcwSystem(clients=4, seed=3))
@@ -68,38 +74,174 @@ def test_a_system_built_after_the_collector_closed_feeds_nothing(
         telemetry.uninstall()
     else:
         old.close()
-    assert profiler.PROFILE_LISTENERS == []
+    assert profiler.COLLECTOR is None
     absorbed = old.events_absorbed
     assert absorbed > 0
 
     system = TpcwSystem(clients=4, seed=3)
-    assert _emitters(system) == [(None, None)] * 3
+    assert _owners(system) == [(dict, None)] * 3
     _run(system)
-    old.drain()
     assert old.events_absorbed == absorbed
 
 
-def test_two_collectors_without_telemetry_match_the_postmortem_stitch(
-    tmp_path,
-):
-    spilling = attach_collector(
+def test_a_second_attach_raises():
+    first = attach_collector(None, directory=None)
+    try:
+        with pytest.raises(ValueError, match="already attached"):
+            attach_collector(None, directory=None)
+        with pytest.raises(ValueError, match="already attached"):
+            first.attach(None)
+        assert profiler.COLLECTOR is first
+        StageRuntime("web")
+        with pytest.raises(ValueError, match="already holds a stage named 'web'"):
+            StageRuntime("web")
+        # A stage rebuilt for analysis is never adopted.
+        assert type(StageRuntime("web", live=False).ccts) is dict
+    finally:
+        first.close()
+    second = attach_collector(None, directory=None)
+    second.close()
+
+
+@pytest.mark.parametrize(
+    "interval", [0.0, -1.0, float("nan"), float("inf")]
+)
+def test_the_interval_must_be_finite_and_positive(interval):
+    with pytest.raises(ValueError, match="interval"):
+        LiveCollector(interval=interval)
+
+
+@pytest.mark.parametrize("max_resident", [0, -1])
+def test_the_resident_bound_must_be_positive(max_resident, tmp_path):
+    with pytest.raises(ValueError, match="max_resident"):
+        LiveCollector(directory=str(tmp_path), max_resident=max_resident)
+    assert profiler.COLLECTOR is None
+
+
+def _state(collector):
+    return (
+        _stages(collector),
+        [dict(stage.ccts.entries) for stage in _stages(collector)],
+        [stage.synopses.items() for stage in _stages(collector)],
+        collector.samples,
+        collector.events_absorbed,
+        collector.evictions,
+        collector.revivals,
+        collector.resident_contexts,
+        collector.peak_resident,
+        collector.checkpoints_written,
+        collector.top_contexts(50),
+    )
+
+
+def test_a_dump_loaded_while_attached_leaves_the_collector_alone(tmp_path):
+    dumps = tmp_path / "dumps"
+    paths = TpcwSystem(clients=6, seed=3).run(
+        duration=3.0, warmup=0.5
+    ).system.save_profiles(str(dumps), "v2")
+    v1 = str(tmp_path / "mysql.v1.json")
+    save_stage(load_stage(paths["mysql"]), v1, "v1")
+    live_dir = str(tmp_path / "live")
+    collector = attach_collector(
+        None, directory=live_dir, interval=1.0, max_resident=2
+    )
+    try:
+        _run(TpcwSystem(clients=6, seed=3))
+        collector.finalize()
+        before = _state(collector)
+        files = sorted(os.listdir(live_dir))
+        # Same stage names as the adopted ones: adopting any of these
+        # would raise, so loading proves they stay the caller's.
+        for path in [v1, *paths.values()]:
+            assert type(load_stage(path).ccts) is dict
+        assert load_run(str(dumps)).profile.entries
+        assert LiveCollector.recover(live_dir).samples == collector.samples
+        assert load_run(live_dir).profile.entries
+        assert _state(collector) == before
+        assert sorted(os.listdir(live_dir)) == files
+        assert profiler.COLLECTOR is collector
+    finally:
+        collector.close()
+
+
+def test_one_record_sample_per_sample(tmp_path, monkeypatch):
+    calls = []
+    record = CallingContextTree.record_sample
+
+    def counting(self, path, weight=1.0):
+        calls.append(weight)
+        return record(self, path, weight)
+
+    monkeypatch.setattr(CallingContextTree, "record_sample", counting)
+    collector = attach_collector(
         None, directory=str(tmp_path / "live"), interval=2.0, max_resident=3
     )
-    in_memory = attach_collector(None, directory=None)
     try:
-        system = TpcwSystem(clients=10, seed=7)
-        assert telemetry.ACTIVE is None
-        results = system.run(duration=8.0, warmup=1.0)
+        TpcwSystem(clients=10, seed=7).run(duration=8.0, warmup=1.0)
     finally:
-        spilling.close()
-        in_memory.close()
-    assert spilling.evictions > 0 and in_memory.evictions == 0
-    # No spans were built, so none were seen.
-    assert spilling.spans_seen == in_memory.spans_seen == 0
-    assert spilling.events_absorbed == in_memory.events_absorbed > 0
-    post = _digest(results.stitch())
-    assert _digest(spilling.compact(strict=True)) == post
-    assert _digest(in_memory.compact(strict=True)) == post
+        collector.close()
+    assert collector.evictions > 0 and collector.revivals > 0
+    assert len(calls) == collector.samples > 0
+
+
+def test_resident_trees_are_bounded_for_the_process(tmp_path):
+    """Stopped mid-run, the process holds no more trees than the LRU
+    bound: the stages' own dictionaries are the collector's store."""
+    max_resident = 4
+    collector = attach_collector(
+        None, directory=str(tmp_path / "live"), interval=2.0,
+        max_resident=max_resident,
+    )
+    try:
+        system = TpcwSystem(clients=20, seed=42)
+        system.start()
+        for until in (4.0, 8.0, 12.0):
+            system.kernel.run(until=until)
+            gc.collect()
+            alive = sum(
+                isinstance(obj, CallingContextTree) for obj in gc.get_objects()
+            )
+            assert alive <= max_resident, (until, alive)
+        labels = sum(len(stage.ccts) for stage in _stages(collector))
+        assert labels > max_resident
+        assert collector.evictions > 0
+    finally:
+        collector.close()
+
+
+def test_reading_trees_moves_no_lru_counter(tmp_path):
+    """Reports, the post-mortem stitch and compaction read trees; only
+    changes (samples, gprof's call counts) touch the LRU."""
+    from repro.analysis import render_stage_profile
+
+    collector = attach_collector(
+        None, directory=str(tmp_path / "live"), interval=2.0, max_resident=2
+    )
+    try:
+        results = TpcwSystem(clients=10, seed=7).run(duration=8.0, warmup=1.0)
+    finally:
+        collector.close()
+
+    def counters():
+        return (collector.evictions, collector.revivals,
+                collector.peak_resident, collector.samples)
+
+    before, resident = counters(), collector.resident_contexts
+    assert collector.evictions > 0
+    evicted = [
+        label
+        for stage in _stages(collector)
+        for label, entry in stage.ccts.entries.items()
+        if entry.cct is None
+    ]
+    assert evicted
+    post = results.stitch()
+    for stage in _stages(collector):
+        render_stage_profile(stage)
+        assert stage.total_weight() > 0.0
+    assert (counters(), collector.resident_contexts) == (before, resident)
+    assert collector.compact().entries.keys() == post.entries.keys()
+    assert counters() == before
 
 
 def test_a_failing_collector_stops_the_run(tmp_path, monkeypatch):
@@ -119,7 +261,7 @@ def test_a_failing_collector_stops_the_run(tmp_path, monkeypatch):
         system.run(duration=8.0, warmup=1.0)
     assert tele.sink_errors == 0
     telemetry.uninstall()
-    assert profiler.PROFILE_LISTENERS == []
+    assert profiler.COLLECTOR is None
     assert collector.evictions == 0
 
 
@@ -149,5 +291,5 @@ def test_a_failing_shard_releases_the_spill_log(tmp_path, monkeypatch):
         run_one_shard(plan.specs[0])
     assert logs, "the shard evicted nothing before its first checkpoint"
     assert all(log._handle is None for log in logs)
-    assert profiler.PROFILE_LISTENERS == []
+    assert profiler.COLLECTOR is None
     assert telemetry.ACTIVE is None

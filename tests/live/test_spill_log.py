@@ -41,13 +41,11 @@ def _digest(profile) -> str:
 
 def _run(directory, interval=2.0, max_resident=3, fault_plan=None,
          duration=12.0, on_checkpoint=None):
-    """One seeded TPC-W run under a spilling collector and, beside it
-    on the same event stream, a memory-only one."""
+    """One seeded TPC-W run under a spilling collector."""
     tele = telemetry.install("spans")
     collector = attach_collector(
         tele, directory=directory, interval=interval, max_resident=max_resident
     )
-    in_memory = attach_collector(tele, directory=None)
     if on_checkpoint is not None:
         write = collector.checkpoint
 
@@ -57,13 +55,23 @@ def _run(directory, interval=2.0, max_resident=3, fault_plan=None,
             return path
 
         collector.checkpoint = checkpoint
+    results = _system(fault_plan).run(duration=duration, warmup=2.0)
+    collector.finalize()
+    telemetry.uninstall()
+    return collector, results
+
+
+def _system(fault_plan=None):
     kwargs = {"clients": 10, "seed": 7}
     if fault_plan is not None:
         kwargs.update(fault_plan=fault_plan, fault_seed=1)
-    results = TpcwSystem(**kwargs).run(duration=duration, warmup=2.0)
-    collector.finalize()
-    telemetry.uninstall()
-    return collector, in_memory, results
+    return TpcwSystem(**kwargs)
+
+
+def _oracle(duration, fault_plan=None) -> str:
+    """The digest of the same seeded run with no collector attached."""
+    results = _system(fault_plan).run(duration=duration, warmup=2.0)
+    return _digest(results.stitch(strict=False))
 
 
 def _state(collector):
@@ -99,7 +107,7 @@ def test_torn_tail_is_ignored(tmp_path):
     the last checkpoint.  Whatever prefix of it survives, recovery is
     the last checkpoint, exactly."""
     directory = str(tmp_path / "live")
-    collector, _, results = _run(directory)
+    collector, results = _run(directory)
     assert collector.evictions > 0
     log_path = os.path.join(directory, SPILL_NAME)
     referenced = os.path.getsize(log_path)
@@ -169,15 +177,19 @@ def test_frames_newer_than_the_surviving_checkpoint_are_ignored(tmp_path):
         reference.stitched_profile()
     )
 
-    # The recovered collector keeps working: new samples evict onto the
-    # end of the same log, past the orphans.
-    tele = telemetry.install("spans")
-    recovered.attach(tele)
-    TpcwSystem(clients=10, seed=8).run(duration=5.0, warmup=1.0)
-    recovered.drain()
+    # The recovered collector keeps working: changes to its rebuilt
+    # stages revive trees and evict onto the end of the same log, past
+    # the orphans.  It holds their names, so no new system joins it.
+    for stage in recovered._stages.values():
+        for label in list(stage.ccts):
+            stage.cct_for(label).record_sample(("resumed",), 1.0)
+    assert recovered.revivals > stored["revivals"]
     assert recovered.evictions > stored["evictions"]
+    recovered.attach(None)
+    with pytest.raises(ValueError, match="already holds a stage"):
+        _system()
+    recovered.close()
     compacted = _digest(recovered.compact())
-    telemetry.uninstall()
     assert os.listdir(directory) == [
         os.path.basename(list_checkpoints(directory)[0])
     ]
@@ -191,15 +203,13 @@ def test_frames_newer_than_the_surviving_checkpoint_are_ignored(tmp_path):
 def test_any_bound_and_interval_give_the_postmortem_bytes(
     tmp_path, max_resident, interval
 ):
-    collector, in_memory, results = _run(
+    collector, _ = _run(
         str(tmp_path / "live"), interval=interval, max_resident=max_resident,
         duration=8.0,
     )
     assert collector.evictions > 0
     assert collector.peak_resident <= max_resident
-    assert in_memory.evictions == 0
-    post = _digest(results.stitch())
-    assert _digest(in_memory.stitched_profile(strict=True)) == post
+    post = _oracle(duration=8.0)
     assert _digest(collector.compact(strict=True)) == post
     recovered = LiveCollector.recover(collector.directory)
     assert _digest(recovered.stitched_profile(strict=True)) == post
@@ -208,7 +218,7 @@ def test_any_bound_and_interval_give_the_postmortem_bytes(
 def test_chain_grows_with_virtual_time_not_with_evictions(tmp_path):
     directory = str(tmp_path / "live")
     interval, duration, warmup = 2.0, 16.0, 2.0
-    collector, _, _ = _run(
+    collector, _ = _run(
         directory, interval=interval, max_resident=2, duration=duration
     )
     assert collector.evictions > 200
@@ -237,7 +247,7 @@ def test_directory_without_a_spill_log_still_recovers(tmp_path):
     of some chain document, no document has a ``spilled`` key, and
     there is no log file."""
     directory = str(tmp_path / "live")
-    _, _, results = _run(directory, fault_plan="crash=tomcat@6.0")
+    _, results = _run(directory, fault_plan="crash=tomcat@6.0")
     log = SpillLog(directory)
     old_layout = str(tmp_path / "old-layout")
     inlined = 0
