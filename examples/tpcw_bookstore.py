@@ -19,7 +19,7 @@ you can open in Perfetto (https://ui.perfetto.dev).
 from typing import Optional
 
 from repro import telemetry
-from repro.analysis import render_crosstalk, render_telemetry
+from repro.analysis import render_crosstalk, render_telemetry, span_summary
 from repro.apps.db.locks import INNODB
 from repro.apps.tpcw import TpcwSystem
 
@@ -89,7 +89,7 @@ def telemetry_run(
             write_prometheus(metrics_out, tele.metrics)
             print(f"wrote Prometheus metrics to {metrics_out}")
         print()
-        print(render_telemetry(tele))
+        print(render_telemetry([span_summary(tele.spans)], tele.metrics))
         return tele
     finally:
         telemetry.uninstall()

@@ -30,13 +30,19 @@ from repro.analysis.export import (
     write_rows,
 )
 from repro.analysis.htmlreport import render_html_report
-from repro.analysis.telemetry import render_telemetry
-from repro.analysis.live import render_live_crosstalk, render_live_top
+from repro.analysis.telemetry import render_telemetry, span_summary
+from repro.analysis.live import (
+    render_live_crosstalk,
+    render_live_top,
+    render_live_view,
+)
 
 __all__ = [
     "render_telemetry",
+    "span_summary",
     "render_live_crosstalk",
     "render_live_top",
+    "render_live_view",
     "context_shares",
     "diff_profiles",
     "ContextDelta",

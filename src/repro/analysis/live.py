@@ -72,3 +72,12 @@ def render_live_crosstalk(collector, limit: int = 10) -> str:
             f"{1e3 * mean:>9.2f} {1e3 * peak:>9.2f}"
         )
     return "\n".join(lines)
+
+
+def render_live_view(collector, k: int = 10) -> str:
+    """The end-of-run live view: the top-``k`` table, then the
+    crosstalk pairs if any lock waits were observed."""
+    blocks = [render_live_top(collector, k=k)]
+    if collector.crosstalk_pairs():
+        blocks.append(render_live_crosstalk(collector))
+    return "\n\n".join(blocks)

@@ -183,7 +183,13 @@ def render_fault_report(report: dict) -> str:
 
 
 def render_crosstalk(recorder: CrosstalkRecorder, limit: int = 20) -> str:
-    """Crosstalk pair table: who waits on whom, for how long."""
+    """Crosstalk pair table: who waits on whom, for how long.
+
+    ``recorder`` is anything with a ``pair_table()`` of ``(waiter,
+    holder, count, mean, max)`` rows, heaviest first: a live
+    :class:`CrosstalkRecorder` or a loaded
+    :class:`~repro.core.persist.RunProfile`.
+    """
     rows = recorder.pair_table()[:limit]
     if not rows:
         return "(no crosstalk recorded)"

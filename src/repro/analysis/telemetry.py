@@ -3,46 +3,58 @@
 ``render_telemetry`` complements the post-mortem profile renderers: a
 compact table of span volume by category/stage, trace statistics, and
 the headline metrics — what an operator would glance at after (or
-during) a run, before loading the full trace into Perfetto.
+during) a run, before loading the full trace into Perfetto.  Its input
+is plain data (:func:`span_summary` per session plus one metrics
+registry), so a sharded run's summary is the sum of what each shard
+returned.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry import Telemetry
-from repro.telemetry.metrics import Counter, Gauge, Histogram
+from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
-def _span_table(tele: Telemetry) -> List[str]:
-    counts: Dict[Tuple[str, str], int] = {}
-    durations: Dict[Tuple[str, str], float] = {}
-    for span in tele.spans.spans:
-        key = (span.category, span.stage or "<none>")
-        counts[key] = counts.get(key, 0) + 1
-        durations[key] = durations.get(key, 0.0) + span.duration
-    if not counts:
+def span_summary(recorder) -> Dict[str, Any]:
+    """The picklable span statistics :func:`render_telemetry` prints,
+    for one span recorder."""
+    table: Dict[Tuple[str, str], List[Any]] = {}
+    for span in recorder.spans:
+        cell = table.setdefault((span.category, span.stage or "<none>"), [0, 0.0])
+        cell[0] += 1
+        cell[1] += span.duration
+    traces = recorder.traces()
+    return {
+        "completed": recorder.completed,
+        "dropped": recorder.dropped,
+        "open": recorder.open_spans(),
+        "traces": len(traces),
+        "multi_span_traces": sum(1 for spans in traces.values() if len(spans) > 1),
+        "table": table,
+    }
+
+
+def _span_table(table: Dict[Tuple[str, str], List[Any]]) -> List[str]:
+    if not table:
         return ["(no spans recorded)"]
     header = f"{'category':<20} {'stage':<16} {'spans':>8} {'total s':>10}"
     lines = [header, "-" * len(header)]
-    for (category, stage), count in sorted(
-        counts.items(), key=lambda item: (-item[1], item[0])
+    for (category, stage), (count, total) in sorted(
+        table.items(), key=lambda item: (-item[1][0], item[0])
     ):
-        lines.append(
-            f"{category:<20} {stage:<16} {count:>8} "
-            f"{durations[(category, stage)]:>10.4f}"
-        )
+        lines.append(f"{category:<20} {stage:<16} {count:>8} {total:>10.4f}")
     return lines
 
 
-def _metric_lines(tele: Telemetry, limit: int) -> List[str]:
-    if not tele.wants_metrics or not len(tele.metrics):
+def _metric_lines(metrics: Optional[MetricsRegistry], limit: int) -> List[str]:
+    if metrics is None or not len(metrics):
         return ["(metrics disabled — telemetry mode 'spans')"]
     lines = []
     shown = 0
-    for metric in tele.metrics.collect():
+    for metric in metrics.collect():
         if shown >= limit:
-            lines.append(f"... ({len(tele.metrics) - shown} more instruments)")
+            lines.append(f"... ({len(metrics) - shown} more instruments)")
             break
         labels = (
             "{" + ",".join(f"{k}={v}" for k, v in metric.labels) + "}"
@@ -60,21 +72,36 @@ def _metric_lines(tele: Telemetry, limit: int) -> List[str]:
     return lines
 
 
-def render_telemetry(tele: Telemetry, metric_limit: int = 40) -> str:
-    """One-page text summary of the session's spans and metrics."""
-    recorder = tele.spans
-    traces = recorder.traces()
-    multi_span = sum(1 for spans in traces.values() if len(spans) > 1)
+def render_telemetry(
+    summaries: Sequence[Dict[str, Any]],
+    metrics: Optional[MetricsRegistry] = None,
+    metric_limit: int = 40,
+) -> str:
+    """One-page text summary of one or more sessions' spans (their
+    :func:`span_summary` dicts, summed) and their metrics (``None`` or
+    an empty registry: spans-only telemetry)."""
+    totals = dict.fromkeys(
+        ("completed", "dropped", "open", "traces", "multi_span_traces"), 0
+    )
+    table: Dict[Tuple[str, str], List[Any]] = {}
+    for summary in summaries:
+        for key in totals:
+            totals[key] += summary[key]
+        for key, (count, total) in summary["table"].items():
+            cell = table.setdefault(key, [0, 0.0])
+            cell[0] += count
+            cell[1] += total
     blocks = [
         "=== live telemetry summary ===",
-        f"spans: {recorder.completed} completed"
-        + (f" ({recorder.dropped} dropped by ring buffer)" if recorder.dropped else "")
-        + f", {recorder.open_spans()} still open",
-        f"traces: {len(traces)} ({multi_span} spanning more than one span)",
+        f"spans: {totals['completed']} completed"
+        + (f" ({totals['dropped']} dropped by ring buffer)" if totals["dropped"] else "")
+        + f", {totals['open']} still open",
+        f"traces: {totals['traces']} ({totals['multi_span_traces']} spanning "
+        "more than one span)",
         "",
     ]
-    blocks.extend(_span_table(tele))
+    blocks.extend(_span_table(table))
     blocks.append("")
     blocks.append("-- metrics --")
-    blocks.extend(_metric_lines(tele, metric_limit))
+    blocks.extend(_metric_lines(metrics, metric_limit))
     return "\n".join(blocks)

@@ -11,7 +11,9 @@
 
 Each subcommand builds the simulated system, runs it for the requested
 virtual time, and prints the transactional profile (and, for TPC-W, the
-Table-1-style summary).
+Table-1-style summary).  ``tpcw``, ``haboob`` and ``openloop`` always
+run as a shard plan (one shard without ``--shards``) and print from
+what the shards leave behind: their results, dumps and rendered views.
 """
 
 from __future__ import annotations
@@ -19,16 +21,26 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import tempfile
 from typing import List, Optional
 
 from repro import telemetry
-from repro.analysis import render_crosstalk, render_stage_profile, render_telemetry
+from repro.analysis import (
+    render_crosstalk,
+    render_stage_profile,
+    render_telemetry,
+    span_summary,
+)
 from repro.sim import Kernel, Rng
 from repro.workloads import HttpClientPool, WebTrace
 
 
 def _telemetry_setup(args: argparse.Namespace):
-    """Install telemetry (before any system is built) per the flags."""
+    """Install telemetry (before any system is built) per the flags.
+
+    A planned run (``tpcw``, ``haboob``, ``openloop``) installs none
+    here: each of its shards installs its own.
+    """
     mode = getattr(args, "telemetry", "off")
     if mode == "off":
         for flag in ("trace_out", "metrics_out"):
@@ -38,6 +50,8 @@ def _telemetry_setup(args: argparse.Namespace):
                     file=sys.stderr,
                 )
         return None
+    if hasattr(args, "shards"):
+        return None
     return telemetry.install(mode)
 
 
@@ -45,75 +59,36 @@ def _telemetry_finish(args: argparse.Namespace, tele) -> None:
     """Write requested exports and print the live-telemetry summary."""
     if tele is None:
         return
-    from repro.telemetry.export import (
-        write_chrome_trace,
-        write_otlp_trace,
-        write_prometheus,
-    )
+    from repro.telemetry.export import write_prometheus, write_trace
 
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        if getattr(args, "trace_format", "chrome") == "otlp":
-            write_otlp_trace(trace_out, tele.spans)
-        else:
-            write_chrome_trace(trace_out, tele.spans)
-        print(f"\nwrote {args.trace_format} trace ({len(tele.spans.spans)} spans) "
-              f"to {trace_out}")
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
-        if tele.wants_metrics:
-            write_prometheus(metrics_out, tele.metrics)
-            print(f"wrote Prometheus metrics to {metrics_out}")
+    if args.trace_out:
+        write_trace(args.trace_out, tele.spans, args.trace_format)
+    metrics = tele.metrics if tele.wants_metrics else None
+    if args.metrics_out and metrics is not None:
+        write_prometheus(args.metrics_out, metrics)
+    _print_telemetry(args, [span_summary(tele.spans)], metrics)
+
+
+def _print_telemetry(args: argparse.Namespace, spans, metrics) -> None:
+    """Name the written exports, then print the one telemetry summary
+    over ``spans`` (span summaries) and ``metrics`` (``None``: spans
+    only)."""
+    if args.trace_out:
+        count = sum(
+            cell[0] for summary in spans for cell in summary["table"].values()
+        )
+        print(f"\nwrote {args.trace_format} trace ({count} spans) "
+              f"to {args.trace_out}")
+    if args.metrics_out:
+        if metrics is not None:
+            print(f"wrote Prometheus metrics to {args.metrics_out}")
         else:
             print(
                 "warning: --metrics-out needs --telemetry full",
                 file=sys.stderr,
             )
     print()
-    print(render_telemetry(tele))
-
-
-def _live_setup(args: argparse.Namespace):
-    """Attach the online streaming stitcher, if requested.
-
-    Must run *before* the simulated system is built: the collector
-    adopts each stage runtime at its construction.  Returns a context
-    manager yielding the collector (``None`` when not asked for) and
-    closing it on exit; the collector needs no telemetry.
-    """
-    if not (getattr(args, "live", False) or getattr(args, "live_dir", None)):
-        return contextlib.nullcontext()
-    from repro.live import attach_collector
-
-    return contextlib.closing(attach_collector(
-        telemetry.active(),
-        directory=args.live_dir,
-        interval=args.live_interval,
-        max_resident=args.live_resident,
-    ))
-
-
-def _live_finish(args: argparse.Namespace, collector) -> None:
-    """Print the live view and compact the checkpoint directory."""
-    if collector is None:
-        return
-    from repro.analysis import render_live_crosstalk, render_live_top
-
-    print()
-    print(render_live_top(collector, k=args.live_top))
-    if collector.crosstalk_pairs():
-        print()
-        print(render_live_crosstalk(collector))
-    profile = collector.compact(strict=False)
-    print(
-        f"\nlive stitch: {len(profile.entries)} contexts; "
-        f"completeness {100.0 * profile.completeness:.2f}%"
-    )
-    if collector.directory:
-        print(
-            f"live checkpoints compacted in {collector.directory} "
-            f"(query later with: live-report {collector.directory})"
-        )
+    print(render_telemetry(spans, metrics))
 
 
 def cmd_apache(args: argparse.Namespace) -> int:
@@ -137,16 +112,6 @@ def cmd_apache(args: argparse.Namespace) -> int:
     print(render_stage_profile(server.stage, min_share=1.0))
     _maybe_dot(args, server.stage)
     return 0
-
-
-def _install_faults(kernel: Kernel, args: argparse.Namespace):
-    """Install the --faults plan on a fresh kernel (before any endpoint)."""
-    spec = getattr(args, "faults", None)
-    if not spec:
-        return None
-    from repro.faults import install_faults
-
-    return install_faults(kernel, spec, getattr(args, "fault_seed", 0))
 
 
 def _maybe_dot(args: argparse.Namespace, stage) -> None:
@@ -187,161 +152,115 @@ def cmd_squid(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_haboob_sharded(args: argparse.Namespace) -> int:
-    """Sharded Haboob: each shard serves its own client slice."""
+@contextlib.contextmanager
+def _spool_dir(args: argparse.Namespace):
+    """The run's spool: ``--spool DIR``, or a scratch directory removed
+    afterwards (the printer reads the shards' dumps either way)."""
+    if args.spool:
+        yield args.spool
+        return
+    with tempfile.TemporaryDirectory(prefix="whodunit-spool-") as scratch:
+        yield scratch
+
+
+def _run_plan(args: argparse.Namespace, workload: str, duration: float,
+              warmup: float, params: dict, spool: str):
+    """Plan and run ``args.shards`` shards; print the shard and fault
+    lines every planned run starts with.  Returns the ShardedRun."""
     from repro.parallel import plan_shards, run_shards
 
     plan = plan_shards(
-        "haboob",
+        workload,
         seed=args.seed,
         clients=args.clients,
         shards=args.shards,
-        duration=args.seconds,
-        params={
-            "objects": args.objects,
-            "cache_kb": args.cache_kb,
-            "fault_plan": args.faults or None,
-            "fault_seed": args.fault_seed,
-        },
-        spool_dir=args.spool or args.save_profiles or "",
+        duration=duration,
+        warmup=warmup,
+        params=params,
+        spool_dir=spool,
         profile_format=args.profile_format,
         telemetry_mode=args.telemetry,
-        live_dir=_sharded_live_dir(args),
-        live_interval=args.live_interval,
-        live_resident=args.live_resident,
+        live=getattr(args, "live", False),
+        live_dir=getattr(args, "live_dir", None) or "",
+        live_interval=getattr(args, "live_interval", 5.0),
+        live_resident=getattr(args, "live_resident", 512),
+        live_top=getattr(args, "live_top", 10),
+        trace_out=args.trace_out or "",
+        trace_format=args.trace_format,
+        metrics_out=args.metrics_out or "",
     )
     run = run_shards(plan, jobs=args.jobs)
     print(
         f"{args.shards} shards x {plan.specs[0].clients} clients, "
         f"{args.jobs} jobs, {run.wall_seconds:.2f}s wall"
     )
-    _print_fault_line(run.fault_report())
-    print(
-        f"served {run.served()} responses, "
-        f"{run.throughput():.1f} Mb/s aggregate"
-    )
-    if plan.specs[0].spool_dir:
-        print(f"spooled {run.dump_bytes()} profile bytes "
-              f"({args.profile_format}) to {plan.specs[0].spool_dir}")
-    _print_shard_telemetry(args, run)
-    if plan.specs[0].live_dir:
-        print(f"live checkpoints in {plan.specs[0].live_dir}/shard-*/ "
-              f"(fold with: live-report {plan.specs[0].live_dir})")
-    return 0
-
-
-def _print_shard_telemetry(args: argparse.Namespace, run) -> None:
-    """What the shards' own telemetry recorded (nothing if it was off)."""
-    if args.telemetry == "full":
-        print()
-        print("-- merged metrics (all shards) --")
-        for line in _merged_metric_lines(run.merged_metrics()):
-            print(line)
-    if args.telemetry != "off":
-        print(f"spans recorded across shards: {run.span_count()}")
-
-
-def _print_fault_line(report) -> None:
-    """One ``faults:`` line of injection totals (nothing if none ran)."""
+    report = run.fault_report()
     if report:
         print("faults: " + ", ".join(f"{k}={report[k]}" for k in sorted(report)))
+    return run
 
 
-def _runs_sharded(args: argparse.Namespace) -> bool:
-    """Whether the command runs through the shard runner.
-
-    ``openloop`` always does; ``tpcw`` and ``haboob`` do with
-    ``--shards > 1`` or ``--spool`` (a one-shard plan keeps the run
-    seed, so it simulates exactly the unsharded run).  Each shard
-    installs its own telemetry, so the parent's would record nothing.
-    """
-    return (
-        args.command == "openloop"
-        or getattr(args, "shards", 1) > 1
-        or bool(getattr(args, "spool", None))
-    )
-
-
-def _sharded_live_dir(args: argparse.Namespace) -> str:
-    """The --live-dir for a sharded run ('' = no live collection).
-
-    Sharded live collection checkpoints per shard under
-    ``DIR/shard-NNNN/``; an in-memory ``--live`` without a directory
-    has nowhere to surface from a worker process, so it needs the dir.
-    """
-    live_dir = getattr(args, "live_dir", None) or ""
-    if getattr(args, "live", False) and not live_dir:
-        print(
-            "warning: --live with --shards needs --live-dir; ignored",
-            file=sys.stderr,
+def _print_run_tail(args: argparse.Namespace, run) -> None:
+    """What any planned run ends with: where its dumps went, each
+    shard's live view, and the telemetry summary."""
+    if args.spool:
+        print(f"spooled {run.dump_bytes()} profile bytes "
+              f"({args.profile_format}) to {args.spool}")
+    for result in run.results:
+        live = result.extra.get("live")
+        if live is not None:
+            print()
+            if len(run.results) > 1:
+                print(f"-- shard {result.index} --")
+            print(live["view"])
+    if getattr(args, "live_dir", None):
+        print(f"live checkpoints in {args.live_dir}/shard-*/ "
+              f"(fold with: live-report {args.live_dir})")
+    if args.telemetry != "off":
+        _print_telemetry(
+            args,
+            [result.spans for result in run.results],
+            run.merged_metrics() if args.telemetry == "full" else None,
         )
-    return live_dir
 
 
 def cmd_haboob(args: argparse.Namespace) -> int:
-    from repro.apps.haboob import HaboobConfig, HaboobServer
+    from repro.core.persist import load_stage
 
-    if _runs_sharded(args):
-        return _cmd_haboob_sharded(args)
-    with _live_setup(args) as collector:
-        kernel = Kernel()
-        injector = _install_faults(kernel, args)
-        trace = WebTrace(Rng(args.seed), objects=args.objects)
-        server = HaboobServer(
-            kernel, trace, config=HaboobConfig(cache_bytes=args.cache_kb * 1024)
+    params = {
+        "objects": args.objects,
+        "cache_kb": args.cache_kb,
+        "fault_plan": args.faults or None,
+        "fault_seed": args.fault_seed,
+    }
+    with _spool_dir(args) as spool:
+        run = _run_plan(args, "haboob", args.seconds, 0.0, params, spool)
+        print(
+            f"served {run.served()} responses, "
+            f"{run.throughput():.1f} Mb/s, "
+            f"hit ratio {run.hit_ratio():.0%}"
         )
-        server.start()
-        if injector is not None:
-            injector.schedule_crashes(
-                kernel, {stage.name: stage for stage in server.stages}
-            )
-        HttpClientPool(kernel, server.listener, trace, clients=args.clients).start()
-        kernel.run(until=args.seconds)
-    if injector is not None:
-        _print_fault_line(injector.report())
-    print(
-        f"served {server.responses_sent} responses, "
-        f"{server.throughput_mbps():.1f} Mb/s, "
-        f"hit ratio {server.page_cache.hit_ratio:.0%}"
-    )
+        # Haboob is one stage: fold the shards' dumps tree by tree.
+        stage = None
+        for (path,) in run.dump_groups():
+            loaded = load_stage(path)
+            if stage is None:
+                stage = loaded
+                continue
+            for label, cct in loaded.ccts.items():
+                stage.cct_for(label).merge(cct)
     print()
-    print(render_stage_profile(server.stage_runtime, min_share=1.0))
-    _maybe_dot(args, server.stage_runtime)
-    _live_finish(args, collector)
-    if args.save_profiles:
-        for path in server.save_profiles(
-            args.save_profiles, profile_format=args.profile_format
-        ).values():
-            print(f"wrote {path}")
+    print(render_stage_profile(stage, min_share=1.0))
+    _maybe_dot(args, stage)
+    _print_run_tail(args, run)
     return 0
 
 
-def _merged_metric_lines(registry, limit: int = 40):
-    """Text lines for a post-hoc merged metrics registry."""
-    from repro.telemetry.metrics import Histogram
+def cmd_tpcw(args: argparse.Namespace) -> int:
+    from repro.analysis import render_fault_report
+    from repro.core.persist import load_run
 
-    lines = []
-    for shown, metric in enumerate(registry.collect()):
-        if shown >= limit:
-            lines.append(f"... ({len(registry) - shown} more instruments)")
-            break
-        labels = (
-            "{" + ",".join(f"{k}={v}" for k, v in metric.labels) + "}"
-            if metric.labels
-            else ""
-        )
-        if isinstance(metric, Histogram):
-            lines.append(
-                f"{metric.name}{labels}  count={metric.count} sum={metric.sum:.6g}"
-            )
-        else:
-            lines.append(f"{metric.name}{labels}  {metric.value:.6g}")
-    return lines
-
-
-def _tpcw_shard_params(args: argparse.Namespace) -> dict:
-    """The picklable workload parameters one TPC-W shard needs."""
-    return {
+    params = {
         "caching": args.caching,
         "innodb": args.innodb,
         "mix": args.mix,
@@ -350,138 +269,35 @@ def _tpcw_shard_params(args: argparse.Namespace) -> dict:
         "retries": args.retries,
         "retry_timeout": args.retry_timeout,
     }
-
-
-def _cmd_tpcw_sharded(args: argparse.Namespace) -> int:
-    """The scale-out path: N shards across a process pool, merged view."""
-    import tempfile
-
-    from repro.parallel import plan_shards, run_shards
-
-    spool = args.spool or args.save_profiles
-    scratch = None
-    if not spool:
-        # Stitching needs the spooled dumps even if the user keeps none.
-        scratch = tempfile.TemporaryDirectory(prefix="whodunit-spool-")
-        spool = scratch.name
-    try:
-        plan = plan_shards(
-            "tpcw",
-            seed=args.seed,
-            clients=args.clients,
-            shards=args.shards,
-            duration=args.duration,
-            warmup=args.warmup,
-            params=_tpcw_shard_params(args),
-            spool_dir=spool,
-            profile_format=args.profile_format,
-            telemetry_mode=args.telemetry,
-            live_dir=_sharded_live_dir(args),
-            live_interval=args.live_interval,
-            live_resident=args.live_resident,
-        )
-        run = run_shards(plan, jobs=args.jobs)
-        print(
-            f"{args.shards} shards x {plan.specs[0].clients} clients, "
-            f"{args.jobs} jobs, {run.wall_seconds:.2f}s wall"
-        )
-        _print_fault_line(run.fault_report())
-        print(
-            f"throughput {run.throughput():.0f} interactions/min; "
-            f"mean response {run.mean_response() * 1000:.0f} ms; "
-            f"{run.served()} served"
-        )
-        print()
-        shares = run.db_cpu_share()
-        waits = run.crosstalk_wait_ms()
-        counts = run.interaction_counts()
-        print(f"{'interaction':<22}{'MySQL CPU %':>12}{'crosstalk ms':>14}{'count':>8}")
-        for name in sorted(shares, key=lambda n: -shares.get(n, 0)):
-            print(
-                f"{name:<22}{shares.get(name, 0):>12.2f}"
-                f"{waits.get(name, 0):>14.2f}{counts.get(name, 0):>8}"
-            )
-        print()
-        print(f"spooled {run.dump_bytes()} profile bytes "
-              f"({args.profile_format}) to {spool}")
-        strict = not args.faults
-        profile = run.stitch(strict=strict)
-        print(
-            f"stitched {len(profile.entries)} contexts; "
-            f"completeness {100.0 * profile.completeness:.2f}%"
-        )
-        _print_shard_telemetry(args, run)
-        if plan.specs[0].live_dir:
-            print(f"live checkpoints in {plan.specs[0].live_dir}/shard-*/ "
-                  f"(fold with: live-report {plan.specs[0].live_dir})")
-        if args.check_stitch and strict and profile.completeness < 1.0:
-            print("error: lossless run stitched below 100%", file=sys.stderr)
-            return 1
-        return 0
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
-
-
-def cmd_tpcw(args: argparse.Namespace) -> int:
-    from repro.apps.db.locks import INNODB, MYISAM
-    from repro.apps.tpcw import TpcwSystem
-    from repro.channels.rpc import RetryPolicy
-
-    if _runs_sharded(args):
-        return _cmd_tpcw_sharded(args)
-    retry = None
-    if args.faults and args.retries > 0:
-        retry = RetryPolicy(timeout=args.retry_timeout, retries=args.retries)
-    with _live_setup(args) as collector:
-        system = TpcwSystem(
-            clients=args.clients,
-            caching=args.caching,
-            item_engine=INNODB if args.innodb else MYISAM,
-            seed=args.seed,
-            mix=args.mix,
-            fault_plan=args.faults or None,
-            fault_seed=args.fault_seed,
-            retry=retry,
-        )
-        results = system.run(duration=args.duration, warmup=args.warmup)
+    with _spool_dir(args) as spool:
+        run = _run_plan(args, "tpcw", args.duration, args.warmup, params, spool)
+        loaded = load_run(spool)
     print(
-        f"throughput {results.throughput_tpm():.0f} interactions/min; "
-        f"db CPU {system.db.cpu.utilization():.0%} busy; "
-        f"mean response {results.mean_response() * 1000:.0f} ms"
+        f"throughput {run.throughput():.0f} interactions/min; "
+        f"db CPU {run.db_utilization():.0%} busy; "
+        f"mean response {run.mean_response() * 1000:.0f} ms"
     )
     print()
-    shares = results.db_cpu_share()
-    waits = results.crosstalk_wait_ms()
+    shares = run.db_cpu_share()
+    waits = run.crosstalk_wait_ms()
     print(f"{'interaction':<22}{'MySQL CPU %':>12}{'crosstalk ms':>14}{'mean resp ms':>14}")
     for name in sorted(shares, key=lambda n: -shares.get(n, 0)):
         print(
             f"{name:<22}{shares.get(name, 0):>12.2f}{waits.get(name, 0):>14.2f}"
-            f"{results.mean_response(name) * 1000:>14.0f}"
+            f"{run.mean_response(name) * 1000:>14.0f}"
         )
     print()
-    print(render_crosstalk(system.db.crosstalk, limit=10))
-    if system.faults is not None:
-        from repro.analysis import render_fault_report
-
-        print()
-        print(render_fault_report(results.fault_report()))
-        completeness = results.stitch_completeness()
-        print(f"stitch completeness: {100.0 * completeness:.2f}%")
-    _live_finish(args, collector)
-    if args.save_profiles:
-        for path in system.save_profiles(
-            args.save_profiles, profile_format=args.profile_format
-        ).values():
-            print(f"wrote {path}")
-    if args.check_stitch:
-        completeness = results.stitch_completeness()
-        print(f"stitch completeness: {100.0 * completeness:.2f}%")
-        if system.faults is None and completeness < 1.0:
-            print(
-                "error: lossless run stitched below 100%", file=sys.stderr
-            )
-            return 1
+    print(render_crosstalk(loaded, limit=10))
+    print()
+    report = run.recovery_report()
+    if report:
+        print(render_fault_report(report))
+    completeness = loaded.profile.completeness
+    print(f"stitch completeness: {100.0 * completeness:.2f}%")
+    _print_run_tail(args, run)
+    if args.check_stitch and not report and completeness < 1.0:
+        print("error: lossless run stitched below 100%", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -591,56 +407,52 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_live_report(args: argparse.Namespace) -> int:
     """Answer queries from live-collector checkpoint directories.
 
-    The profile is :func:`repro.core.persist.load_run`'s: a single
-    directory recovers one collector (bounded loss: anything newer than
-    its last checkpoint is gone, by design) and stitches it; a
-    directory holding ``shard-NNNN/`` subdirectories recovers every
-    shard and folds them like the sharded post-mortem reduce, so the
-    digest matches ``stitch --digest`` over the equivalent spool.
-    ``--compact`` first collapses each collector's chain to one file.
+    Each collector directory is recovered once (bounded loss: anything
+    newer than its last checkpoint is gone, by design).  The profile is
+    :func:`repro.core.persist.fold_live_run`'s, the fold ``load_run``
+    applies to a live directory: one collector is stitched as is, and a
+    directory of ``shard-NNNN/`` collectors folds like the sharded
+    post-mortem reduce, so the digest matches ``stitch --digest`` over
+    the equivalent spool.  ``--compact`` first collapses each
+    collector's chain to one file.
     """
     import os
 
-    from repro.analysis import (
-        render_live_crosstalk,
-        render_live_top,
-        render_stitched_profile,
-    )
-    from repro.core.persist import live_collectors, live_directories, load_run
-    from repro.live import LiveCollector, list_checkpoints
+    from repro.analysis import render_live_view, render_stitched_profile
+    from repro.core.persist import fold_live_run, live_collectors
+    from repro.live import list_checkpoints
 
     directory = args.directory
     if not os.path.isdir(directory):
         print(f"error: {directory!r} is not a directory", file=sys.stderr)
         return 2
-    collector_dirs = live_directories(directory)
-    if not collector_dirs:
+    collectors = live_collectors(directory)
+    if not collectors:
         print(f"error: no checkpoints in {directory!r}", file=sys.stderr)
         return 2
     strict = bool(args.strict)
     if args.compact:
-        for _index, collector in live_collectors(directory):
+        for _index, collector in collectors:
             collector.compact(strict=strict)
-    profile = load_run(directory, strict=strict).profile
+    profile = fold_live_run(directory, collectors, strict=strict).profile
     if args.digest:
         return _print_digest(profile)
-    sharded = collector_dirs[0][0] is not None
-    if sharded:
+    if collectors[0][0] is not None:
         checkpoint_files = sum(
-            len(list_checkpoints(path)) for _index, path in collector_dirs
+            len(list_checkpoints(collector.directory))
+            for _index, collector in collectors
         )
         print(
-            f"recovered {len(collector_dirs)} shard collectors "
+            f"recovered {len(collectors)} shard collectors "
             f"({checkpoint_files} checkpoint files)"
         )
         print()
-    elif args.top:
-        collector = LiveCollector.recover(directory)
-        print(render_live_top(collector, k=args.top))
-        if collector.crosstalk_pairs():
+    if args.top:
+        for index, collector in collectors:
+            if index is not None:
+                print(f"-- shard {index} --")
+            print(render_live_view(collector, k=args.top))
             print()
-            print(render_live_crosstalk(collector))
-        print()
     print(render_stitched_profile(profile, min_share=args.min_share))
     print(f"\ncompleteness {100.0 * profile.completeness:.2f}%")
     return 0
@@ -690,8 +502,6 @@ def cmd_openloop(args: argparse.Namespace) -> int:
     """Open-loop load generation, sharded: N simulated clients arrive
     as a (possibly diurnal/flash-crowd-shaped) Poisson process split
     deterministically across --shards independent deployments."""
-    from repro.parallel import plan_shards, run_shards
-
     params = {
         "arrival_rate": args.rate,
         "total_clients": args.clients,
@@ -708,20 +518,9 @@ def cmd_openloop(args: argparse.Namespace) -> int:
     think = _parse_think(args.think)
     if think:
         params["think"] = think
-    plan = plan_shards(
-        "openloop",
-        seed=args.seed,
-        clients=args.clients,
-        shards=args.shards,
-        duration=args.seconds,
-        params=params,
-        spool_dir=args.spool or "",
-        profile_format=args.profile_format,
-        telemetry_mode=args.telemetry,
-    )
-    run = run_shards(plan, jobs=args.jobs)
+    run = _run_plan(args, "openloop", args.seconds, 0.0, params,
+                    args.spool or "")
     print(
-        f"{args.shards} shards, {args.jobs} jobs: "
         f"{run.sessions_started()} sessions started "
         f"({run.sessions_finished()} finished) of {args.clients} planned"
     )
@@ -729,13 +528,8 @@ def cmd_openloop(args: argparse.Namespace) -> int:
         f"served {run.served()} responses, {run.throughput():.1f} Mb/s "
         f"aggregate, mean response {run.mean_response() * 1000:.1f} ms"
     )
-    print(
-        f"wall {run.wall_seconds:.2f}s, shard skew x{run.wall_skew():.2f}"
-    )
-    if args.spool:
-        print(f"spooled {run.dump_bytes()} profile bytes "
-              f"({args.profile_format}) to {args.spool}")
-    _print_shard_telemetry(args, run)
+    print(f"shard skew x{run.wall_skew():.2f}")
+    _print_run_tail(args, run)
     return 0
 
 
@@ -793,27 +587,34 @@ def _warmup_seconds(text: str) -> float:
     return _seconds(text, zero_ok=True)
 
 
+def _int_at_least(minimum: int):
+    """argparse type for an integer >= ``minimum`` (a count of shards,
+    worker processes, clients, objects, retries or table rows)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
 def _resident_bound(text: str) -> Optional[int]:
     """argparse type for --live-resident: an integer >= 0, where 0
     means unbounded (``None``)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value or None
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for a count of shards or worker processes: >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+    return _non_negative_int(text) or None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -878,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--live-top",
-            type=int,
+            type=_positive_int,
             default=10,
             metavar="K",
             help="rows in the end-of-run live top-contexts table",
@@ -914,6 +715,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="spool per-shard profile dumps (and manifest) into DIR",
         )
 
+    def save_profiles_flag(p):
+        p.add_argument(
+            "--save-profiles",
+            dest="spool",
+            metavar="DIR",
+            help="the same as --spool DIR",
+        )
+
     def fault_flags(p):
         p.add_argument(
             "--faults",
@@ -930,9 +739,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, clients=6, seconds=3.0):
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--clients", type=int, default=clients)
+        p.add_argument("--clients", type=_positive_int, default=clients)
         p.add_argument("--seconds", type=_run_seconds, default=seconds)
-        p.add_argument("--objects", type=int, default=2000)
+        p.add_argument("--objects", type=_positive_int, default=2000)
         p.add_argument("--dot", metavar="FILE", help="write graphviz profile")
         telemetry_flags(p)
 
@@ -948,19 +757,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("haboob", help="SEDA stage contexts (§8.3)")
     common(p)
     p.add_argument("--cache-kb", type=int, default=512)
-    p.add_argument(
-        "--save-profiles",
-        metavar="DIR",
-        help="dump the server profile into DIR (see --profile-format)",
-    )
     fault_flags(p)
     scale_flags(p)
+    save_profiles_flag(p)
     live_flags(p)
     p.set_defaults(fn=cmd_haboob)
 
     p = sub.add_parser("tpcw", help="three-tier bookstore (§8.4)")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--clients", type=int, default=100)
+    p.add_argument("--clients", type=_positive_int, default=100)
     p.add_argument("--duration", type=_run_seconds, default=120.0)
     p.add_argument("--warmup", type=_warmup_seconds, default=30.0)
     p.add_argument("--caching", action="store_true", help="cache BestSellers/SearchResult")
@@ -971,22 +776,18 @@ def build_parser() -> argparse.ArgumentParser:
         default="browsing",
         help="TPC-W interaction mix",
     )
-    p.add_argument(
-        "--save-profiles",
-        metavar="DIR",
-        help="dump each tier's profile into DIR (see --profile-format)",
-    )
     fault_flags(p)
     scale_flags(p)
+    save_profiles_flag(p)
     p.add_argument(
         "--retries",
-        type=int,
+        type=_non_negative_int,
         default=3,
         help="RPC/client retry attempts under --faults (0 disables recovery)",
     )
     p.add_argument(
         "--retry-timeout",
-        type=float,
+        type=_run_seconds,
         default=0.25,
         help="first-attempt response timeout in virtual seconds "
         "(doubles per retry)",
@@ -1010,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
         "--clients",
-        type=int,
+        type=_positive_int,
         default=10000,
         help="total simulated clients (session budget across all shards)",
     )
@@ -1021,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="population-wide base session arrival rate per virtual second",
     )
     p.add_argument("--seconds", type=_run_seconds, default=30.0)
-    p.add_argument("--objects", type=int, default=2000)
+    p.add_argument("--objects", type=_positive_int, default=2000)
     p.add_argument("--cache-kb", type=int, default=512)
     p.add_argument(
         "--diurnal-amplitude",
@@ -1197,15 +998,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    tele = None
-    if _runs_sharded(args):
-        if getattr(args, "trace_out", None) or getattr(args, "metrics_out", None):
+    if hasattr(args, "shards"):
+        if args.clients < args.shards:
             parser.error(
-                "--trace-out and --metrics-out need an unsharded run: "
-                "the spans and metrics of a sharded run stay in its shards"
+                f"argument --clients: must be >= --shards ({args.shards}), "
+                f"got {args.clients}"
             )
-    else:
-        tele = _telemetry_setup(args)
+        if args.shards > 1 and (args.trace_out or args.metrics_out):
+            parser.error(
+                "--trace-out and --metrics-out need a single shard: the "
+                "spans and metrics of a sharded run stay in its shards"
+            )
+    tele = _telemetry_setup(args)
     try:
         status = args.fn(args)
         _telemetry_finish(args, tele)

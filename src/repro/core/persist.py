@@ -639,6 +639,17 @@ class RunProfile:
         self.profile = profile
         self.crosstalk: CrosstalkTable = crosstalk
 
+    def pair_table(self) -> List[Tuple[str, str, int, float, float]]:
+        """Rows ``(waiter, holder, count, mean, max)``, heaviest first
+        (the :meth:`~repro.core.crosstalk.CrosstalkRecorder.pair_table`
+        shape)."""
+        rows = [
+            (waiter, holder, count, total / count, peak)
+            for (waiter, holder), (count, total, peak) in self.crosstalk.items()
+        ]
+        rows.sort(key=lambda row: row[2] * row[3], reverse=True)
+        return rows
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<RunProfile {self.kind} {self.source!r} "
@@ -733,36 +744,43 @@ def live_directories(directory: str) -> List[Tuple[Optional[int], str]]:
 
 
 def live_collectors(directory: str):
-    """Recover the collectors of a live checkpoint directory: yields
-    ``(shard_index, collector)`` per :func:`live_directories` entry."""
+    """Recover the collectors of a live checkpoint directory:
+    ``(shard_index, collector)`` per :func:`live_directories` entry,
+    each chain replayed once."""
     from repro.live import LiveCollector
 
-    for index, path in live_directories(directory):
-        yield index, LiveCollector.recover(path)
+    return [
+        (index, LiveCollector.recover(path))
+        for index, path in live_directories(directory)
+    ]
 
 
-def _load_live_run(directory: str, strict: bool) -> RunProfile:
-    """Recover live-collector checkpoints (single or ``shard-NNNN/``)."""
-    # The same fold as the sharded post-mortem reduce: per-shard
-    # profiles through the exact accumulator, UnresolvedRefs qualified
-    # with their shard so they can never spuriously merge.
+def fold_live_run(source, collectors, strict: bool = False) -> RunProfile:
+    """One run from recovered collectors (:func:`live_collectors`).
+
+    The same fold as the sharded post-mortem reduce
+    (:func:`repro.parallel.stitching.stitch_groups`): one collector's
+    profile is returned as stitched; several go through the exact
+    accumulator in shard order, their UnresolvedRefs qualified with
+    their shard so they can never spuriously merge.
+    """
     from repro.parallel.reduce import ProfileAccumulator
     from repro.parallel.stitching import _tag_unresolved
 
     crosstalk: CrosstalkTable = {}
     accumulator = ProfileAccumulator()
-    for index, collector in live_collectors(directory):
+    for index, collector in collectors:
         for waiter, holder, count, total, _mean, peak in (
             collector.crosstalk_pairs()
         ):
             _add_pair(crosstalk, (str(waiter), str(holder)), count, total,
                       peak)
         profile = collector.stitched_profile(strict=strict)
-        if index is not None:
+        if len(collectors) > 1:
             accumulator.add_profile(_tag_unresolved(profile, f"@shard{index}"))
-    if index is not None:
+    if len(collectors) > 1:
         profile = accumulator.finalize()
-    return RunProfile(directory, "live", profile, crosstalk)
+    return RunProfile(source, "live", profile, crosstalk)
 
 
 def load_run(source, strict: bool = False) -> RunProfile:
@@ -798,7 +816,7 @@ def load_run(source, strict: bool = False) -> RunProfile:
         kind = "spool"
         groups = spool_groups(source)
     elif live_directories(source):
-        return _load_live_run(source, strict)
+        return fold_live_run(source, live_collectors(source), strict)
     else:
         groups = [_dump_files_in(source)]
         if not groups[0]:

@@ -51,7 +51,8 @@ class ShardResult:
     comm: Tuple[int, int] = (0, 0)
     dump_paths: List[str] = field(default_factory=list)
     dump_bytes: int = 0
-    span_count: int = 0
+    #: :func:`repro.analysis.telemetry.span_summary` ({} with telemetry off).
+    spans: Dict[str, Any] = field(default_factory=dict)
     metrics: List[Dict[str, Any]] = field(default_factory=list)
     extra: Dict[str, Any] = field(default_factory=dict)
 
@@ -78,11 +79,21 @@ def _dump_stages(spec: ShardSpec, stages_by_name) -> Tuple[List[str], int]:
     return paths, total
 
 
-def _collect_telemetry(tele) -> Tuple[int, List[Dict[str, Any]]]:
+def _collect_telemetry(spec: ShardSpec, tele, result: ShardResult) -> None:
+    """Summarise the shard's telemetry into ``result`` and write the
+    trace and metrics files its spec names."""
     if tele is None:
-        return 0, []
-    metrics = tele.metrics.snapshot() if tele.wants_metrics else []
-    return len(tele.spans.spans), metrics
+        return
+    from repro.analysis.telemetry import span_summary
+    from repro.telemetry.export import write_prometheus, write_trace
+
+    result.spans = span_summary(tele.spans)
+    if tele.wants_metrics:
+        result.metrics = tele.metrics.snapshot()
+    if spec.trace_out:
+        write_trace(spec.trace_out, tele.spans, spec.trace_format)
+    if spec.metrics_out and tele.wants_metrics:
+        write_prometheus(spec.metrics_out, tele.metrics)
 
 
 def _run_tpcw_shard(spec: ShardSpec) -> ShardResult:
@@ -142,12 +153,10 @@ def _run_tpcw_shard(spec: ShardSpec) -> ShardResult:
         dump_bytes=dump_bytes,
         extra={
             "db_utilization": system.db.cpu.utilization(),
-            "stitch_completeness": (
-                results.stitch_completeness()
-                if system.faults is not None
-                else 1.0
-            ),
             "faults": system.faults.report() if system.faults is not None else {},
+            "recovery": (
+                results.fault_report() if system.faults is not None else {}
+            ),
         },
     )
 
@@ -200,7 +209,7 @@ def _run_haboob_shard(spec: ShardSpec) -> ShardResult:
         dump_paths=dump_paths,
         dump_bytes=dump_bytes,
         extra={
-            "hit_ratio": server.page_cache.hit_ratio,
+            "cache": (server.page_cache.hits, server.page_cache.misses),
             "faults": injector.report() if injector is not None else {},
         },
     )
@@ -280,7 +289,7 @@ def _run_openloop_shard(spec: ShardSpec) -> ShardResult:
         dump_paths=dump_paths,
         dump_bytes=dump_bytes,
         extra={
-            "hit_ratio": server.page_cache.hit_ratio,
+            "cache": (server.page_cache.hits, server.page_cache.misses),
             "sessions_started": pool.sessions_started,
             "sessions_finished": pool.sessions_finished,
             "offered_rate": base_rate,
@@ -299,12 +308,13 @@ _WORKLOAD_RUNNERS = {
 def run_one_shard(spec: ShardSpec) -> ShardResult:
     """Execute one shard, isolated from the caller's telemetry state.
 
-    A spec with ``live_dir`` set attaches an online streaming stitcher
-    (:mod:`repro.live`; it needs no telemetry) before the system is
-    built, finalizes it (a last checkpoint) into
-    ``live_dir/shard-NNNN/`` when the shard ends, so the parent (or
-    ``live-report``) can fold the per-shard state, and closes it
-    however the shard ends.
+    A spec with ``live`` or ``live_dir`` set attaches an online
+    streaming stitcher (:mod:`repro.live`; it needs no telemetry)
+    before the system is built.  When the shard ends the collector is
+    finalized (a last checkpoint into ``live_dir/shard-NNNN/``, so the
+    parent or ``live-report`` can fold the per-shard state), renders
+    its end-of-run view into ``result.extra["live"]["view"]``, and is
+    closed however the shard ends.
     """
     previous = _telemetry.ACTIVE
     tele = None
@@ -314,28 +324,37 @@ def run_one_shard(spec: ShardSpec) -> ShardResult:
             tele = _telemetry.install(spec.telemetry_mode)
         else:
             _telemetry.ACTIVE = None
-        if spec.live_dir:
+        if spec.live or spec.live_dir:
             from repro.live import attach_collector
 
-            shard_live = os.path.join(
-                spec.live_dir, f"shard-{spec.index:04d}"
-            )
             collector = attach_collector(
                 tele,
-                directory=shard_live,
+                directory=(
+                    os.path.join(spec.live_dir, f"shard-{spec.index:04d}")
+                    if spec.live_dir
+                    else None
+                ),
                 interval=spec.live_interval,
                 max_resident=spec.live_resident,
             )
         result = _WORKLOAD_RUNNERS[spec.workload](spec)
-        result.span_count, result.metrics = _collect_telemetry(tele)
+        _collect_telemetry(spec, tele, result)
         if collector is not None:
+            from repro.analysis.live import render_live_view
+
             collector.finalize()
+            view = render_live_view(collector, k=spec.live_top)
+            profile = collector.stitched_profile(strict=False)
             result.extra["live"] = {
                 "dir": collector.directory,
                 "samples": collector.samples,
                 "events": collector.events_absorbed,
                 "peak_resident": collector.peak_resident,
                 "evictions": collector.evictions,
+                "view": (
+                    f"{view}\n\nlive stitch: {len(profile.entries)} "
+                    f"contexts; completeness {100.0 * profile.completeness:.2f}%"
+                ),
             }
         return result
     finally:
@@ -390,13 +409,6 @@ class ShardedRun:
                     total += resp_sum
         return total / count if count else 0.0
 
-    def interaction_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for result in self.results:
-            for name, (n, _) in result.interactions.items():
-                counts[name] = counts.get(name, 0) + n
-        return counts
-
     def db_cpu_share(self) -> Dict[str, float]:
         weights: Dict[str, float] = {}
         for result in self.results:
@@ -420,6 +432,18 @@ class ShardedRun:
             if count
         }
 
+    def db_utilization(self) -> float:
+        """Mean busy fraction of the shards' database CPUs (TPC-W)."""
+        return sum(
+            result.extra["db_utilization"] for result in self.results
+        ) / len(self.results)
+
+    def hit_ratio(self) -> float:
+        """Page-cache hit ratio over every shard's lookups (Haboob)."""
+        hits = sum(result.extra["cache"][0] for result in self.results)
+        lookups = hits + sum(result.extra["cache"][1] for result in self.results)
+        return hits / lookups if lookups else 0.0
+
     def fault_report(self) -> Dict[str, int]:
         """Fault-injection totals summed over the shards ({} if none
         injected faults)."""
@@ -429,6 +453,23 @@ class ShardedRun:
                 report[name] = report.get(name, 0) + count
         return report
 
+    def recovery_report(self) -> Dict[str, Any]:
+        """The TPC-W shards' :meth:`~repro.apps.tpcw.TpcwResults.
+        fault_report` dicts summed key by key, nested counters too ({}
+        if no shard injected faults)."""
+
+        def add(into: Dict[str, Any], report: Dict[str, Any]) -> None:
+            for key, value in report.items():
+                if isinstance(value, dict):
+                    add(into.setdefault(key, {}), value)
+                else:
+                    into[key] = into.get(key, 0) + value
+
+        merged: Dict[str, Any] = {}
+        for result in self.results:
+            add(merged, result.extra.get("recovery", {}))
+        return merged
+
     def merged_metrics(self):
         """One registry holding every shard's telemetry metrics."""
         from repro.telemetry.metrics import MetricsRegistry
@@ -437,9 +478,6 @@ class ShardedRun:
         for result in self.results:
             registry.absorb(result.metrics)
         return registry
-
-    def span_count(self) -> int:
-        return sum(result.span_count for result in self.results)
 
     def dump_bytes(self) -> int:
         return sum(result.dump_bytes for result in self.results)

@@ -11,8 +11,8 @@ regardless of how many worker processes execute them or in what order.
 Seed derivation uses CRC32 (like :class:`repro.sim.rng.Rng.stream`),
 never ``hash()``: Python randomises string hashing per process, which
 would silently break cross-process reproducibility.  A single-shard
-plan passes the run seed through *unchanged*, which is what keeps the
-``--shards 1`` path byte-identical to the legacy serial path.
+plan passes the run seed through *unchanged*, so a one-shard plan
+simulates exactly the run an unsharded system of the same seed would.
 """
 
 from __future__ import annotations
@@ -80,6 +80,15 @@ class ShardSpec:
     live_interval: float = 5.0
     #: LRU bound on resident live CCTs (None = unbounded).
     live_resident: Optional[int] = 512
+    #: Attach an in-memory live collector even without ``live_dir``.
+    live: bool = False
+    #: Rows in the end-of-run live view a live shard renders.
+    live_top: int = 10
+    #: Files the shard's telemetry is exported to ("" = none); only a
+    #: one-shard plan may name them.
+    trace_out: str = ""
+    trace_format: str = "chrome"
+    metrics_out: str = ""
 
 
 @dataclass
@@ -115,10 +124,17 @@ def plan_shards(
     live_dir: str = "",
     live_interval: float = 5.0,
     live_resident: Optional[int] = 512,
+    live: bool = False,
+    live_top: int = 10,
+    trace_out: str = "",
+    trace_format: str = "chrome",
+    metrics_out: str = "",
 ) -> ShardPlan:
     """Build the deterministic shard plan for a run."""
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; one of {WORKLOADS}")
+    if shards > 1 and (trace_out or metrics_out):
+        raise ValueError("trace and metrics files need a one-shard plan")
     populations = partition_clients(clients, shards)
     specs = [
         ShardSpec(
@@ -136,6 +152,11 @@ def plan_shards(
             live_dir=live_dir,
             live_interval=live_interval,
             live_resident=live_resident,
+            live=live,
+            live_top=live_top,
+            trace_out=trace_out,
+            trace_format=trace_format,
+            metrics_out=metrics_out,
         )
         for index in range(shards)
     ]

@@ -162,6 +162,14 @@ def write_otlp_trace(path: str, recorder: SpanRecorder) -> None:
         json.dump(to_otlp_json(recorder), handle, indent=1)
 
 
+def write_trace(path: str, recorder: SpanRecorder, trace_format: str) -> None:
+    """Write ``recorder``'s spans as ``"chrome"`` or ``"otlp"`` JSON."""
+    if trace_format == "otlp":
+        write_otlp_trace(path, recorder)
+    else:
+        write_chrome_trace(path, recorder)
+
+
 # ----------------------------------------------------------------------
 # Prometheus text exposition
 # ----------------------------------------------------------------------

@@ -58,8 +58,9 @@ def test_haboob_live_with_checkpoints(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "live profile" in out
-    # Compaction at the end of the run collapsed the chain to one file.
-    assert len(list_checkpoints(str(live))) == 1
+    # The run finalizes its chain and leaves compaction to live-report.
+    assert os.listdir(live) == ["shard-0000"]
+    assert len(list_checkpoints(str(live / "shard-0000"))) > 1
     assert main(["live-report", str(live), "--top", "3"]) == 0
     out = capsys.readouterr().out
     assert "live profile" in out
@@ -153,9 +154,37 @@ def test_live_report_rejects_bad_directory(tmp_path, capsys):
     assert "no checkpoints" in capsys.readouterr().err
 
 
-def test_sharded_live_without_dir_warns(tmp_path, capsys):
-    assert main(_TPCW + ["--shards", "2", "--jobs", "1", "--live"]) == 0
-    assert "--live with --shards needs --live-dir" in capsys.readouterr().err
+def test_sharded_live_without_dir_prints_each_shards_view(capsys):
+    # Each shard renders its view before its collector closes, so an
+    # in-memory collector needs no directory at any shard count.
+    assert main(_TPCW + ["--shards", "2", "--jobs", "1", "--live",
+                         "--live-top", "3"]) == 0
+    captured = capsys.readouterr()
+    assert "warning" not in captured.err
+    assert captured.out.count("=== live profile @ t=") == 2
+    assert captured.out.count("live stitch:") == 2
+
+
+def test_live_report_recovers_each_collector_once(tmp_path, capsys,
+                                                  monkeypatch):
+    from repro.live import LiveCollector
+
+    live = tmp_path / "live"
+    assert main(_TPCW + ["--shards", "2", "--live-dir", str(live),
+                         "--live-interval", "2"]) == 0
+    capsys.readouterr()
+    recovered = []
+    recover = LiveCollector.recover.__func__
+
+    def spy(cls, directory, *args, **kwargs):
+        recovered.append(os.path.basename(directory))
+        return recover(cls, directory, *args, **kwargs)
+
+    monkeypatch.setattr(LiveCollector, "recover", classmethod(spy))
+    assert main(["live-report", str(live), "--compact", "--top", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("=== live profile @ t=") == 2
+    assert sorted(recovered) == ["shard-0000", "shard-0001"]
 
 
 @pytest.mark.parametrize(

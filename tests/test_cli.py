@@ -1,5 +1,8 @@
 """Smoke tests for the command-line interface."""
 
+import os
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -60,11 +63,30 @@ def test_bad_seconds_is_a_usage_error(command, seconds, capsys):
         ["tpcw", "--duration", "nan"],
         ["tpcw", "--warmup", "-1"],
         ["tpcw", "--warmup", "inf"],
+        ["tpcw", "--clients", "0"],
+        ["tpcw", "--clients", "-3"],
+        ["tpcw", "--shards", "4", "--clients", "2"],
+        ["openloop", "--shards", "4", "--clients", "2"],
+        ["haboob", "--objects", "0"],
+        ["openloop", "--objects", "0"],
+        ["tpcw", "--faults", "drop=0.1", "--retry-timeout", "nan"],
+        ["tpcw", "--faults", "drop=0.1", "--retry-timeout", "0"],
+        ["tpcw", "--faults", "drop=0.1", "--retry-timeout", "-1"],
+        ["tpcw", "--duration", "1", "--warmup", "0", "--faults", "drop=0.1",
+         "--retries", "-2"],
+        ["tpcw", "--clients", "2", "--duration", "1", "--warmup", "0",
+         "--live", "--live-top", "0"],
+        ["tpcw", "--clients", "2", "--duration", "1", "--warmup", "0",
+         "--live", "--live-top", "-1"],
     ],
 )
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     # --jobs 0 used to raise ValueError from the shard runner, a negative
     # --duration raised from the kernel, and --shards 0 ran unsharded.
+    # --clients 0 printed an empty table and fewer clients than shards
+    # raised from partition_clients; --objects 0 raised IndexError; a
+    # NaN or non-positive --retry-timeout raised ValueError; --retries
+    # -2 meant no retries and --live-top 0 printed "(no samples yet)".
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
@@ -144,8 +166,10 @@ def test_tpcw_save_profiles_and_stitch(tmp_path, capsys):
         == 0
     )
     capsys.readouterr()
+    # --save-profiles spools: a manifest and one shard directory.
+    assert (tmp_path / "manifest.json").is_file()
     paths = [
-        str(tmp_path / f"{name}.profile.json")
+        str(tmp_path / "shard-0000" / f"{name}.profile.json")
         for name in ("squid", "tomcat", "mysql")
     ]
     assert main(["stitch"] + paths) == 0
@@ -154,16 +178,28 @@ def test_tpcw_save_profiles_and_stitch(tmp_path, capsys):
     assert "## stage mysql" in out
     assert "==request==>" in out
     assert "completeness 100.00%" in out
-    # The directory --save-profiles wrote holds no spool manifest; it
-    # must stitch like the files it contains, not die looking for one.
-    assert main(["stitch", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "## stage mysql" in out
-    assert "completeness 100.00%" in out
     assert main(["stitch", "--digest"] + paths) == 0
     by_name = capsys.readouterr().out
     assert main(["stitch", "--digest", str(tmp_path)]) == 0
     assert capsys.readouterr().out == by_name
+
+
+def test_stitch_reads_a_directory_without_a_manifest(tmp_path, capsys):
+    # A directory of dumps with no spool manifest must stitch like the
+    # files it contains, not die looking for one.
+    from repro.apps.tpcw import TpcwSystem
+
+    system = TpcwSystem(clients=8, seed=42)
+    system.run(duration=5, warmup=1)
+    paths = list(system.save_profiles(str(tmp_path)).values())
+    assert main(["stitch", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "## stage mysql" in out
+    assert "completeness 100.00%" in out
+    assert main(["stitch", "--digest", str(tmp_path)]) == 0
+    from_directory = capsys.readouterr().out
+    assert main(["stitch", "--digest"] + paths) == 0
+    assert capsys.readouterr().out == from_directory
 
 
 @pytest.mark.parametrize(
@@ -175,12 +211,14 @@ def test_tpcw_save_profiles_and_stitch(tmp_path, capsys):
     ids=["tpcw", "haboob"],
 )
 def test_spool_without_shards_spools_the_unsharded_run(run, tmp_path, capsys):
-    # --spool without --shards > 1 used to be ignored without a word.
+    # --save-profiles is the same flag as --spool: one layout, one digest.
     spool, saved = tmp_path / "spool", tmp_path / "saved"
     assert main(run + ["--spool", str(spool)]) == 0
-    assert (spool / "manifest.json").is_file()
     assert main(run + ["--save-profiles", str(saved)]) == 0
     capsys.readouterr()
+    assert sorted(os.listdir(spool)) == sorted(os.listdir(saved)) == [
+        "manifest.json", "shard-0000",
+    ]
     assert main(["stitch", "--digest", str(spool)]) == 0
     spooled = capsys.readouterr().out
     assert main(["stitch", "--digest", str(saved)]) == 0
@@ -192,8 +230,10 @@ def test_spool_without_shards_spools_the_unsharded_run(run, tmp_path, capsys):
     [
         ["tpcw", "--shards", "2", "--telemetry", "spans", "--trace-out", "t.json"],
         ["haboob", "--shards", "2", "--telemetry", "full", "--metrics-out", "m.prom"],
-        ["tpcw", "--spool", "s", "--telemetry", "spans", "--trace-out", "t.json"],
-        ["openloop", "--telemetry", "spans", "--trace-out", "t.json"],
+        ["tpcw", "--shards", "2", "--spool", "s", "--telemetry", "spans",
+         "--trace-out", "t.json"],
+        ["openloop", "--shards", "2", "--telemetry", "spans", "--trace-out",
+         "t.json"],
     ],
 )
 def test_sharded_trace_and_metrics_out_are_usage_errors(argv, tmp_path,
@@ -207,13 +247,28 @@ def test_sharded_trace_and_metrics_out_are_usage_errors(argv, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_one_shard_spool_run_writes_its_trace(tmp_path, capsys):
+    # A one-shard plan's shard writes the trace itself.
+    trace = tmp_path / "t.json"
+    assert main(["tpcw", "--clients", "4", "--duration", "1", "--warmup",
+                 "0.2", "--spool", str(tmp_path / "s"), "--telemetry",
+                 "spans", "--trace-out", str(trace)]) == 0
+    spans = re.search(r"wrote chrome trace \((\d+) spans\)",
+                      capsys.readouterr().out)
+    assert spans and int(spans.group(1)) > 0
+    assert '"traceEvents"' in trace.read_text()
+
+
 def test_sharded_telemetry_prints_no_empty_parent_summary(capsys):
     argv = ["tpcw", "--shards", "2", "--clients", "8", "--duration", "5",
             "--warmup", "1", "--telemetry", "spans"]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "spans recorded across shards:" in out
-    assert "live telemetry summary" not in out
+    # One summary, over the spans both shards recorded.
+    assert out.count("=== live telemetry summary ===") == 1
+    spans = re.search(r"^spans: (\d+) completed", out, re.M)
+    assert spans and int(spans.group(1)) > 0
+    assert "(metrics disabled" in out
 
 
 def test_sharded_tpcw_prints_its_fault_line(capsys):
@@ -234,13 +289,10 @@ def test_sharded_haboob_prints_its_telemetry(capsys):
             "--seconds", "1", "--telemetry", "full"]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "-- merged metrics (all shards) --" in out
+    assert "-- metrics --" in out
     assert "repro_seda_" in out
-    spans = [
-        line for line in out.splitlines()
-        if line.startswith("spans recorded across shards: ")
-    ]
-    assert len(spans) == 1 and int(spans[0].rsplit(" ", 1)[1]) > 0
+    spans = re.search(r"^spans: (\d+) completed", out, re.M)
+    assert spans and int(spans.group(1)) > 0
 
 
 def _seeded_tpcw_profiles(directory, clients="8", duration="5"):
