@@ -282,9 +282,13 @@ def cmd_tpcw(args: argparse.Namespace) -> int:
     waits = run.crosstalk_wait_ms()
     print(f"{'interaction':<22}{'MySQL CPU %':>12}{'crosstalk ms':>14}{'mean resp ms':>14}")
     for name in sorted(shares, key=lambda n: -shares.get(n, 0)):
+        # An interaction that completed nothing has no mean, not a 0 ms one.
+        resp = (
+            f"{run.mean_response(name) * 1000:.0f}" if run.completed(name) else "-"
+        )
         print(
             f"{name:<22}{shares.get(name, 0):>12.2f}{waits.get(name, 0):>14.2f}"
-            f"{run.mean_response(name) * 1000:>14.0f}"
+            f"{resp:>14}"
         )
     print()
     print(render_crosstalk(loaded, limit=10))
@@ -806,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
         "openloop",
         help="open-loop load: Poisson session arrivals with diurnal "
         "curves, flash crowds and heavy-tailed think times, sharded "
-        "across a work-stealing pool",
+        "across worker processes",
     )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(

@@ -8,13 +8,10 @@ per-shard dumps in one process, one shard at a time:
 - :mod:`repro.parallel.shard` deterministically partitions a TPC-W or
   Haboob workload into N independent shards (per-shard seeds derived
   from the run seed and shard index);
-- :mod:`repro.parallel.scheduler` is a persistent work-stealing
-  process pool: workers are started once per session and steal shard
-  tasks from one shared queue, so stragglers delay only themselves and
-  pool startup is never paid per run;
-- :mod:`repro.parallel.runner` executes the shards across that pool,
-  spooling per-stage profile dumps and returning plain-data summaries
-  that merge post-hoc (including telemetry metrics);
+- :mod:`repro.parallel.runner` executes the shards in-process or on
+  the standard library's process pool, spooling per-stage profile
+  dumps and returning plain-data summaries that merge post-hoc
+  (including telemetry metrics);
 - :mod:`repro.parallel.stitching` is the presentation phase: each
   shard's dumps are decoded and stitched, then dropped after an exact
   shard-ordered fold, so output is byte-identical no matter how the
@@ -35,13 +32,12 @@ from repro.parallel.shard import (
     partition_clients,
     plan_shards,
 )
-from repro.parallel.runner import ShardResult, ShardedRun, run_shards
-from repro.parallel.scheduler import (
-    WorkStealingPool,
+from repro.parallel.runner import (
+    ShardResult,
+    ShardedRun,
     WorkerError,
-    effective_jobs,
-    get_pool,
-    shutdown_pools,
+    WorkerLost,
+    run_shards,
 )
 from repro.parallel.reduce import (
     ProfileAccumulator,
@@ -62,19 +58,16 @@ __all__ = [
     "ShardResult",
     "ShardSpec",
     "ShardedRun",
-    "WorkStealingPool",
     "WorkerError",
+    "WorkerLost",
     "canonical_profile_bytes",
     "default_group_size",
     "derive_shard_seed",
-    "effective_jobs",
-    "get_pool",
     "hierarchical_stitch",
     "partition_clients",
     "plan_groups",
     "plan_shards",
     "run_shards",
-    "shutdown_pools",
     "spool_groups",
     "stitch_groups",
     "stitch_spool",

@@ -399,6 +399,13 @@ class ShardedRun:
             for result in self.results
         )
 
+    def completed(self, interaction: str) -> int:
+        """Instances of ``interaction`` completed over every shard."""
+        return sum(
+            result.interactions.get(interaction, (0, 0.0))[0]
+            for result in self.results
+        )
+
     def mean_response(self, interaction: Optional[str] = None) -> float:
         count = 0
         total = 0.0
@@ -493,9 +500,9 @@ class ShardedRun:
     def wall_skew(self) -> float:
         """Straggler factor: slowest shard wall over mean shard wall.
 
-        1.0 means perfectly even shards; the gap between this and the
-        observed speedup is what work stealing recovers versus static
-        chunking (a straggler delays only itself, never a chunk-mate).
+        1.0 means perfectly even shards.  The pool hands each idle
+        worker the next queued shard, so a straggler delays only
+        itself, but a run's wall is never below its slowest shard.
         """
         walls = self.shard_walls()
         if not walls:
@@ -541,20 +548,82 @@ def _write_manifest(plan: ShardPlan, results: List[ShardResult]) -> Optional[str
     return path
 
 
+class WorkerError(RuntimeError):
+    """A shard raised inside a worker; carries the remote traceback."""
+
+    def __init__(self, index: int, message: str, remote_traceback: str):
+        super().__init__(
+            f"task {index} failed in worker: {message}\n{remote_traceback}"
+        )
+        self.index = index
+        self.remote_traceback = remote_traceback
+
+
+class WorkerLost(RuntimeError):
+    """A worker process died; names the shards left without a result."""
+
+    def __init__(self, unfinished: List[int]):
+        super().__init__(
+            "a worker process died; shards left unfinished: "
+            + ", ".join(str(index) for index in unfinished)
+        )
+        self.unfinished = unfinished
+
+
+def _run_on_executor(
+    specs: List[ShardSpec], jobs: int, submit_order: Optional[List[int]]
+) -> List[ShardResult]:
+    """Run ``specs`` on a process pool; results come back in shard order.
+
+    Futures are read in shard-index order, so the first failure met is
+    the lowest-index one whatever finished first.  The pool is shut
+    down (queued shards cancelled, workers joined) on every exit path.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    order = list(range(len(specs)) if submit_order is None else submit_order)
+    if sorted(order) != list(range(len(specs))):
+        raise ValueError("submit_order must permute range(len(plan.specs))")
+    executor = ProcessPoolExecutor(max_workers=min(jobs, len(specs)))
+    try:
+        futures = {
+            index: executor.submit(run_one_shard, specs[index]) for index in order
+        }
+        results = []
+        for index in range(len(specs)):
+            try:
+                results.append(futures[index].result())
+            except BrokenProcessPool as exc:
+                # A broken pool fails every future it has not finished.
+                raise WorkerLost([
+                    i for i in sorted(futures)
+                    if isinstance(futures[i].exception(), BrokenProcessPool)
+                ]) from exc
+            except Exception as exc:
+                remote = getattr(exc.__cause__, "tb", "")
+                raise WorkerError(index, repr(exc), remote) from exc
+        return results
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
+
+
 def run_shards(
     plan: ShardPlan,
     jobs: int = 1,
     submit_order: Optional[List[int]] = None,
-    pool=None,
 ) -> ShardedRun:
     """Execute every shard of ``plan`` with up to ``jobs`` workers.
 
-    ``jobs=1`` runs in-process (no pool); otherwise shards go onto the
-    shared work-stealing pool (persistent across runs — startup cost is
-    paid once per session).  Results always come back in shard-index
-    order regardless of which worker stole which task, so every
-    downstream merge is scheduling-independent; ``submit_order``
-    permutes only the steal order (the determinism tests randomise it).
+    ``jobs=1`` (or a one-shard plan) runs in-process; otherwise the
+    shards run on a :class:`~concurrent.futures.ProcessPoolExecutor`
+    of ``min(jobs, shards)`` workers that lives for this call only.
+    Results always come back in shard-index order, so every downstream
+    merge is independent of which worker ran which shard;
+    ``submit_order`` permutes only the order shards are handed to the
+    pool (the determinism tests randomise it).  A shard that raises is
+    re-raised as :class:`WorkerError`, a worker that dies as
+    :class:`WorkerLost`.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -563,14 +632,10 @@ def run_shards(
         if spec.spool_dir:
             os.makedirs(spec.spool_dir, exist_ok=True)
     start = time.perf_counter()
-    if pool is None and jobs > 1 and len(specs) > 1:
-        from repro.parallel.scheduler import get_pool
-
-        pool = get_pool(jobs)
-    if pool is None or len(specs) <= 1:
+    if jobs == 1 or len(specs) <= 1:
         results = [run_one_shard(spec) for spec in specs]
     else:
-        results = pool.run(run_one_shard, specs, submit_order=submit_order)
+        results = _run_on_executor(specs, jobs, submit_order)
     wall = time.perf_counter() - start
     _write_manifest(plan, results)
     return ShardedRun(plan, results, wall, jobs)

@@ -110,8 +110,8 @@ class ThinkTime:
     ``none`` draws nothing (legacy back-to-back requests);
     ``exponential`` is the classic memoryless pause; ``pareto`` and
     ``lognormal`` are the heavy-tailed shapes measured for human think
-    times — a few sessions pause for a very long time, which is exactly
-    the straggler behaviour the work-stealing scheduler absorbs.
+    times — a few sessions pause for a very long time, so one shard can
+    run long while its neighbours finish (``ShardedRun.wall_skew``).
     """
 
     distribution: str = "none"

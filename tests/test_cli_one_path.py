@@ -98,6 +98,18 @@ def test_two_shard_tpcw_prints_every_section(capsys):
     assert "transaction.hop" in out
 
 
+def test_interaction_without_completions_has_no_mean_response(capsys):
+    # Seed 42's BestSellers burns MySQL CPU in this window but completes
+    # no instance: its mean response is unknown, not 0 ms.
+    argv = ["tpcw", "--clients", "10", "--duration", "5", "--warmup", "1",
+            "--seed", "42", "--shards", "2", "--faults", "drop=0.05"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    row = re.search(r"^BestSellers +[\d.]+ +[\d.]+ +(\S+)$", out, re.M)
+    assert row and row.group(1) == "-"
+    assert re.search(r"^NewProducts +[\d.]+ +[\d.]+ +[1-9]\d*$", out, re.M)
+
+
 def test_two_shard_haboob_prints_every_section(tmp_path, capsys):
     dot = tmp_path / "merged.dot"
     argv = _HABOOB + ["--shards", "2", "--faults", "drop=0.05",
