@@ -111,14 +111,15 @@ class Endpoint:
         faults = self._faults
         if faults is not None:
             for extra in faults.deliveries(message):
-                kernel.schedule(delay + extra, self._deliver, message)
+                kernel.wake_at(kernel.now + (delay + extra), self, message)
             return
         if delay > 0:
-            kernel.schedule(delay, self._deliver, message)
+            kernel.wake_at(kernel.now + delay, self, message)
         else:
-            self._deliver(message)
+            self.step(message)
 
-    def _deliver(self, message: Message) -> None:
+    def step(self, message: Message) -> None:
+        """Deliver ``message`` (the endpoint's wheel entries fire here)."""
         self.delivered_messages += 1
         self.delivered_bytes += message.size
         tele_messages = self._tele_messages
@@ -135,7 +136,7 @@ class Endpoint:
             blocked = receiver.blocked_on
             timer = getattr(blocked, "timer", None)
             if timer is not None:
-                timer.cancel()
+                self.kernel.unwake(timer, blocked)
             self.kernel.resume(receiver, message)
             return
         self._buffer.append(message)
@@ -196,10 +197,11 @@ class Send(Syscall):
 class Recv(Syscall):
     """Block until a message is available on the endpoint.
 
-    With ``timeout`` (virtual seconds), the wait is bounded by a kernel
-    timer: if nothing arrives in time the thread is resumed with the
-    :data:`TIMED_OUT` sentinel instead of a message.  The timer is
-    cancelled on delivery, so a served receive leaves no heap garbage.
+    With ``timeout`` (virtual seconds), the wait is bounded by a wheel
+    entry: the ``Recv`` itself, due at ``timer``.  If nothing arrives in
+    time the thread is resumed with the :data:`TIMED_OUT` sentinel
+    instead of a message.  A delivery withdraws the entry
+    (``Kernel.unwake``), so a served receive leaves nothing pending.
     """
 
     __slots__ = ("endpoint", "timeout", "timer")
@@ -219,9 +221,11 @@ class Recv(Syscall):
         thread.blocked_on = self
         self.endpoint._receivers.append(thread)
         if self.timeout is not None:
-            self.timer = kernel.schedule(self.timeout, self._expire, kernel, thread)
+            self.timer = when = kernel.now + self.timeout
+            kernel.wake_at(when, self, thread)
 
-    def _expire(self, kernel: "Kernel", thread: SimThread) -> None:
+    def step(self, thread: SimThread) -> None:
+        """The timeout has expired: resume ``thread`` with TIMED_OUT."""
         # Identity check: the thread may since have been resumed and be
         # blocked on a different (even same-endpoint) syscall.
         if thread.blocked_on is not self:
@@ -230,7 +234,7 @@ class Recv(Syscall):
             self.endpoint._receivers.remove(thread)
         except ValueError:  # pragma: no cover - defensive
             pass
-        kernel.resume(thread, TIMED_OUT)
+        self.endpoint.kernel.resume(thread, TIMED_OUT)
 
     def __repr__(self) -> str:
         if self.timeout is not None:

@@ -155,7 +155,8 @@ class EventLoop:
         if delay < 0:
             raise ValueError("negative timer delay")
         event.ev_tran_ctxt = self.curr_tran_ctxt
-        self.kernel.schedule(delay, self._make_ready, event)
+        kernel = self.kernel
+        kernel.wake_at(kernel.now + delay, self, event)
 
     def _watch(self, waitable: Any, event: Event) -> None:
         if self._stopped:
@@ -169,6 +170,9 @@ class EventLoop:
     def _make_ready(self, event: Event) -> None:
         self._ready.append(event)
         self.wake()
+
+    # A timer's wheel entry (event_add_timer) fires here.
+    step = _make_ready
 
     def wake(self) -> None:
         if self._parked is not None:

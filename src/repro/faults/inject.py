@@ -21,7 +21,7 @@ schedule_crashes` once the stages exist; each target must expose a
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults.plan import CrashSpec, FaultPlan, FaultRule
 
@@ -114,12 +114,14 @@ class FaultInjector:
                     f"fault plan crashes unknown stage {spec.stage!r}; "
                     f"have {sorted(targets)}"
                 )
-            kernel.schedule(spec.at - kernel.now if spec.at > kernel.now else 0.0,
-                            self._fire_crash, target, spec)
+            delay = spec.at - kernel.now if spec.at > kernel.now else 0.0
+            kernel.wake_at(kernel.now + delay, self, (target, spec))
             scheduled += 1
         return scheduled
 
-    def _fire_crash(self, target: Any, spec: CrashSpec) -> None:
+    def step(self, crash: Tuple[Any, CrashSpec]) -> None:
+        """Fire one scheduled stage crash (its wheel entry)."""
+        target, spec = crash
         self.crashes_fired += 1
         target.crash(restart_after=spec.restart)
 

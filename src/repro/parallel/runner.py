@@ -582,9 +582,7 @@ def _run_on_executor(
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    order = list(range(len(specs)) if submit_order is None else submit_order)
-    if sorted(order) != list(range(len(specs))):
-        raise ValueError("submit_order must permute range(len(plan.specs))")
+    order = range(len(specs)) if submit_order is None else submit_order
     executor = ProcessPoolExecutor(max_workers=min(jobs, len(specs)))
     try:
         futures = {
@@ -628,6 +626,8 @@ def run_shards(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     specs = list(plan.specs)
+    if submit_order is not None and sorted(submit_order) != list(range(len(specs))):
+        raise ValueError("submit_order must permute range(len(plan.specs))")
     for spec in specs:
         if spec.spool_dir:
             os.makedirs(spec.spool_dir, exist_ok=True)

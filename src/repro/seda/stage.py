@@ -373,12 +373,17 @@ class SedaStage:
             if runtime_crash is not None:
                 runtime_crash()
         if restart_after is not None:
-            self.kernel.schedule(restart_after, self.restart)
+            kernel = self.kernel
+            kernel.wake_at(kernel.now + restart_after, self)
 
     def restart(self) -> None:
         """Spawn a fresh worker pool after a crash."""
         self.restarts += 1
         self.start()
+
+    def step(self, value: None = None) -> None:
+        """A delayed restart's wheel entry (see :meth:`crash`)."""
+        self.restart()
 
     # ------------------------------------------------------------------
     def enqueue(self, thread: SimThread, queue: StageQueue, payload: Any) -> bool:

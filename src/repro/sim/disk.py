@@ -36,6 +36,8 @@ class Disk:
         self.name = name
         self._busy = False
         self._queue: Deque[Tuple[SimThread, int]] = deque()
+        # (size, duration) of the one read in service while busy.
+        self._in_service: Tuple[int, float] = (0, 0.0)
         self.reads_served = 0
         self.bytes_read = 0
         self.busy_time = 0.0
@@ -58,17 +60,21 @@ class Disk:
         self._busy = True
         thread, size = self._queue.popleft()
         duration = self.service_time(size)
-        self.kernel.schedule(duration, self._complete, thread, size, duration)
+        self._in_service = (size, duration)
+        kernel = self.kernel
+        kernel.wake_at(kernel.now + duration, self, thread)
 
-    def _complete(self, thread: SimThread, size: int, duration: float) -> None:
+    def step(self, thread: SimThread) -> None:
+        """The read in service completes (the disk's wheel entry)."""
+        size, duration = self._in_service
         self.reads_served += 1
         self.bytes_read += size
         self.busy_time += duration
         self.kernel.resume(thread, size)
         self._start_next()
 
-    def utilization(self, since: float = 0.0) -> float:
-        elapsed = self.kernel.now - since
+    def utilization(self) -> float:
+        elapsed = self.kernel.now
         if elapsed <= 0:
             return 0.0
         return min(1.0, self.busy_time / elapsed)

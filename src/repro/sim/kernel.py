@@ -1,33 +1,26 @@
 """Simulation kernel: virtual clock, indexed timer wheel, thread scheduler.
 
-The kernel owns a timestamp-indexed timer wheel of cancellable callbacks
-and a registry of live :class:`~repro.sim.process.SimThread` coroutines.
-All application code in this repository runs on top of it; nothing ever
+The kernel owns a timestamp-indexed timer wheel of wakeups and a
+registry of live :class:`~repro.sim.process.SimThread` coroutines.  All
+application code in this repository runs on top of it; nothing ever
 reads the wall clock, so a given seed always produces the same
 execution, event for event.
 
 Event-queue design (the "kernel raw-speed overhaul")
 ----------------------------------------------------
 
-The original kernel kept one binary heap of ``ScheduledEvent`` objects
-ordered by a Python-level ``__lt__``; every push and pop paid ``O(log
-n)`` *interpreted* comparisons, and same-timestamp storms (every
-``call_soon``/``resume``) re-entered the heap per event.  The rewrite is
-a two-level structure — a hashed timing wheel with an exact-time cursor:
+The original kernel kept one binary heap of callback objects ordered by
+a Python-level ``__lt__``; every push and pop paid ``O(log n)``
+*interpreted* comparisons, and same-timestamp storms (every resume)
+re-entered the heap per event.  The rewrite is a two-level structure —
+a hashed timing wheel with an exact-time cursor:
 
 - ``_wheel``: a dict mapping each *exact* pending timestamp to the list
-  of events scheduled at it (its bucket).  Scheduling is an O(1) dict
-  append; buckets are in FIFO order by construction because the global
-  sequence number only ever grows.  A bucket entry is either a
-  cancellable :class:`ScheduledEvent` or a bare ``(target, value)``
-  pair that fires as ``target.step(value)`` and costs neither an event
-  object nor a bound method.  Bare entries are the thread wakeups
-  (spawn, resume, ``Delay``) that dominate transaction workloads, and
-  the CPU's slices (:meth:`Kernel.wake_at`).  A wakeup is never
-  withdrawn; a slice can be, by :meth:`Kernel.unwake`, which takes the
-  entry out of its bucket (dropping the bucket when it empties) or,
-  when its batch is already in flight, replaces it there with a
-  cancelled placeholder, so a withdrawn slice never fires.
+  of entries scheduled at it (its bucket).  Scheduling is an O(1) dict
+  append, so a bucket is in insertion order.  Every entry is a bare
+  ``(target, value)`` pair that fires as ``target.step(value)``: a
+  thread wakeup (spawn, resume, ``Delay``), a CPU slice, a message
+  delivery, a receive timeout, a disk completion (:meth:`Kernel.wake_at`).
 - ``_times``: a heap of the distinct pending timestamps (plain floats,
   so every comparison runs in C).  One heap operation per *timestamp*,
   not per event: a bucket of ten thousand same-time events costs one
@@ -48,19 +41,21 @@ earlier), and every exit from ``run()`` (``stop()``, a raising handler)
 moves a filled slot back to the head of the bucket at ``now`` before
 the tail of an interrupted batch is requeued ahead of it.
 
-Cancellation just flags the event (O(1)); a cancelled event is skipped
-when its bucket fires, and once cancelled entries dominate the wheel it
-is rebuilt without them (lazy purge), exactly as the old heap was.  This
-is what makes the dominant schedule-then-cancel pattern (RPC
-``RetryPolicy`` timeouts cancelled by the arriving response) cheap: no
-heap traffic for the event itself, only for its (often shared, often
-already pending) timestamp.
+Withdrawal (:meth:`Kernel.unwake`) takes the entry out of its bucket
+at once, dropping the bucket when it empties; the bucket's timestamp
+stays in the heap and is skipped when it comes up.  An entry whose
+batch is already in flight is taken out of that batch, so it neither
+fires nor counts.  Nothing is left behind to purge, which keeps the
+dominant set-then-withdraw pattern (an RPC ``RetryPolicy`` timeout
+withdrawn by the arriving response) cheap: no heap traffic for the
+entry itself, only for its (often shared, often already pending)
+timestamp.
 
 A classical *hierarchical* timer wheel quantises time into ticks; this
 kernel deliberately does not, because runs must be byte-reproducible and
 virtual timestamps are exact floats — rounding a timeout to a tick
 boundary would change simulation results.  Indexing on the exact
-timestamp keeps O(1) schedule/cancel while preserving exact
+timestamp keeps O(1) scheduling and withdrawal while preserving exact
 (time, insertion-order) firing semantics.
 """
 
@@ -68,14 +63,10 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro import telemetry as _telemetry
 from repro.sim.process import SimThread
-
-# Lazy-purge thresholds: rebuild the wheel only when it is mostly dead
-# weight and big enough for the rebuild to matter.
-_PURGE_MIN_QUEUE = 64
 
 # With telemetry on, refresh the kernel gauges every this many events
 # rather than on every pop.
@@ -87,38 +78,24 @@ _heappush = heapq.heappush
 _heappop = heapq.heappop
 
 
-class ScheduledEvent:
-    """A cancellable callback scheduled at a point in virtual time."""
-
-    __slots__ = ("time", "fn", "args", "cancelled", "kernel")
-
-    def __init__(self, time: float, fn: Callable, args: tuple):
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        # Back-reference while the event sits in a kernel's wheel, so
-        # cancellation can be counted (and the wheel purged once
-        # cancelled entries dominate it).  Detached when the event's
-        # bucket is dispatched or the event is purged.
-        self.kernel: Optional["Kernel"] = None
-
-    def cancel(self) -> None:
-        """Prevent the callback from running when its time arrives."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        kernel = self.kernel
-        if kernel is not None:
-            kernel._note_cancelled()
-
-
 class SimulationError(Exception):
     """Raised for misuse of simulation primitives (double release, etc.)."""
 
 
 class Deadlock(SimulationError):
     """Raised when the event queue drains while threads are still blocked."""
+
+
+class _Throw:
+    """Wheel target that raises the fired value inside ``thread``."""
+
+    __slots__ = ("thread",)
+
+    def __init__(self, thread: SimThread):
+        self.thread = thread
+
+    def step(self, exc: BaseException) -> None:
+        self.thread.throw(exc)
 
 
 class Kernel:
@@ -151,7 +128,6 @@ class Kernel:
         "_next_tid",
         "_stopped",
         "faults",
-        "_cancelled",
         "_tele_events",
         "_tele_cancelled",
         "_tele_heap",
@@ -168,18 +144,19 @@ class Kernel:
         # virtual time; fail loudly instead of spinning silently.
         self.livelock_limit = livelock_limit
         self._same_time_events = 0
-        # Timer wheel: exact timestamp -> FIFO bucket of events, plus a
-        # float heap of the distinct pending timestamps (see module
-        # docstring).  ``_num_events`` counts every event in the wheel,
-        # cancelled ones included.
-        self._wheel: Dict[float, List[ScheduledEvent]] = {}
+        # Timer wheel: exact timestamp -> FIFO bucket of ``(target,
+        # value)`` entries, plus a float heap of the distinct pending
+        # timestamps (see module docstring).  ``_num_events`` counts
+        # every entry in the wheel.
+        self._wheel: Dict[float, List[tuple]] = {}
         self._times: List[float] = []
         self._num_events = 0
         # At most one bare wakeup due at ``now``, ahead of the wheel (see
         # module docstring); not counted in ``_num_events``.
         self._ready: Optional[tuple] = None
-        # The batch run() is dispatching, for unwake() to find entries
-        # that have left the wheel but not fired yet.
+        # The unfired entries of the batch run() is dispatching, in
+        # reverse (the batch pops from the end), for unwake() to find
+        # entries that have left the wheel but not fired yet.
         self._in_flight: Optional[list] = None
         # Only live threads: finished/failed threads are reaped (see
         # :meth:`reap`), so deadlock checks and live_threads stay O(live)
@@ -190,9 +167,6 @@ class Kernel:
         # Fault injector (repro.faults.install_faults); endpoints capture
         # their per-rule state from it at construction.  None = lossless.
         self.faults: Any = None
-        # Cancelled events still sitting in the wheel; once they dominate
-        # it the wheel is rebuilt without them (lazy purge).
-        self._cancelled = 0
         # Telemetry is captured once at construction so a disabled run
         # pays nothing in the event loop (no global lookups per event).
         tele = _telemetry.ACTIVE
@@ -226,36 +200,29 @@ class Kernel:
             self._tele_drift = None
 
     def _refresh_telemetry_gauges(self) -> None:
-        self._tele_heap.set(self._num_events + (self._ready is not None))
+        self._tele_heap.set(self.pending_events())
         self._tele_threads.set(len(self._threads))
         self._tele_vtime.set(self.now)
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable, *args: Any) -> ScheduledEvent:
-        """Run ``fn(*args)`` after ``delay`` units of virtual time."""
-        if delay < 0:
-            raise ValueError("cannot schedule into the past (delay=%r)" % delay)
-        if delay != delay or delay == _INF:
-            # NaN slips past ``delay < 0`` (all comparisons are False)
-            # and, like +inf, would corrupt the wheel's time ordering.
-            raise ValueError("delay must be finite (delay=%r)" % delay)
-        return self._push(self.now + delay, fn, args)
-
     def wake_at(self, when: float, target: Any, value: Any = None) -> None:
         """Call ``target.step(value)`` at the absolute virtual time ``when``.
 
-        The entry is a bare ``(target, value)`` pair, not an event: the
-        caller withdraws it, if at all, with :meth:`unwake`.  ``when``
-        is taken bit for bit, for callers that computed it themselves:
-        ``now + (when - now)`` is not ``when`` in floats.
+        The caller withdraws the entry, if at all, with :meth:`unwake`.
+        ``when`` is taken bit for bit: a caller with a relative delay
+        passes ``kernel.now + delay``, one that computed an absolute time
+        passes it as is (``now + (when - now)`` is not ``when`` in
+        floats).
         """
         if when < self.now:
             raise ValueError(
                 "cannot schedule into the past (when=%r, now=%r)" % (when, self.now)
             )
         if when != when or when == _INF:
+            # NaN slips past ``when < now`` (all comparisons are False)
+            # and, like +inf, would corrupt the wheel's time ordering.
             raise ValueError("time must be finite (when=%r)" % when)
         self._num_events += 1
         bucket = self._wheel.get(when)
@@ -266,18 +233,18 @@ class Kernel:
             bucket.append((target, value))
 
     def unwake(self, when: float, target: Any) -> None:
-        """Withdraw ``target``'s pending :meth:`wake_at` entry at ``when``.
+        """Withdraw ``target``'s first pending :meth:`wake_at` entry at ``when``.
 
         An emptied bucket is dropped; its timestamp stays in the heap
         and :meth:`run` skips it.  An entry whose batch is already in
-        flight is not on the wheel: it is replaced in the batch by a
-        cancelled placeholder, which the batch skips without counting,
-        as it skips an event cancelled from inside its batch.
+        flight is not on the wheel: it is taken out of the batch, which
+        then neither fires nor counts it (and, having left the wheel,
+        it is not counted as cancelled either).
         """
         bucket = self._wheel.get(when)
         if bucket is not None:
             for index, entry in enumerate(bucket):
-                if entry.__class__ is tuple and entry[0] is target:
+                if entry[0] is target:
                     del bucket[index]
                     self._num_events -= 1
                     if not bucket:
@@ -287,91 +254,12 @@ class Kernel:
                     return
         batch = self._in_flight
         if batch is not None:
-            for index, entry in enumerate(batch):
-                if entry.__class__ is tuple and entry[0] is target:
-                    placeholder = ScheduledEvent(when, None, ())
-                    placeholder.cancelled = True
-                    batch[index] = placeholder
+            # Reversed: the next entry to fire is the last one.
+            for index in range(len(batch) - 1, -1, -1):
+                if batch[index][0] is target:
+                    del batch[index]
                     return
         raise SimulationError("no pending wakeup of %r at %r" % (target, when))
-
-    def _push(self, when: float, fn: Callable, args: tuple) -> ScheduledEvent:
-        event = ScheduledEvent(when, fn, args)
-        event.kernel = self
-        self._num_events += 1
-        bucket = self._wheel.get(when)
-        if bucket is None:
-            self._wheel[when] = [event]
-            _heappush(self._times, when)
-        else:
-            bucket.append(event)
-        return event
-
-    def call_soon(self, fn: Callable, *args: Any) -> ScheduledEvent:
-        """Run ``fn(*args)`` at the current virtual time, after the
-
-        currently executing event finishes.
-        """
-        # Inlined zero-delay schedule: this is the hottest kernel entry
-        # point (every resume/spawn lands here), so it skips the delay
-        # validation and the addition.
-        when = self.now
-        event = ScheduledEvent(when, fn, args)
-        event.kernel = self
-        self._num_events += 1
-        bucket = self._wheel.get(when)
-        if bucket is None:
-            self._wheel[when] = [event]
-            _heappush(self._times, when)
-        else:
-            bucket.append(event)
-        return event
-
-    def _note_cancelled(self) -> None:
-        """Count a cancellation; purge the wheel when mostly cancelled."""
-        self._cancelled += 1
-        if self._tele_cancelled is not None:
-            self._tele_cancelled.inc()
-        if (
-            self._num_events > _PURGE_MIN_QUEUE
-            and self._cancelled * 2 > self._num_events
-        ):
-            self._purge_cancelled()
-
-    def _purge_cancelled(self) -> None:
-        """Rebuild the wheel without cancelled events (O(live)).
-
-        Mutates ``self._wheel`` and ``self._times`` *in place*: a purge
-        can fire mid-:meth:`run` (a dispatched handler cancelling
-        pending timers is exactly the RPC retry pattern the wheel is
-        built for), and ``run()`` holds both structures — and the
-        wheel's bound ``pop`` — as locals.  Rebinding the attributes to
-        fresh objects would strand the running loop on the stale pair:
-        events scheduled after the purge would never fire, and live
-        events would be double-tracked.
-        """
-        wheel = self._wheel
-        live_buckets: Dict[float, List[ScheduledEvent]] = {}
-        total = 0
-        for when, bucket in wheel.items():
-            live = []
-            for event in bucket:
-                if event.__class__ is tuple:
-                    live.append(event)  # bare entries are withdrawn, not flagged
-                elif event.cancelled:
-                    event.kernel = None
-                else:
-                    live.append(event)
-            if live:
-                live_buckets[when] = live
-                total += len(live)
-        wheel.clear()
-        wheel.update(live_buckets)
-        times = self._times
-        times[:] = live_buckets
-        heapq.heapify(times)
-        self._num_events = total
-        self._cancelled = 0
 
     # ------------------------------------------------------------------
     # Threads
@@ -392,12 +280,8 @@ class Kernel:
         self._next_tid += 1
         thread = SimThread(self, generator, tid, name, stage)
         self._threads[tid] = thread
-        # Inlined call_soon(thread.step, None): spawn is the thread-churn
-        # hot path.  The wakeup goes on the wheel as a bare
-        # ``(thread, value)`` pair instead of a ScheduledEvent — nothing
-        # can hold or cancel it (spawn returns the thread, not the
-        # event), a dead thread's step() is a no-op anyway, and the pair
-        # costs neither the event object nor the bound method.
+        # Inlined wake_at(now, thread): spawn is the thread-churn hot
+        # path, and ``now`` needs no validation.
         when = self.now
         self._num_events += 1
         bucket = self._wheel.get(when)
@@ -422,12 +306,10 @@ class Kernel:
 
         syscall it is blocked on.  The thread runs at the current time.
         """
-        # Inlined call_soon(thread.step, value) — the hottest kernel
-        # entry point after the event loop itself.  Same bare-pair
-        # representation as spawn(): resume wakeups are uncancellable
-        # by construction (no caller ever sees the event).  The first
-        # wakeup at a fresh instant takes the ready slot instead of a
-        # new bucket; anything already at ``now`` must fire first.
+        # Inlined wake_at(now, thread, value) — the hottest kernel entry
+        # point after the event loop itself.  The first wakeup at a
+        # fresh instant takes the ready slot instead of a new bucket;
+        # anything already at ``now`` must fire first.
         when = self.now
         bucket = self._wheel.get(when)
         if bucket is None:
@@ -462,11 +344,17 @@ class Kernel:
 
     def throw_in(self, thread: SimThread, exc: BaseException) -> None:
         """Raise ``exc`` inside ``thread`` at its current yield point."""
-        self.call_soon(thread.throw, exc)
+        self.wake_at(self.now, _Throw(thread), exc)
 
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
+    def _livelock(self) -> SimulationError:
+        return SimulationError(
+            f"livelock: {self.livelock_limit} events fired "
+            f"at t={self.now} without the clock advancing"
+        )
+
     def run(self, until: Optional[float] = None) -> float:
         """Process events until the queue drains or ``until`` is reached.
 
@@ -480,7 +368,7 @@ class Kernel:
                 )
             if until != until or until == _INF:
                 # NaN would drain the whole wheel as if unbounded, and
-                # +inf would leave the clock at inf for the next schedule().
+                # +inf would leave the clock at inf for the next wake_at().
                 raise ValueError("horizon must be finite (until=%r)" % until)
         self._stopped = False
         # A previous horizon-bounded run() may have returned mid-batch
@@ -515,10 +403,7 @@ class Kernel:
                         same = self._same_time_events + 1
                         self._same_time_events = same
                         if same > livelock_limit:
-                            raise SimulationError(
-                                f"livelock: {livelock_limit} events fired "
-                                f"at t={now} without the clock advancing"
-                            )
+                            raise self._livelock()
                         ready[0].step(ready[1])
                         if tele_events is not None:
                             tele_events.inc()
@@ -544,41 +429,12 @@ class Kernel:
                     # Every entry at this timestamp was withdrawn.
                     continue
                 if len(batch) == 1:
-                    # Fast path: one event at this timestamp (the common
-                    # case for distinct timer deadlines).  No batch
-                    # slicing is ever needed, so no requeue either.  A
-                    # bucket entry is either a ScheduledEvent or a bare
-                    # ``(target, value)`` pair (a thread wakeup or a CPU
-                    # slice); nothing runs between a lone entry's pop and
-                    # its firing, so nothing can withdraw it here.
-                    event = batch[0]
+                    # Fast path: one entry at this timestamp (the common
+                    # case for distinct timer deadlines).  Nothing runs
+                    # between its pop and its firing, so nothing can
+                    # withdraw it, and nothing is ever requeued.
+                    target, value = batch[0]
                     self._num_events -= 1
-                    if event.__class__ is tuple:
-                        target, value = event
-                        if when > now:
-                            self.now = now = when
-                            self._same_time_events = 0
-                        else:
-                            same = self._same_time_events + 1
-                            self._same_time_events = same
-                            if same > livelock_limit:
-                                raise SimulationError(
-                                    f"livelock: {livelock_limit} events fired "
-                                    f"at t={now} without the clock advancing"
-                                )
-                        target.step(value)
-                        if tele_events is not None:
-                            tele_events.inc()
-                            fired_total += 1
-                            if fired_total % _TELEMETRY_GAUGE_INTERVAL == 0:
-                                self._refresh_telemetry_gauges()
-                        if self._stopped:
-                            break
-                        continue
-                    event.kernel = None
-                    if event.cancelled:
-                        self._cancelled -= 1
-                        continue
                     if when > now:
                         self.now = now = when
                         self._same_time_events = 0
@@ -586,11 +442,8 @@ class Kernel:
                         same = self._same_time_events + 1
                         self._same_time_events = same
                         if same > livelock_limit:
-                            raise SimulationError(
-                                f"livelock: {livelock_limit} events fired at "
-                                f"t={now} without the clock advancing"
-                            )
-                    event.fn(*event.args)
+                            raise self._livelock()
+                    target.step(value)
                     if tele_events is not None:
                         tele_events.inc()
                         fired_total += 1
@@ -599,36 +452,23 @@ class Kernel:
                     if self._stopped:
                         break
                     continue
-                # Batched dispatch: detach the whole bucket first so a
-                # cancel() from inside the batch cannot touch the wheel's
-                # counters (the events are in flight, invisible to purge).
+                # Batched dispatch: the whole bucket leaves the wheel and
+                # fires from the end of the reversed list, so what is
+                # left in it is always exactly the unfired tail.
                 self._num_events -= len(batch)
-                cancelled_in_batch = 0
-                for event in batch:
-                    if event.__class__ is not tuple:
-                        event.kernel = None
-                        if event.cancelled:
-                            cancelled_in_batch += 1
-                if cancelled_in_batch:
-                    self._cancelled -= cancelled_in_batch
-                    if cancelled_in_batch == len(batch):
-                        continue
                 if when > now:
                     self.now = now = when
                     same = -1  # the first event at a new time resets the count
                 else:
                     same = self._same_time_events
                 fired = 0
-                event = None
+                batch.reverse()
+                pop = batch.pop
                 self._in_flight = batch
                 try:
-                    for event in batch:
-                        if event.__class__ is tuple:
-                            event[0].step(event[1])
-                        elif event.cancelled:
-                            continue
-                        else:
-                            event.fn(*event.args)
+                    while batch:
+                        target, value = pop()
+                        target.step(value)
                         fired += 1
                         if tele_events is not None:
                             tele_events.inc()
@@ -636,27 +476,23 @@ class Kernel:
                             if fired_total % _TELEMETRY_GAUGE_INTERVAL == 0:
                                 self._refresh_telemetry_gauges()
                         if self._stopped:
-                            # The slot was filled during the batch, so
-                            # the batch's unfired tail goes ahead of it.
-                            self._unready()
-                            self._requeue(when, batch, event)
                             break
                 except BaseException:
-                    # The raising event is consumed; everything after it
-                    # goes back so a later run() resumes exactly there.
-                    self._in_flight = None
-                    self._unready()
-                    self._requeue(when, batch, event)
+                    # The raising entry is consumed; the tail goes back
+                    # below so a later run() resumes exactly there.
                     self._same_time_events = max(same + fired, 0)
                     raise
-                self._in_flight = None
+                finally:
+                    self._in_flight = None
+                    if batch:
+                        # Stopped or raised mid-batch: a slot filled
+                        # during the batch goes behind its unfired tail.
+                        self._unready()
+                        self._requeue(when, batch)
                 same += fired
                 self._same_time_events = max(same, 0)
                 if same > livelock_limit:
-                    raise SimulationError(
-                        f"livelock: {livelock_limit} events fired at "
-                        f"t={now} without the clock advancing"
-                    )
+                    raise self._livelock()
                 if self._stopped:
                     break
         except BaseException:
@@ -690,37 +526,21 @@ class Kernel:
                 raise Deadlock(f"all events drained with blocked threads: {names}")
         return self.now
 
-    def _requeue(self, when: float, batch: List[ScheduledEvent], last) -> None:
+    def _requeue(self, when: float, rest: List[tuple]) -> None:
         """Put the unfired tail of an interrupted batch back on the wheel.
 
-        ``last`` is the batch entry that stopped the dispatch (it is
-        consumed); everything after it is re-attached in order, ahead of
-        any same-timestamp events scheduled while the batch ran.
+        ``rest`` is that tail reversed, as the dispatch leaves it; it
+        goes back in order, ahead of any same-timestamp entries
+        scheduled while the batch ran.
         """
-        # Identity scan, not list.index(): wakeup pairs compare by
-        # value, so two equal (thread, value) pairs in one bucket would
-        # alias under ``==`` and replay an extra event.
-        cut = 0
-        for index, event in enumerate(batch):
-            if event is last:
-                cut = index
-                break
-        rest = batch[cut + 1 :]
-        if not rest:
-            return
-        for event in rest:
-            if event.__class__ is not tuple:
-                event.kernel = self
-                if event.cancelled:
-                    self._cancelled += 1
+        rest.reverse()
         self._num_events += len(rest)
         existing = self._wheel.get(when)
         if existing is None:
-            self._wheel[when] = rest
             _heappush(self._times, when)
         else:
             rest.extend(existing)
-            self._wheel[when] = rest
+        self._wheel[when] = rest
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current event completes."""
@@ -735,5 +555,5 @@ class Kernel:
         return [t for t in self._threads.values() if t.alive]
 
     def pending_events(self) -> int:
-        """Number of scheduled, non-cancelled events (O(1))."""
-        return self._num_events - self._cancelled + (self._ready is not None)
+        """Number of entries waiting to fire, the ready slot included (O(1))."""
+        return self._num_events + (self._ready is not None)

@@ -58,8 +58,7 @@ class Delay(Syscall):
 
     def execute(self, kernel: "Kernel", thread: "SimThread") -> None:
         # A sleep is the single most common timer and nothing ever
-        # cancels it, so the wakeup goes on the wheel as a bare
-        # ``(thread, value)`` pair — no ScheduledEvent, no bound method.
+        # withdraws it: the thread itself is the wheel entry's target.
         thread.blocked_on = self
         kernel.wake_at(kernel.now + self.dt, thread)
 

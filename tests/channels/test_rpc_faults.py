@@ -6,7 +6,9 @@ retry recovery under message drop, and retry-budget exhaustion.
 
 import pytest
 
-from repro.channels import Connection, Message, Recv, Send, TIMED_OUT
+from repro import telemetry
+from repro.apps.tpcw import TpcwSystem
+from repro.channels import Connection, Endpoint, Message, Recv, Send, TIMED_OUT
 from repro.channels.rpc import (
     RetryPolicy,
     RpcTimeout,
@@ -21,6 +23,7 @@ from repro.core.synopsis import CompositeSynopsis
 from repro.faults import install_faults
 from repro.sim import CurrentThread, Delay, Kernel
 from repro.sim.process import frame
+from tests.sim.later import call_later
 
 
 def test_retry_policy_validation_and_backoff():
@@ -73,6 +76,60 @@ def test_recv_timer_cancelled_on_delivery():
     assert log["got"].payload == "data"
     # The cancelled timeout timer does not stretch the run to t=5.
     assert end == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("latency", [0.0, 1.0])
+def test_served_recv_leaves_pending_events_where_it_was(latency):
+    """The delivery withdraws the receive's timeout: from the wheel when
+    it arrives early, from the batch in flight when it is due at the
+    timeout's own instant (latency 1.0: scheduled first, it fires first)."""
+    kernel = Kernel()
+    endpoint = Endpoint(kernel, latency)
+    got = []
+
+    def receiver():
+        got.append((yield Recv(endpoint, timeout=1.0)).payload)
+        got.append((yield Delay(0.5)))
+
+    call_later(kernel, 9.0, lambda: None)  # unrelated, pending throughout
+    before = kernel.pending_events()
+    if latency:
+        endpoint.send(Message("data", 4))
+    kernel.spawn(receiver())
+    kernel.run(until=0.5)
+    assert kernel.pending_events() == before + 1 + (latency > 0)
+    if not latency:
+        endpoint.send(Message("data", 4))
+    kernel.run(until=5.0)
+    assert got == ["data", None]
+    assert kernel.pending_events() == before
+    assert sorted(kernel._wheel) == [9.0]  # whitebox: no timeout left behind
+
+
+def test_heap_gauge_equals_pending_events_after_a_lossy_run():
+    """Withdrawn receive timeouts leave the wheel at once, so the gauge
+    counts exactly the entries still due."""
+    with telemetry.enabled("full") as tele:
+        system = TpcwSystem(
+            clients=20,
+            seed=7,
+            fault_plan="drop=0.05,dup=0.02,reorder=0.05:0.005",
+            fault_seed=3,
+            retry=RetryPolicy(timeout=0.3, retries=3, backoff=2.0),
+        )
+        kernel = system.kernel
+        system.start()
+        readings = []
+        # A stop() exit refreshes the gauges (a horizon exit leaves them
+        # at their last periodic refresh).
+        for tenth in range(5, 55, 5):
+            call_later(kernel, tenth / 10 - kernel.now, kernel.stop)
+            kernel.run()
+            gauge = tele.metrics.gauge("repro_sim_event_heap_size").value
+            readings.append((gauge, kernel.pending_events()))
+        cancelled = tele.metrics.counter("repro_sim_events_cancelled_total").value
+    assert cancelled > 0
+    assert [gauge for gauge, _ in readings] == [pending for _, pending in readings]
 
 
 def test_call_with_retry_recovers_from_dropped_request():

@@ -15,6 +15,7 @@ from repro.channels.rpc import call, recv_request, send_response
 from repro.core.profiler import StageRuntime
 from repro.sim import CurrentThread, Kernel
 from repro.sim.process import frame
+from tests.sim.later import call_later
 
 REQUESTS = 10_000
 SERVLETS = [f"servlet{index}" for index in range(10)]
@@ -49,7 +50,7 @@ def open_loop_run():
 
     # Open loop: arrivals at a fixed rate, regardless of completion.
     for index in range(REQUESTS):
-        kernel.schedule(index * 1e-4, spawn_request, index)
+        call_later(kernel, index * 1e-4, spawn_request, index)
     kernel.run()
     return kernel, web, db, completed
 

@@ -21,6 +21,7 @@ from repro.core import profiler
 from repro.core.profiler import ProfilerMode
 from repro.live import LiveCollector, attach_collector, list_checkpoints
 from repro.parallel import canonical_profile_bytes
+from tests.sim.later import call_later
 
 
 @pytest.fixture(autouse=True)
@@ -158,8 +159,8 @@ def test_midrun_queries_answer_without_stopping(tmp_path):
         probes.append((collector.now, rows, collector.completeness(),
                        collector.stage_weights()))
 
-    system.kernel.schedule(6.0, probe)
-    system.kernel.schedule(12.0, probe)
+    call_later(system.kernel, 6.0, probe)
+    call_later(system.kernel, 12.0, probe)
     system.run(duration=15.0, warmup=1.0)
     telemetry.uninstall()
     assert len(probes) == 2

@@ -43,6 +43,11 @@ def test_submit_order_must_be_permutation():
         run_shards(_plan(), jobs=2, submit_order=[0, 1, 1, 2])
 
 
+def test_submit_order_is_checked_in_process_too():
+    with pytest.raises(ValueError, match="permute"):
+        run_shards(_plan(shards=2), jobs=1, submit_order=[0, 0, 7])
+
+
 def test_lowest_index_worker_error_carries_remote_traceback():
     plan = _plan()
     for index in (3, 1):

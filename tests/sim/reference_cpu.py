@@ -2,8 +2,8 @@
 
 This is the single-core round-robin ``CPU`` as it was before the
 rotation was fast-forwarded (``repro.sim.cpu`` module docstring): every
-quantum is a ``Kernel.schedule`` entry whose handler requeues or
-completes the job and dispatches the next slice.  It shares no code
+quantum is its own wheel entry (``Kernel.wake_at``) whose firing
+requeues or completes the job and dispatches the next slice.  It shares no code
 with ``repro.sim.cpu`` and exists so tests can require the production
 scheduler to reproduce it with ``==``: same completion order, same
 timestamps, same counters.
@@ -22,12 +22,16 @@ class _Job:
 
 
 class _Slice:
-    def __init__(self, job, started_at, length, extended):
+    def __init__(self, cpu, job, started_at, length, extended):
+        self.cpu = cpu
         self.job = job
-        self.event = None
+        self.due = None
         self.started_at = started_at
         self.length = length
         self.extended = extended
+
+    def step(self, value=None):
+        self.cpu._slice_done(self)
 
 
 class PerQuantumCPU:
@@ -49,7 +53,7 @@ class PerQuantumCPU:
         running = self._current
         if running is not None and running.extended:
             # Cut the run-to-completion slice short for the arrival.
-            running.event.cancel()
+            self.kernel.unwake(running.due, running)
             self._current = None
             elapsed = self.kernel.now - running.started_at
             self.busy_time += elapsed
@@ -66,8 +70,9 @@ class PerQuantumCPU:
         job = self._run_queue.popleft()
         extended = not self._run_queue
         length = job.remaining if extended else min(self.quantum, job.remaining)
-        current = _Slice(job, self.kernel.now, length, extended)
-        current.event = self.kernel.schedule(length, self._slice_done, current)
+        current = _Slice(self, job, self.kernel.now, length, extended)
+        current.due = self.kernel.now + length
+        self.kernel.wake_at(current.due, current)
         self._current = current
 
     def _slice_done(self, current):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import Delay, Exit, Join, Kernel, Spawn
 from repro.sim.kernel import Deadlock, SimulationError
+from tests.sim.later import call_later
 
 
 def test_clock_starts_at_zero():
@@ -14,9 +15,9 @@ def test_clock_starts_at_zero():
 def test_schedule_runs_callbacks_in_time_order():
     kernel = Kernel()
     seen = []
-    kernel.schedule(2.0, seen.append, "b")
-    kernel.schedule(1.0, seen.append, "a")
-    kernel.schedule(3.0, seen.append, "c")
+    call_later(kernel, 2.0, seen.append, "b")
+    call_later(kernel, 1.0, seen.append, "a")
+    call_later(kernel, 3.0, seen.append, "c")
     kernel.run()
     assert seen == ["a", "b", "c"]
 
@@ -25,7 +26,7 @@ def test_same_time_events_run_in_fifo_order():
     kernel = Kernel()
     seen = []
     for tag in range(5):
-        kernel.schedule(1.0, seen.append, tag)
+        call_later(kernel, 1.0, seen.append, tag)
     kernel.run()
     assert seen == [0, 1, 2, 3, 4]
 
@@ -33,8 +34,8 @@ def test_same_time_events_run_in_fifo_order():
 def test_clock_advances_to_event_time():
     kernel = Kernel()
     times = []
-    kernel.schedule(1.5, lambda: times.append(kernel.now))
-    kernel.schedule(4.25, lambda: times.append(kernel.now))
+    call_later(kernel, 1.5, lambda: times.append(kernel.now))
+    call_later(kernel, 4.25, lambda: times.append(kernel.now))
     kernel.run()
     assert times == [1.5, 4.25]
 
@@ -42,7 +43,7 @@ def test_clock_advances_to_event_time():
 def test_negative_delay_rejected():
     kernel = Kernel()
     with pytest.raises(ValueError):
-        kernel.schedule(-1.0, lambda: None)
+        call_later(kernel, -1.0, lambda: None)
 
 
 class Target:
@@ -59,13 +60,13 @@ class Target:
 def test_schedule_at_fires_at_the_exact_timestamp():
     kernel = Kernel()
     seen = []
-    kernel.schedule(0.3, lambda: None)
+    call_later(kernel, 0.3, lambda: None)
     kernel.run()
     # What a caller stepping its own clock holds after seven steps.
     when = kernel.now
     for _ in range(7):
         when += 0.1
-    assert kernel.now + (when - kernel.now) != when  # why schedule() won't do
+    assert kernel.now + (when - kernel.now) != when  # why a delay won't do
     kernel.wake_at(when, Target(kernel, seen), "x")
     kernel.run()
     assert seen == [("x", when)]
@@ -74,7 +75,7 @@ def test_schedule_at_fires_at_the_exact_timestamp():
 def test_schedule_at_rejects_the_past_and_non_finite_times():
     kernel = Kernel()
     target = Target(kernel, [])
-    kernel.schedule(1.0, lambda: None)
+    call_later(kernel, 1.0, lambda: None)
     kernel.run()
     for when in (0.5, float("-inf")):
         with pytest.raises(ValueError, match="past"):
@@ -105,8 +106,8 @@ def test_schedule_at_crosses_a_run_horizon():
 def test_cancelled_event_does_not_run():
     kernel = Kernel()
     seen = []
-    event = kernel.schedule(1.0, seen.append, "x")
-    event.cancel()
+    entry = call_later(kernel, 1.0, seen.append, "x")
+    kernel.unwake(*entry)
     kernel.run()
     assert seen == []
 
@@ -114,7 +115,7 @@ def test_cancelled_event_does_not_run():
 def test_run_until_stops_clock_at_horizon():
     kernel = Kernel()
     seen = []
-    kernel.schedule(5.0, seen.append, "late")
+    call_later(kernel, 5.0, seen.append, "late")
     end = kernel.run(until=2.0)
     assert end == 2.0
     assert kernel.now == 2.0
@@ -142,15 +143,15 @@ def test_run_rejects_a_horizon_in_the_past():
 def test_run_rejects_non_finite_horizons():
     kernel = Kernel()
     seen = []
-    kernel.schedule(1.0, seen.append, "a")
-    kernel.schedule(100.0, seen.append, "b")
+    call_later(kernel, 1.0, seen.append, "a")
+    call_later(kernel, 100.0, seen.append, "b")
     for until in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             kernel.run(until=until)
-    # Nothing ran, and the clock is still finite for the next schedule().
+    # Nothing ran, and the clock is still finite for the next wake_at().
     assert seen == [] and kernel.now == 0.0
     assert kernel.pending_events() == 2
-    kernel.schedule(1.0, seen.append, "c")
+    call_later(kernel, 1.0, seen.append, "c")
     kernel.run()
     assert seen == ["a", "c", "b"]
 
@@ -158,8 +159,8 @@ def test_run_rejects_non_finite_horizons():
 def test_stop_halts_the_loop():
     kernel = Kernel()
     seen = []
-    kernel.schedule(1.0, kernel.stop)
-    kernel.schedule(2.0, seen.append, "never")
+    call_later(kernel, 1.0, kernel.stop)
+    call_later(kernel, 2.0, seen.append, "never")
     kernel.run()
     assert seen == []
     assert kernel.now == 1.0
@@ -170,9 +171,9 @@ def test_events_scheduled_during_run_execute():
     seen = []
 
     def first():
-        kernel.schedule(1.0, seen.append, "second")
+        call_later(kernel, 1.0, seen.append, "second")
 
-    kernel.schedule(1.0, first)
+    call_later(kernel, 1.0, first)
     kernel.run()
     assert seen == ["second"]
     assert kernel.now == 2.0
@@ -351,9 +352,9 @@ def test_livelock_detection():
     kernel = Kernel(livelock_limit=100)
 
     def spin():
-        kernel.call_soon(spin)
+        call_later(kernel, 0.0, spin)
 
-    kernel.call_soon(spin)
+    call_later(kernel, 0.0, spin)
     with pytest.raises(SimulationError, match="livelock"):
         kernel.run()
 
@@ -362,7 +363,7 @@ def test_same_time_batches_below_limit_are_fine():
     kernel = Kernel(livelock_limit=100)
     seen = []
     for i in range(90):
-        kernel.schedule(1.0, seen.append, i)
+        call_later(kernel, 1.0, seen.append, i)
     kernel.run()
     assert len(seen) == 90
 
@@ -374,16 +375,16 @@ def test_livelock_counter_resets_when_clock_advances():
     seen = []
     for t in range(5):
         for i in range(80):  # 80 < 100 at each timestamp
-            kernel.schedule(float(t), seen.append, (t, i))
+            call_later(kernel, float(t), seen.append, (t, i))
     kernel.run()
     assert len(seen) == 400
 
 
 def test_pending_events_counts_uncancelled():
     kernel = Kernel()
-    kernel.schedule(1.0, lambda: None)
-    event = kernel.schedule(2.0, lambda: None)
-    event.cancel()
+    call_later(kernel, 1.0, lambda: None)
+    entry = call_later(kernel, 2.0, lambda: None)
+    kernel.unwake(*entry)
     assert kernel.pending_events() == 1
 
 
@@ -397,7 +398,7 @@ def test_finished_threads_are_reaped():
         done.append(index)
 
     for index in range(10_000):
-        kernel.schedule(index * 0.01, kernel.spawn, short_lived(index))
+        call_later(kernel, index * 0.01, kernel.spawn, short_lived(index))
     kernel.run()
     assert len(done) == 10_000
     assert len(kernel._threads) == 0
@@ -474,28 +475,15 @@ def test_finished_thread_handle_outlives_later_spawns():
     kernel.run()
 
 
-def test_cancelled_events_are_purged_lazily():
-    kernel = Kernel()
-    events = [kernel.schedule(1.0 + i, lambda: None) for i in range(1000)]
-    keep = events[:50]
-    for event in events[50:]:
-        event.cancel()
-    # The wheel was rebuilt without the dead weight once cancelled
-    # entries dominated it.
-    assert sum(len(bucket) for bucket in kernel._wheel.values()) < 200
-    assert kernel.pending_events() == 50
-    assert all(not e.cancelled for e in keep)
-    kernel.run()
-    assert kernel.pending_events() == 0
-
-
 def test_cancel_after_run_is_harmless():
     kernel = Kernel()
     seen = []
-    event = kernel.schedule(1.0, seen.append, "x")
+    entry = call_later(kernel, 1.0, seen.append, "x")
     kernel.run()
-    event.cancel()  # already executed; must not corrupt the counter
+    # Already fired: the withdrawal is refused, the counter untouched.
+    with pytest.raises(SimulationError, match="no pending wakeup"):
+        kernel.unwake(*entry)
     assert seen == ["x"]
     assert kernel.pending_events() == 0
-    kernel.schedule(1.0, seen.append, "y")
+    call_later(kernel, 1.0, seen.append, "y")
     assert kernel.pending_events() == 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import CurrentThread, Delay, Kernel
 from repro.sim.process import frame
+from tests.sim.later import call_later
 
 
 def test_current_thread_returns_own_thread():
@@ -93,7 +94,7 @@ def test_throw_in_delivers_exception_to_yield_point():
             caught.append("timeout")
 
     thread = kernel.spawn(worker())
-    kernel.schedule(1.0, kernel.throw_in, thread, TimeoutError())
+    call_later(kernel, 1.0, kernel.throw_in, thread, TimeoutError())
     kernel.run()
     assert caught == ["timeout"]
     assert not thread.alive
@@ -106,7 +107,7 @@ def test_throw_in_unhandled_marks_failure():
         yield Delay(100.0)
 
     thread = kernel.spawn(worker())
-    kernel.schedule(1.0, kernel.throw_in, thread, TimeoutError("t"))
+    call_later(kernel, 1.0, kernel.throw_in, thread, TimeoutError("t"))
     kernel.run()
     assert not thread.alive
     assert isinstance(thread.failure, TimeoutError)

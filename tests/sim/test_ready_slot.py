@@ -23,6 +23,7 @@ from repro.sim import Acquire, CurrentThread, Delay, Kernel, Mutex, Release, Rng
 from repro.sim.kernel import Deadlock
 from repro.sim.process import SimThread
 from repro.workloads import HttpClientPool, OpenLoopClientPool, RateCurve, WebTrace
+from tests.sim.later import call_later
 from tests.sim.reference_kernel import wheel_resume
 
 
@@ -197,10 +198,10 @@ def mixed_program(program, horizon_list):
             elif kind == "delay":
                 yield Delay(op[1])
             elif kind == "soon":
-                kernel.call_soon(handler, tag, op[1], (index + 1) % len(inboxes))
+                call_later(kernel, 0.0, handler, tag, op[1], (index + 1) % len(inboxes))
             elif kind == "cancel":
-                kernel.schedule(op[1], log.append, ("timer", tag))
-                kernel.schedule(op[1], log.append, ("cancelled", tag)).cancel()
+                call_later(kernel, op[1], log.append, ("timer", tag))
+                kernel.unwake(*call_later(kernel, op[1], log.append, ("cancelled", tag)))
             else:
                 kernel.stop()
         log.append(("done", index, kernel.now))

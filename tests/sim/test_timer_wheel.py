@@ -1,10 +1,10 @@
-"""Timer-wheel semantics: cancellation, ordering, counters.
+"""Timer-wheel semantics: withdrawal, ordering, counters.
 
 The kernel's event queue is a hashed wheel (dict buckets keyed by exact
 timestamp plus a heap of distinct times) rather than a heap of event
 objects.  These tests pin the observable semantics the rewrite must
-preserve: FIFO order within a timestamp, zero-delay interleaving with
-``call_soon``, O(1) cancellation that never corrupts the pending-event
+preserve: FIFO order within a timestamp, zero-delay interleaving of
+every entry kind, O(1) withdrawal that never corrupts the pending-event
 counter, livelock accounting that does not leak across segmented
 ``run(until=...)`` calls, and a ready slot that is indistinguishable
 from the head of the next same-time bucket.
@@ -15,49 +15,40 @@ import pytest
 from repro import telemetry
 from repro.sim import CPU, CurrentThread, Delay, Kernel, Syscall, UseCPU
 from repro.sim.kernel import Deadlock, SimulationError
+from tests.sim.later import call_later
 from tests.sim.reference_cpu import PerQuantumCPU
 
 
 def test_non_finite_delays_rejected():
     kernel = Kernel()
     with pytest.raises(ValueError, match="finite"):
-        kernel.schedule(float("nan"), lambda: None)
+        call_later(kernel, float("nan"), lambda: None)
     with pytest.raises(ValueError, match="finite"):
-        kernel.schedule(float("inf"), lambda: None)
+        call_later(kernel, float("inf"), lambda: None)
     # -inf trips the schedule-into-the-past check instead.
     with pytest.raises(ValueError):
-        kernel.schedule(float("-inf"), lambda: None)
-    assert kernel.pending_events() == 0
-
-
-def test_cancel_after_fire_is_idempotent():
-    kernel = Kernel()
-    seen = []
-    event = kernel.schedule(1.0, seen.append, "x")
-    kernel.run()
-    event.cancel()
-    event.cancel()
-    assert seen == ["x"]
+        call_later(kernel, float("-inf"), lambda: None)
     assert kernel.pending_events() == 0
 
 
 def test_cancel_twice_counts_once():
     kernel = Kernel()
-    kernel.schedule(1.0, lambda: None)
-    event = kernel.schedule(2.0, lambda: None)
-    event.cancel()
-    event.cancel()
+    call_later(kernel, 1.0, lambda: None)
+    entry = call_later(kernel, 2.0, lambda: None)
+    kernel.unwake(*entry)
+    with pytest.raises(SimulationError, match="no pending wakeup"):
+        kernel.unwake(*entry)
     assert kernel.pending_events() == 1
     kernel.run()
     assert kernel.pending_events() == 0
 
 
-def test_zero_delay_schedule_and_call_soon_interleave_fifo():
+def test_zero_delay_wakeups_interleave_fifo():
     kernel = Kernel()
     seen = []
-    kernel.schedule(0.0, seen.append, "a")
-    kernel.call_soon(seen.append, "b")
-    kernel.schedule(0.0, seen.append, "c")
+    call_later(kernel, 0.0, seen.append, "a")
+    kernel.wake_at(kernel.now, Target(seen), "b")
+    call_later(kernel, 0.0, seen.append, "c")
     kernel.run()
     assert seen == ["a", "b", "c"]
 
@@ -88,21 +79,21 @@ def test_schedule_at_shares_the_fifo_bucket_with_every_other_entry_kind():
     def blocked():
         seen.append((yield Park()))
 
-    kernel.schedule(1.0, seen.append, "schedule")
+    call_later(kernel, 1.0, seen.append, "call_later")
     kernel.wake_at(1.0, target, "wake_at")
     kernel.spawn(sleeper())
     waiter = kernel.spawn(blocked())
 
     def at_one():
         # All three land in the bucket that is being dispatched.
-        kernel.call_soon(seen.append, "call_soon")
+        call_later(kernel, 0.0, seen.append, "call_later now")
         kernel.wake_at(kernel.now, target, "wake_at now")
         kernel.resume(waiter, "resume")
 
-    kernel.schedule(1.0, at_one)
+    call_later(kernel, 1.0, at_one)
     kernel.run()
     assert seen == [
-        "schedule", "wake_at", "delay", "call_soon", "wake_at now", "resume",
+        "call_later", "wake_at", "delay", "call_later now", "wake_at now", "resume",
     ]
 
 
@@ -129,10 +120,10 @@ def test_unwake_keeps_the_rest_of_the_bucket_in_order():
     kernel = Kernel()
     seen = []
     targets = [Target(seen) for _ in range(4)]
-    kernel.schedule(1.0, seen.append, "event")
+    call_later(kernel, 1.0, seen.append, "event")
     for index, target in enumerate(targets):
         kernel.wake_at(1.0, target, index)
-    kernel.schedule(1.0, seen.append, "last")
+    call_later(kernel, 1.0, seen.append, "last")
     kernel.unwake(1.0, targets[1])
     assert kernel.pending_events() == 5
     kernel.run()
@@ -194,8 +185,8 @@ def test_slice_withdrawn_while_its_batch_is_in_flight_completes_its_job_once():
     )
     assert done == [("a", 1.0), ("b", 1.5)]
     assert completed == 2 and busy == 1.5
-    # The withdrawn slice neither fires nor counts as cancelled, exactly
-    # as an event cancelled from inside its batch.
+    # The withdrawn slice neither fires nor counts as cancelled: it had
+    # already left the wheel with its batch.
     assert cancelled == 0
     assert (done, completed, busy, fired, cancelled) == cpu_run(
         lambda kernel: PerQuantumCPU(kernel, quantum=0.25)
@@ -211,10 +202,10 @@ def test_events_scheduled_mid_batch_fire_after_the_batch():
 
     def first():
         seen.append("first")
-        kernel.schedule(0.0, seen.append, "late")
+        call_later(kernel, 0.0, seen.append, "late")
 
-    kernel.schedule(1.0, first)
-    kernel.schedule(1.0, seen.append, "second")
+    call_later(kernel, 1.0, first)
+    call_later(kernel, 1.0, seen.append, "second")
     kernel.run()
     assert seen == ["first", "second", "late"]
 
@@ -223,12 +214,12 @@ def test_cancel_churn_fires_survivors_in_order():
     """The RPC retry pattern: many timers set, most cancelled early."""
     kernel = Kernel()
     seen = []
-    events = []
+    entries = []
     for index in range(200):
-        events.append(kernel.schedule(1.0 + (index % 7), seen.append, index))
-    for index, event in enumerate(events):
+        entries.append(call_later(kernel, 1.0 + (index % 7), seen.append, index))
+    for index, entry in enumerate(entries):
         if index % 3:
-            event.cancel()
+            kernel.unwake(*entry)
     survivors = [index for index in range(200) if not index % 3]
     assert kernel.pending_events() == len(survivors)
     kernel.run()
@@ -238,9 +229,9 @@ def test_cancel_churn_fires_survivors_in_order():
 def test_wheel_drains_completely():
     kernel = Kernel()
     for index in range(500):
-        event = kernel.schedule(1.0 + index * 1e-3, lambda: None)
+        entry = call_later(kernel, 1.0 + index * 1e-3, lambda: None)
         if index % 10:
-            event.cancel()
+            kernel.unwake(*entry)
     kernel.run()
     assert kernel.pending_events() == 0
     # Whitebox: no leaked buckets or stale timestamps after a run.
@@ -249,7 +240,7 @@ def test_wheel_drains_completely():
 
 
 def test_mid_batch_cancellation_suppresses_peers():
-    """An event fired in a batch may cancel later events of the same
+    """An entry fired in a batch may withdraw later entries of the same
 
     timestamp; they must not run, and counters must stay exact."""
     kernel = Kernel()
@@ -259,57 +250,34 @@ def test_mid_batch_cancellation_suppresses_peers():
     def assassin():
         seen.append("assassin")
         for victim in victims:
-            victim.cancel()
+            kernel.unwake(*victim)
 
-    kernel.schedule(1.0, assassin)
-    victims.append(kernel.schedule(1.0, seen.append, "victim-a"))
-    victims.append(kernel.schedule(1.0, seen.append, "victim-b"))
-    kernel.schedule(2.0, seen.append, "after")
+    call_later(kernel, 1.0, assassin)
+    victims.append(call_later(kernel, 1.0, seen.append, "victim-a"))
+    victims.append(call_later(kernel, 1.0, seen.append, "victim-b"))
+    call_later(kernel, 2.0, seen.append, "after")
     kernel.run()
     assert seen == ["assassin", "after"]
     assert kernel.pending_events() == 0
 
 
-def test_mid_run_purge_keeps_the_loop_on_the_live_wheel():
-    """Cancelling enough pending timers from inside a handler trips the
-    lazy purge while ``run()`` is draining.  The rebuilt wheel must be
-    the same objects the loop caches as locals: a rebinding purge left
-    the loop on the stale pair, so events scheduled after the purge
-    never fired and the duplicated survivors crashed the next run().
-    """
+def test_in_flight_withdrawal_takes_the_first_unfired_entry_of_its_target():
+    """A target woken twice in one batch: withdrawing it after its first
+    entry fired takes the second, not the one already consumed."""
     kernel = Kernel()
     seen = []
-    timers = [kernel.schedule(10.0 + index, seen.append, index) for index in range(200)]
+    target = Target(seen)
 
-    def cancel_most_then_reschedule():
-        # 150 cancellations out of ~200 pending events crosses the
-        # purge threshold (>64 events, majority cancelled) mid-run.
-        for timer in timers[:150]:
-            timer.cancel()
-        kernel.schedule(1.0, seen.append, "post-purge")
+    def withdraw():
+        seen.append("withdraw")
+        kernel.unwake(1.0, target)
 
-    kernel.schedule(1.0, cancel_most_then_reschedule)
-    kernel.run(until=5.0)
-    assert "post-purge" in seen
-    # Exactly the 50 surviving timers remain; draining them in a second
-    # segment must not double-fire or raise "time went backwards".
-    assert kernel.pending_events() == 50
+    kernel.wake_at(1.0, target, "first")
+    call_later(kernel, 1.0, withdraw)
+    kernel.wake_at(1.0, target, "second")
+    kernel.wake_at(1.0, target, "third")
     kernel.run()
-    assert kernel.pending_events() == 0
-    assert [x for x in seen if isinstance(x, int)] == list(range(150, 200))
-
-
-def test_purge_from_cancel_outside_run_stays_consistent():
-    """The purge also fires outside run(); counters and order survive."""
-    kernel = Kernel()
-    seen = []
-    events = [kernel.schedule(1.0 + index, seen.append, index) for index in range(100)]
-    for event in events[:80]:
-        event.cancel()
-    assert kernel.pending_events() == 20
-    kernel.schedule(0.5, seen.append, "early")
-    kernel.run()
-    assert seen == ["early"] + list(range(80, 100))
+    assert seen == ["first", "withdraw", "third"]
     assert kernel.pending_events() == 0
 
 
@@ -323,12 +291,12 @@ def test_livelock_counter_resets_between_run_segments():
     kernel = Kernel(livelock_limit=100)
     seen = []
     for index in range(80):
-        kernel.schedule(1.0, seen.append, index)
+        call_later(kernel, 1.0, seen.append, index)
     kernel.run(until=1.0)
     assert len(seen) == 80
     # Still at t=1.0: no clock advance to reset the counter for us.
     for index in range(80):
-        kernel.schedule(0.0, seen.append, 80 + index)
+        call_later(kernel, 0.0, seen.append, 80 + index)
     kernel.run(until=1.0)
     assert len(seen) == 160
 
@@ -371,8 +339,8 @@ def test_stop_mid_batch_after_a_wakeup_fires_the_batch_tail_first():
         kernel.stop()
         seen.append("stopper")
 
-    kernel.schedule(1.0, resume_then_stop)
-    kernel.schedule(1.0, seen.append, "tail")
+    call_later(kernel, 1.0, resume_then_stop)
+    call_later(kernel, 1.0, seen.append, "tail")
     kernel.run()
     assert seen == ["stopper"]
     assert kernel.pending_events() == 2
@@ -391,8 +359,8 @@ def test_wakeup_from_a_raising_handler_fires_after_the_batch_tail():
         seen.append("raiser")
         raise Boom
 
-    kernel.schedule(1.0, resume_then_raise)
-    kernel.schedule(1.0, seen.append, "tail")
+    call_later(kernel, 1.0, resume_then_raise)
+    call_later(kernel, 1.0, seen.append, "tail")
     with pytest.raises(Boom):
         kernel.run()
     assert seen == ["raiser"]
@@ -410,29 +378,29 @@ def test_wakeup_from_a_lone_raising_handler_stays_pending():
         kernel.resume(thread, "thread")
         raise Boom
 
-    kernel.schedule(1.0, resume_then_raise)
+    call_later(kernel, 1.0, resume_then_raise)
     with pytest.raises(Boom):
         kernel.run()
     assert kernel.pending_events() == 1
-    kernel.call_soon(seen.append, "soon")
+    call_later(kernel, 0.0, seen.append, "soon")
     kernel.run()
     assert seen == ["thread", "soon"]
 
 
-def test_resume_outside_run_keeps_its_place_among_call_soons():
+def test_resume_outside_run_keeps_its_place_among_same_instant_entries():
     kernel = Kernel()
     seen = []
     thread = parked_thread(kernel, seen)
-    kernel.call_soon(seen.append, "soon1")
+    call_later(kernel, 0.0, seen.append, "soon1")
     kernel.resume(thread, "thread")
-    kernel.call_soon(seen.append, "soon2")
+    call_later(kernel, 0.0, seen.append, "soon2")
     kernel.run()
     assert seen == ["soon1", "thread", "soon2"]
 
     seen.clear()
     thread = parked_thread(kernel, seen)
     kernel.resume(thread, "thread")
-    kernel.call_soon(seen.append, "soon")
+    call_later(kernel, 0.0, seen.append, "soon")
     kernel.run()
     assert seen == ["thread", "soon"]
 
@@ -444,7 +412,7 @@ def test_pending_events_counts_the_ready_slot():
     kernel.resume(thread, "thread")
     assert kernel._wheel == {}  # whitebox: the wakeup is in the slot
     assert kernel.pending_events() == 1
-    kernel.schedule(1.0, seen.append, "later")
+    call_later(kernel, 1.0, seen.append, "later")
     assert kernel.pending_events() == 2
     kernel.run()
     assert seen == ["thread", "later"]
@@ -475,7 +443,7 @@ def test_slot_and_the_bucket_behind_it_count_as_one_batch():
     seen = []
     thread = parked_thread(kernel, seen)
     kernel.resume(thread, "thread")
-    kernel.call_soon(seen.append, "soon")
+    call_later(kernel, 0.0, seen.append, "soon")
     with pytest.raises(SimulationError, match="livelock"):
         kernel.run()
     assert seen == ["thread", "soon"]
