@@ -417,14 +417,13 @@ def cmd_live_report(args: argparse.Namespace) -> int:
     applies to a live directory: one collector is stitched as is, and a
     directory of ``shard-NNNN/`` collectors folds like the sharded
     post-mortem reduce, so the digest matches ``stitch --digest`` over
-    the equivalent spool.  ``--compact`` first collapses each
-    collector's chain to one file.
+    the equivalent spool.  ``--compact`` first rewrites each
+    collector's log as one commit.
     """
     import os
 
     from repro.analysis import render_live_view, render_stitched_profile
     from repro.core.persist import fold_live_run, live_collectors
-    from repro.live import list_checkpoints
 
     directory = args.directory
     if not os.path.isdir(directory):
@@ -442,13 +441,12 @@ def cmd_live_report(args: argparse.Namespace) -> int:
     if args.digest:
         return _print_digest(profile)
     if collectors[0][0] is not None:
-        checkpoint_files = sum(
-            len(list_checkpoints(collector.directory))
-            for _index, collector in collectors
+        checkpoints = sum(
+            collector.recovered_from for _index, collector in collectors
         )
         print(
             f"recovered {len(collectors)} shard collectors "
-            f"({checkpoint_files} checkpoint files)"
+            f"({checkpoints} checkpoints)"
         )
         print()
     if args.top:

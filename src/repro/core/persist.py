@@ -723,24 +723,19 @@ def live_directories(directory: str) -> List[Tuple[Optional[int], str]]:
     """The collector directories of a live checkpoint directory.
 
     ``(shard_index, path)`` per ``shard-NNNN/`` subdirectory, in shard
-    order; a directory holding none is its own collector directory
-    (index ``None``) if it holds checkpoints.  ``[]``: not a live
-    checkpoint directory.
+    order; a directory holding none is its own candidate (index
+    ``None``).  A candidate counts only if its log holds a complete
+    commit.  ``[]``: not a live checkpoint directory.
     """
-    from repro.live import list_checkpoints
+    from repro.live.checkpoint import holds_commit
 
-    shard_names = sorted(
-        name
-        for name in os.listdir(directory)
+    candidates = [
+        (int(name.split("-", 1)[1]), os.path.join(directory, name))
+        for name in sorted(os.listdir(directory))
         if name.startswith("shard-")
         and os.path.isdir(os.path.join(directory, name))
-    )
-    if not shard_names:
-        return [(None, directory)] if list_checkpoints(directory) else []
-    return [
-        (int(name.split("-", 1)[1]), os.path.join(directory, name))
-        for name in shard_names
-    ]
+    ] or [(None, directory)]
+    return [(index, path) for index, path in candidates if holds_commit(path)]
 
 
 def live_collectors(directory: str):
@@ -793,8 +788,8 @@ def load_run(source, strict: bool = False) -> RunProfile:
       stage objects),
     - a list/tuple of dump files (one run's tiers),
     - a spool directory written by a sharded run (``manifest.json``),
-    - a live checkpoint directory (``ckpt-*.wdr2``, or a parent of
-      ``shard-NNNN/`` collector directories), or
+    - a live checkpoint directory (``live.wdr2`` holding a commit, or
+      a parent of ``shard-NNNN/`` collector directories), or
     - any other directory holding stage dump files.
 
     Dumps go through :func:`repro.parallel.stitching.stitch_groups`:

@@ -1,74 +1,70 @@
-"""WDR2-framed checkpoints and spill log for the online streaming stitcher.
+"""The live collector's on-disk log: one append-only file per directory.
 
-A live collector (:mod:`repro.live.collector`) periodically persists
-the profiling state it owns so that a crash never loses more than one
-checkpoint interval (plus the gap to the next sample, which is what
-triggers the write), and appends the trees its LRU evicts to a spill
-log those checkpoints reference.  Both reuse the framing primitives
-from :mod:`repro.core.persist` (``write_frame``/``read_frame``: magic +
-version + length over a ``mtime=0`` gzip JSON document,
-byte-deterministic for identical documents) under the reduce-artifact
-magic ``WDR2`` with their own version numbers, so the three on-disk
-artifact families (profile dumps, reduce-tree groups, live checkpoints)
-stay mutually unmistakable.
+A live collector (:mod:`repro.live.collector`) keeps everything it
+persists in one file, ``live.wdr2``, as a sequence of frames built
+from the framing primitives of :mod:`repro.core.persist`
+(``write_frame``/``read_frame``: magic + version + length over a
+``mtime=0`` gzip JSON document, byte-deterministic for identical
+documents).  The frame version tells the two kinds apart:
 
-Checkpoint semantics
---------------------
+* a **tree** frame holds one tree's cumulative snapshot cell (see
+  :func:`encode_cct`);
+* a **commit** frame closes an interval: counters, the labels first
+  seen and the synopsis op log since the previous commit, crosstalk,
+  and ``[label, offset]`` for every tree frame appended since the
+  previous commit (per label, the newest).
 
-Every document is *superseding per key*, never additive:
+Commit semantics
+----------------
 
-* CCT snapshots are **cumulative** — the latest copy of a label's tree
-  (a cell of the document, or the spill-log frame it references)
-  replaces any earlier copy outright.  Re-summing per-interval deltas
-  would re-associate float additions and break the collector's
-  byte-identical-to-post-mortem guarantee; copying the latest exact
-  tree cannot.
-* Synopsis tables are persisted as an **op log** (mints and crash
-  clears, in order) because a mint → crash → mint sequence within one
-  interval is not expressible as a set snapshot.
-* Crosstalk aggregates and counters are cumulative snapshots.
+Commits are *superseding per key*, never additive:
 
-Replaying all files of a directory in sequence order therefore
-reconstructs the collector's state as of the last completed interval.
-A ``kind="full"`` document (written by compaction) resets all state
-before applying itself, so a compacted directory replays from that
-single file.
+* a tree's newest frame replaces any earlier copy outright.  Re-summing
+  per-interval deltas would re-associate float additions and break the
+  collector's byte-identical-to-post-mortem guarantee; copying the
+  latest exact tree cannot.  An evicted tree cannot change until it is
+  revived, so the frame written at eviction *is* its state;
+* synopsis tables are an **op log** (mints and crash clears, in order)
+  because a mint → crash → mint sequence within one interval is not
+  expressible as a set snapshot;
+* crosstalk aggregates and counters are cumulative snapshots.
 
-Writes go through a temp file + ``os.replace`` so a torn write can
-never corrupt the replay chain — a partially written checkpoint simply
-does not exist.
+Replaying every commit in file order therefore rebuilds the
+collector's state as of the last one.  Compaction writes every tree
+and one commit holding absolute state (every label, the whole synopsis
+table) to a temp file, then ``os.replace``-s it over the log, so a
+compacted log replays from that one commit.
 
-The spill log
--------------
+Crash claims
+------------
 
-Trees the collector's LRU evicts do not go into the chain.  They go to
-one append-only file beside it (:class:`SpillLog`, ``spill.wdr2``): one
-frame per dirty eviction, holding that tree's cumulative snapshot cell,
-addressed by the byte offset :meth:`SpillLog.append` returned.  Reviving
-a tree seeks to its offset and decodes that one frame.
+A commit follows every tree frame it names, so every prefix of the
+file is a valid log and two claims hold:
 
-The log carries no replay semantics of its own; the chain gives it
-them.  Each interval document lists, per stage, ``spilled`` pairs
-``[label, offset]`` for the labels whose newest snapshot was appended
-since the previous document.  An evicted tree cannot change until it
-is revived, so at checkpoint time its last frame *is* its state.  The
-collector flushes the log before it writes the document, so a document
-never names bytes that are not on disk, and frames appended after the
-last completed document are named by nothing: a torn tail or a few
-orphan frames cost no correctness, and recovery still lands exactly on
-the last completed interval.  Superseded frames are reclaimed only by
-compaction, which writes the ``kind="full"`` document (every tree in
-cells) and then deletes the log with the superseded chain.
+* recovery from any prefix of the log is the state at its last
+  complete commit: a torn tail (a header or payload cut short by the
+  end of the file) and tree frames no commit names yet cost nothing;
+* a crash during compaction leaves the old log whole (at most a
+  ``live.wdr2.tmp`` beside it, which nothing reads and the next
+  compaction overwrites); after the replace, recovery is the compacted
+  state.
+
+Nothing calls ``fsync``: both claims are about a process crash, not
+about power loss.
 """
 
 from __future__ import annotations
 
+import gzip
+import json
 import os
-from typing import IO, Any, Dict, List, Optional
+import zlib
+from typing import IO, Any, Dict, Iterator, List, Tuple
 
 from repro.core.cct import CCTNode, CallingContextTree
 from repro.core.crosstalk import PairStats
 from repro.core.persist import (
+    _V2_HEADER,
     decode_context,
     decode_crosstalk_type,
     encode_context,
@@ -77,132 +73,87 @@ from repro.core.persist import (
     write_frame,
 )
 
-#: Same magic as the reduce-tree artifacts (both are WDR2-framed
-#: presentation-phase state); the version field tells them apart.
-CHECKPOINT_MAGIC = b"WDR2"
-CHECKPOINT_VERSION = 2
+#: Same magic as the other WDR2-framed presentation-phase state; the
+#: versions tell the frames apart (2 was the retired chain document,
+#: so one is never read as a commit).
+LOG_MAGIC = b"WDR2"
+TREE_VERSION = 3
+COMMIT_VERSION = 4
 
-CHECKPOINT_PREFIX = "ckpt-"
-CHECKPOINT_SUFFIX = ".wdr2"
-
-#: Spill-log frames share the magic; their own version keeps a frame
-#: from ever being taken for a checkpoint document.
-SPILL_VERSION = 3
-SPILL_NAME = "spill" + CHECKPOINT_SUFFIX
+LOG_NAME = "live.wdr2"
 
 
-def checkpoint_path(directory: str, seq: int) -> str:
-    return os.path.join(directory, f"{CHECKPOINT_PREFIX}{seq:08d}{CHECKPOINT_SUFFIX}")
+def log_path(directory: str) -> str:
+    return os.path.join(directory, LOG_NAME)
 
 
-def list_checkpoints(directory: str) -> List[str]:
-    """Checkpoint files of ``directory`` in sequence (replay) order."""
-    if not os.path.isdir(directory):
-        return []
-    names = [
-        name
-        for name in os.listdir(directory)
-        if name.startswith(CHECKPOINT_PREFIX) and name.endswith(CHECKPOINT_SUFFIX)
-    ]
-    names.sort()
-    return [os.path.join(directory, name) for name in names]
+def append_frame(handle: IO[bytes], document: Any, version: int) -> int:
+    """Append one frame; returns the offset to read it by."""
+    # The seek also drops what a read buffered: a buffered file must
+    # not go from reading to writing without one.
+    offset = handle.seek(0, os.SEEK_END)
+    write_frame(handle, document, magic=LOG_MAGIC, version=version)
+    return offset
 
 
-def write_checkpoint(directory: str, seq: int, document: Dict[str, Any]) -> str:
-    """Atomically persist one checkpoint document; returns its path."""
-    os.makedirs(directory, exist_ok=True)
-    path = checkpoint_path(directory, seq)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        write_frame(
-            handle, document, magic=CHECKPOINT_MAGIC, version=CHECKPOINT_VERSION
-        )
-    os.replace(tmp, path)
-    return path
+def read_tree(handle: IO[bytes], offset: int) -> List[Any]:
+    """Decode exactly the tree frame at ``offset``."""
+    handle.seek(offset)
+    cell = read_frame(handle, magic=LOG_MAGIC, version=TREE_VERSION)
+    if cell is None:
+        raise ValueError(f"no frame at offset {offset} of {handle.name!r}")
+    return cell
 
 
-def read_checkpoint(path: str) -> Dict[str, Any]:
-    with open(path, "rb") as handle:
-        document = read_frame(
-            handle, magic=CHECKPOINT_MAGIC, version=CHECKPOINT_VERSION
-        )
-    if document is None:
-        raise ValueError(f"empty checkpoint file {path!r}")
-    return document
+def read_commits(path: str) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """Each complete commit of the log at ``path``, in file order, with
+    the offset just past it.
 
-
-def remove_checkpoints(paths: List[str]) -> None:
-    """Delete superseded checkpoint files (compaction)."""
-    for path in paths:
-        try:
-            os.remove(path)
-        except FileNotFoundError:
-            pass
-
-
-class SpillLog:
-    """Append-only log of evicted trees, one frame per snapshot cell.
-
-    The file is created, and a handle kept, from the first
-    :meth:`append`; until then :meth:`read` opens it read-only for the
-    one frame, so a recovered collector that is only queried leaves the
-    directory untouched and nothing for anyone to close.  Offsets are
-    absolute, so bytes nobody references (a torn tail, frames newer
-    than the last checkpoint) are simply skipped over.
+    Tree frames are skipped by their header, undecoded.  A torn tail
+    ends the scan; any other frame that is not one of this log's
+    raises a ``ValueError`` naming the file.  A missing file holds no
+    commits.
     """
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with handle:
+        end = 0
+        while True:
+            header = handle.read(_V2_HEADER.size)
+            if len(header) < _V2_HEADER.size:
+                return
+            magic, version, length = _V2_HEADER.unpack(header)
+            if magic != LOG_MAGIC or version not in (TREE_VERSION, COMMIT_VERSION):
+                raise ValueError(f"no live-log frame at offset {end} of {path!r}")
+            end += _V2_HEADER.size + length
+            if version == TREE_VERSION:
+                handle.seek(end)
+                continue
+            payload = handle.read(length)
+            if len(payload) < length:
+                return
+            try:
+                commit = json.loads(gzip.decompress(payload))
+            except (OSError, EOFError, ValueError, zlib.error) as error:
+                raise ValueError(
+                    f"corrupt commit before offset {end} of {path!r}: {error}"
+                ) from error
+            yield end, commit
 
-    def __init__(self, directory: str):
-        self.directory = directory
-        self.path = os.path.join(directory, SPILL_NAME)
-        self._handle: Optional[IO[bytes]] = None
 
-    def append(self, cell: List[Any]) -> int:
-        """Append one snapshot cell; returns the offset to read it by."""
-        if self._handle is None:
-            os.makedirs(self.directory, exist_ok=True)
-            self._handle = open(self.path, "a+b")
-        # The seek also drops what a read() buffered: a buffered file
-        # must not go from reading to writing without one.
-        offset = self._handle.seek(0, os.SEEK_END)
-        write_frame(
-            self._handle, cell, magic=CHECKPOINT_MAGIC, version=SPILL_VERSION
-        )
-        return offset
-
-    def read(self, offset: int) -> List[Any]:
-        """Decode exactly the frame at ``offset``."""
-        handle = self._handle or open(self.path, "rb")
-        try:
-            handle.seek(offset)
-            cell = read_frame(
-                handle, magic=CHECKPOINT_MAGIC, version=SPILL_VERSION
-            )
-        finally:
-            if handle is not self._handle:
-                handle.close()
-        if cell is None:
-            raise ValueError(f"no frame at offset {offset} of {self.path!r}")
-        return cell
-
-    def flush(self) -> None:
-        """Hand every appended frame to the file (before a checkpoint
-        document references it)."""
-        if self._handle is not None:
-            self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def remove(self) -> None:
-        """Close and delete the log (compaction superseded it)."""
-        self.close()
-        remove_checkpoints([self.path])
+def holds_commit(directory: str) -> bool:
+    """Whether ``directory``'s log holds a complete commit."""
+    commits = read_commits(log_path(directory))
+    try:
+        return next(commits, None) is not None
+    finally:
+        commits.close()
 
 
 # ----------------------------------------------------------------------
-# Document cells
+# Frame contents
 # ----------------------------------------------------------------------
 def encode_cct(label: Any, cct: CallingContextTree) -> List[Any]:
     """One cumulative CCT snapshot cell: ``[label, parents, names,
@@ -223,10 +174,6 @@ def decode_cct(cell: List[Any]) -> CallingContextTree:
     cct = CallingContextTree(label)
     CCTNode.attach_rows(cct.root, list(zip(cell[1], cell[2], cell[3], cell[4])))
     return cct
-
-
-def cct_cell_label(cell: List[Any]):
-    return decode_context(cell[0])
 
 
 def cct_cell_weights(cell: List[Any]) -> List[float]:

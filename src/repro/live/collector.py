@@ -29,8 +29,8 @@ Bounded memory
 
 Resident trees of every adopted stage share one LRU.  Before admitting
 a tree past ``max_resident`` the coldest ones are dropped, the dirty
-ones first appended to the directory's spill log (one frame per tree,
-a cumulative snapshot superseding its earlier frames — see
+ones first appended to the directory's log (one tree frame each, a
+cumulative snapshot superseding its earlier frames — see
 :mod:`repro.live.checkpoint`).  Nothing else holds a stage's trees, so
 the bound holds for the process, not just for the collector.  A sample
 on an evicted tree revives it by decoding that one frame, and so does
@@ -41,26 +41,26 @@ reads never move the LRU or its counters.  Scalar per-context weight
 aggregates stay resident regardless, so live queries never touch
 evicted trees.
 
-Periodic interval checkpoints — the replay chain — persist every dirty
-resident tree and reference the log for the evicted ones.  A sample
-whose virtual time has reached the next checkpoint triggers it, so a
-collector crash loses at most one interval plus the gap to the next
-sample; :meth:`LiveCollector.recover` rebuilds the state (cold — trees
-stay on disk) by replaying the directory into fresh, unattached stage
-runtimes.
+A periodic interval checkpoint appends every dirty resident tree to
+the same log, then one commit naming the tree frames appended since
+the previous commit.  A sample whose virtual time has reached the
+next checkpoint triggers it, so a collector crash loses at most one
+interval plus the gap to the next sample;
+:meth:`LiveCollector.recover` rebuilds the state (cold — trees stay on
+disk) by replaying the commits into fresh, unattached stage runtimes.
 
-Nothing catches what the collector raises: a failed spill append or
-checkpoint write propagates out of the simulation step that recorded
-the sample, so a run never finishes with a silently partial live
-profile.
+Nothing catches what the collector raises: a failed append propagates
+out of the simulation step that recorded the sample, so a run never
+finishes with a silently partial live profile.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import OrderedDict
 from collections.abc import Mapping
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import IO, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core import profiler as _profiler
 from repro.core.cct import CallingContextTree
@@ -87,10 +87,9 @@ class _Entry:
         self.weight = 0.0
         self.dirty = False
         self.resolved: Optional[TransactionContext] = None
-        # The newest persisted snapshot: an offset into the spill log
-        # (int), the path of the chain document holding it as a cell
-        # (str), or None (never persisted).
-        self.where: Union[int, str, None] = None
+        # The log offset of the newest persisted snapshot (None: never
+        # persisted).
+        self.where: Optional[int] = None
 
 
 class StageTrees(Mapping):
@@ -162,10 +161,16 @@ class LiveCollector:
         self._stages: Dict[str, StageRuntime] = {}
         # LRU over resident entries, coldest first.
         self._lru: "OrderedDict[_Entry, None]" = OrderedDict()
-        self._spill = _ckpt.SpillLog(directory) if directory is not None else None
-        # Log offsets no chain document references yet.
+        # The log, opened for appending at the first write; until then
+        # a read opens it read-only for the one frame, so a recovered
+        # collector that is only queried leaves the directory alone.
+        self._log: Optional[IO[bytes]] = None
+        # The bytes of the log the state rests on: the first write cuts
+        # the file back to them, so a fresh collector starts it afresh
+        # and a recovered one drops what followed its last commit.
+        self._log_end = 0
+        # Tree frames no commit names yet.
         self._unreferenced: Dict[_Entry, int] = {}
-        self._doc_cache: Tuple[Optional[str], Any] = (None, None)
         # Incremental resolution state for the live query index.
         self._cache: Dict[TransactionContext, TransactionContext] = {}
         self._missing: set = set()
@@ -173,7 +178,6 @@ class LiveCollector:
         self._index_dirty = False
         # Virtual time of the newest sample or mint.
         self.now = 0.0
-        self._seq = 0
         # Virtual time the next interval checkpoint falls due (never,
         # without a directory).
         self._next_ckpt = interval if directory is not None else math.inf
@@ -297,7 +301,7 @@ class LiveCollector:
         self._index_dirty = True
 
     # ------------------------------------------------------------------
-    # LRU + spill
+    # LRU + log
     # ------------------------------------------------------------------
     @property
     def resident_contexts(self) -> int:
@@ -333,13 +337,15 @@ class LiveCollector:
 
     def _evict(self, count: int) -> None:
         """Drop the coldest ``count`` resident trees, appending the
-        dirty ones to the spill log first."""
+        dirty ones to the log first."""
         lru = self._lru
         for _ in range(min(count, len(lru))):
             entry = next(iter(lru))
             if entry.dirty:
-                offset = self._spill.append(_ckpt.encode_cct(entry.label, entry.cct))
-                entry.where = self._unreferenced[entry] = offset
+                entry.where = self._unreferenced[entry] = _ckpt.append_frame(
+                    self._writer(), _ckpt.encode_cct(entry.label, entry.cct),
+                    _ckpt.TREE_VERSION,
+                )
             entry.cct = None
             entry.dirty = False
             del lru[entry]
@@ -347,34 +353,26 @@ class LiveCollector:
 
     def _load_tree(self, entry: _Entry) -> CallingContextTree:
         """Decode ``entry``'s newest snapshot."""
-        where = entry.where
-        if where is None:
-            # Never persisted (a clean empty entry from recovery edge
-            # cases): start a fresh tree.
-            return CallingContextTree(entry.label)
-        if isinstance(where, int):
-            cct = _ckpt.decode_cct(self._spill.read(where))
-            if cct.label != entry.label:
-                raise ValueError(
-                    f"spill log {self._spill.path!r} holds {cct.label!r} at "
-                    f"offset {where}, not {entry.stage!r} label {entry.label!r}"
-                )
-            return cct
-        # The newest snapshot is a cell of a chain document (a clean
-        # tree evicted after an interval checkpoint, or recovered).
-        cached_path, cached_doc = self._doc_cache
-        if cached_path == where:
-            doc = cached_doc
-        else:
-            doc = _ckpt.read_checkpoint(where)
-            self._doc_cache = (where, doc)
-        for cell in doc["stages"].get(entry.stage, {}).get("ccts", []):
-            if _ckpt.cct_cell_label(cell) == entry.label:
-                return _ckpt.decode_cct(cell)
-        raise ValueError(
-            f"checkpoint {where!r} lost the snapshot for {entry.stage!r} "
-            f"label {entry.label!r}"
-        )
+        handle = self._log or open(_ckpt.log_path(self.directory), "rb")
+        try:
+            cct = _ckpt.decode_cct(_ckpt.read_tree(handle, entry.where))
+        finally:
+            if handle is not self._log:
+                handle.close()
+        if cct.label != entry.label:
+            raise ValueError(
+                f"{handle.name!r} holds {cct.label!r} at offset {entry.where}, "
+                f"not {entry.stage!r} label {entry.label!r}"
+            )
+        return cct
+
+    def _writer(self) -> IO[bytes]:
+        """The log, open for appending."""
+        if self._log is None:
+            os.makedirs(self.directory, exist_ok=True)
+            self._log = open(_ckpt.log_path(self.directory), "a+b")
+            self._log.truncate(self._log_end)
+        return self._log
 
     def _entries(self) -> Iterator[_Entry]:
         for stage in self._stages.values():
@@ -401,22 +399,20 @@ class LiveCollector:
             "unresolved": stats.unresolved,
         }
 
-    def _write_doc(self, snapshot: List[_Entry], kind: str = "interval") -> str:
-        """Persist one superseding checkpoint document (see
-        :mod:`repro.live.checkpoint` for the replay semantics)."""
-        cells: Dict[str, List[Any]] = {}
+    def _commit(self, handle: IO[bytes], snapshot: List[_Entry]) -> None:
+        """Append ``snapshot``'s trees, then one commit naming every
+        tree frame no commit named yet (see :mod:`repro.live.checkpoint`
+        for the replay semantics)."""
         for entry in snapshot:
-            cells.setdefault(entry.stage, []).append(
-                _ckpt.encode_cct(entry.label, entry.cct)
+            entry.where = self._unreferenced[entry] = _ckpt.append_frame(
+                handle, _ckpt.encode_cct(entry.label, entry.cct),
+                _ckpt.TREE_VERSION,
             )
-            self._unreferenced.pop(entry, None)
-        # What is left sits evicted, so its last frame is its state.
-        spilled: Dict[str, List[Any]] = {}
+        named: Dict[str, List[Any]] = {}
         for entry, offset in self._unreferenced.items():
-            spilled.setdefault(entry.stage, []).append(
+            named.setdefault(entry.stage, []).append(
                 [_ckpt.encode_context(entry.label), offset]
             )
-        self._unreferenced = {}
         stages_doc: Dict[str, Any] = {}
         for name, stage in self._stages.items():
             trees = stage.ccts
@@ -425,31 +421,24 @@ class LiveCollector:
                     _ckpt.encode_context(label) for label in trees.new_labels
                 ],
                 "syn_ops": [_ckpt.encode_syn_op(op) for op in trees.ops],
-                "ccts": cells.get(name, []),
-                "spilled": spilled.get(name, []),
+                "trees": named.get(name, []),
                 "crosstalk": _ckpt.encode_crosstalk(stage.crosstalk.pairs),
             }
             trees.new_labels = []
             trees.ops = []
-        document = {
-            "seq": self._seq,
+        commit = {
             "t": self.now,
-            "kind": kind,
             "counters": self._counters_doc(),
             "stages": stages_doc,
         }
-        # Frames first: a document never names bytes not yet on disk.
-        self._spill.flush()
-        path = _ckpt.write_checkpoint(self.directory, self._seq, document)
-        self._seq += 1
+        _ckpt.append_frame(handle, commit, _ckpt.COMMIT_VERSION)
+        handle.flush()
+        self._unreferenced = {}
         self.checkpoints_written += 1
-        self._doc_cache = (None, None)
         for entry in snapshot:
-            entry.where = path
             entry.dirty = False
-        return path
 
-    def checkpoint(self) -> Optional[str]:
+    def checkpoint(self) -> None:
         """Write an interval checkpoint of every dirty resident tree.
 
         After this returns, a collector crash loses only samples newer
@@ -458,15 +447,14 @@ class LiveCollector:
         gap to the next sample.
         """
         if self.directory is None:
-            return None
-        path = self._write_doc([entry for entry in self._lru if entry.dirty])
+            return
+        self._commit(self._writer(), [entry for entry in self._lru if entry.dirty])
         self._next_ckpt = self.now + self.interval
-        return path
 
-    def finalize(self) -> Optional[str]:
+    def finalize(self) -> None:
         """Write a final interval checkpoint (the end-of-run flush path
         for shard runners)."""
-        return self.checkpoint()
+        self.checkpoint()
 
     # ------------------------------------------------------------------
     # Recovery
@@ -483,38 +471,33 @@ class LiveCollector:
         State is reconstructed *cold* into fresh stage runtimes that no
         simulation drives: synopsis tables (replayed from the op log),
         crosstalk aggregates and scalar weights come back resident,
-        CCTs stay on disk until read.  Everything newer than the last
-        completed checkpoint is gone (at most one interval plus the gap
+        CCTs stay on disk until read.  Everything newer than the log's
+        last complete commit is gone (at most one interval plus the gap
         to the next sample) — the bounded-loss guarantee, not a bug.
-        Spill-log frames newer than that checkpoint are referenced by
-        nothing and ignored.  The directory is only read.
+        The directory is only read; the collector's first write cuts
+        the log back to that commit.
         """
         collector = cls(
             directory=directory, interval=interval, max_resident=max_resident
         )
-        paths = _ckpt.list_checkpoints(directory)
-        for path in paths:
-            collector._replay(_ckpt.read_checkpoint(path), path)
-        for entry in collector._entries():
-            if isinstance(entry.where, int):
-                entry.weight = math.fsum(
-                    _ckpt.cct_cell_weights(collector._spill.read(entry.where))
-                )
-        if paths:
-            collector.recovered_from = len(paths)
+        path = _ckpt.log_path(directory)
+        for end, commit in _ckpt.read_commits(path):
+            collector._replay(commit)
+            collector._log_end = end
+            collector.recovered_from += 1
+        if collector.recovered_from:
+            with open(path, "rb") as handle:
+                for entry in collector._entries():
+                    entry.weight = math.fsum(_ckpt.cct_cell_weights(
+                        _ckpt.read_tree(handle, entry.where)
+                    ))
             collector._next_ckpt = collector.now + interval
             collector._index_dirty = True
         return collector
 
-    def _replay(self, doc: Dict[str, Any], path: str) -> None:
-        if doc.get("kind") == "full":
-            # A full snapshot is absolute: drop anything replayed from
-            # older files (compaction normally deletes them anyway).
-            self._stages.clear()
-            self._lru.clear()
-        self._seq = doc["seq"] + 1
-        self.now = doc["t"]
-        counters = doc["counters"]
+    def _replay(self, commit: Dict[str, Any]) -> None:
+        self.now = commit["t"]
+        counters = commit["counters"]
         self.samples = counters["samples"]
         self.sample_weight = counters["sample_weight"]
         self.synopses_minted = counters["synopses_minted"]
@@ -524,14 +507,14 @@ class LiveCollector:
         self.hops_seen = counters["hops_seen"]
         self.evictions = counters["evictions"]
         self.revivals = counters["revivals"]
-        for name, stage_doc in doc["stages"].items():
+        for name, stage_doc in commit["stages"].items():
             stage = self._stages.get(name)
             if stage is None:
                 stage = StageRuntime(name, live=False)
                 self.adopt(stage)
             entries = stage.ccts.entries
-            for cells in stage_doc["new_labels"]:
-                label = _ckpt.decode_context(cells)
+            for cell in stage_doc["new_labels"]:
+                label = _ckpt.decode_context(cell)
                 if label not in entries:
                     entries[label] = _Entry(name, label)
             for cell in stage_doc["syn_ops"]:
@@ -541,19 +524,8 @@ class LiveCollector:
                 else:
                     stage.synopses.clear_mappings()
                     stage.crashes += 1
-            for cell in stage_doc["ccts"]:
-                label = _ckpt.cct_cell_label(cell)
-                entry = entries.get(label)
-                if entry is None:
-                    entry = entries[label] = _Entry(name, label)
-                entry.weight = math.fsum(_ckpt.cct_cell_weights(cell))
-                entry.where = path
-            # Absent from documents written before the spill log.
-            for cells, offset in stage_doc.get("spilled", ()):
-                # The label is known (evicted means sampled before);
-                # recover() weighs the frames that are still the newest
-                # once the whole chain is replayed.
-                entries[_ckpt.decode_context(cells)].where = offset
+            for cell, offset in stage_doc["trees"]:
+                entries[_ckpt.decode_context(cell)].where = offset
             if stage_doc["crosstalk"]:
                 stage.crosstalk.pairs = _ckpt.decode_crosstalk(
                     stage_doc["crosstalk"]
@@ -662,55 +634,64 @@ class LiveCollector:
         return stitch_profiles(self._stages.values(), strict=strict)
 
     def compact(self, strict: bool = False):
-        """Finalize: stitch, then collapse the checkpoint directory to
-        a single ``kind="full"`` snapshot superseding all others.
+        """Finalize: stitch, then rewrite the log as every tree plus
+        one commit holding absolute state.
 
-        Returns the stitched profile.  After compaction the directory
-        replays from one file — the spill log goes with the superseded
-        chain, the full document holding every tree as a cell;
-        :func:`repro.cli` exposes this as ``repro live-report``.
+        Returns the stitched profile.  The new log is written beside
+        the old one and replaces it in one ``os.replace``, so a crash
+        leaves one or the other; :func:`repro.cli` exposes this as
+        ``repro live-report``.
         """
         if self.directory is None:
             return self.stitched_profile(strict=strict)
-        # The full document needs every tree resident; fault them in
-        # first so the stitch reads each one once, from memory.  This
-        # is not a sample: the LRU's counters do not move.
+        # The rewrite needs every tree resident; fault them in first so
+        # the stitch reads each one once, from memory.  This is not a
+        # sample: the LRU's counters do not move.
         everything = list(self._entries())
         for entry in everything:
             if entry.cct is None:
                 entry.cct = self._load_tree(entry)
                 self._lru[entry] = None
         profile = self.stitched_profile(strict=strict)
-        older = _ckpt.list_checkpoints(self.directory)
         for stage in self._stages.values():
-            # Full documents carry absolute state: every label in
-            # first-seen order, the whole current synopsis table.
+            # Absolute state: every label in first-seen order, the
+            # whole current synopsis table.
             trees = stage.ccts
             trees.new_labels = list(trees.entries)
             trees.ops = [
                 ("s", value, context) for context, value in stage.synopses.items()
             ]
-        final = self._write_doc(everything, kind="full")
-        _ckpt.remove_checkpoints([p for p in older if p != final])
-        self._spill.remove()
+        self._release_log()
+        os.makedirs(self.directory, exist_ok=True)
+        path = _ckpt.log_path(self.directory)
+        # The new file names only its own frames.
+        self._unreferenced = {}
+        with open(path + ".tmp", "wb") as handle:
+            self._commit(handle, everything)
+            self._log_end = handle.tell()
+        os.replace(path + ".tmp", path)
         return profile
 
     def flush(self) -> None:
         """Span-sink protocol: nothing is buffered."""
 
+    def _release_log(self) -> None:
+        if self._log is not None:
+            self._log.close()
+            self._log = None
+
     def close(self) -> None:
-        """Detach, and release the spill log's file handle (held from
-        the first dirty eviction on).
+        """Detach, and release the log's file handle (held from the
+        first write on).
 
         Idempotent.  Empties the collector slot if this collector holds
         it, so systems built afterwards keep plain CCT dicts.  The
         collector stays queryable, and stages it adopted keep recording
-        into it; it reopens the log at its next eviction.
+        into it; it reopens the log at its next write.
         """
         if _profiler.COLLECTOR is self:
             _profiler.COLLECTOR = None
-        if self._spill is not None:
-            self._spill.close()
+        self._release_log()
 
 
 def attach_collector(

@@ -2,7 +2,7 @@
 
 The contract: killing the collector loses at most one checkpoint
 interval plus the gap to the next sample.  Recovery from the
-surviving WDR2 chain must restore the counters, resolution accounting
+surviving prefix of the log must restore the counters, resolution accounting
 (attempted/unresolved — the completeness ratio), and queryable state
 *exactly* as of the last surviving checkpoint — including runs where a
 simulated stage crash (``repro.faults``) wiped synopsis tables mid-run,
@@ -16,12 +16,7 @@ import pytest
 
 from repro import telemetry
 from repro.apps.tpcw import TpcwSystem
-from repro.live import (
-    LiveCollector,
-    attach_collector,
-    list_checkpoints,
-    read_checkpoint,
-)
+from repro.live import LOG_NAME, LiveCollector, attach_collector, read_commits
 from repro.parallel import canonical_profile_bytes
 
 
@@ -54,7 +49,8 @@ def _checkpointed_run(tmp_path, fault_plan=None):
 def test_full_recovery_matches_postmortem_digest(tmp_path):
     directory, collector, results = _checkpointed_run(tmp_path)
     recovered = LiveCollector.recover(directory)
-    assert recovered.recovered_from == len(list_checkpoints(directory))
+    commits = list(read_commits(os.path.join(directory, LOG_NAME)))
+    assert recovered.recovered_from == len(commits) > 1
     assert recovered.samples == collector.samples
     assert recovered.now == collector.now
     assert _digest(recovered.stitched_profile(strict=True)) == _digest(
@@ -63,18 +59,19 @@ def test_full_recovery_matches_postmortem_digest(tmp_path):
 
 
 def test_recovery_after_collector_death_is_exact(tmp_path):
-    """Kill the collector mid-run (simulated by deleting its newest
-    checkpoints) during a run where a stage crash cleared synopsis
+    """Kill the collector mid-run (simulated by cutting the log after
+    an older commit) during a run where a stage crash cleared synopsis
     tables; the restart must restore the accounting of the last
-    surviving checkpoint exactly — no drift, no double counting."""
+    surviving commit exactly — no drift, no double counting."""
     directory, _, _ = _checkpointed_run(
         tmp_path, fault_plan="crash=tomcat@9.0"
     )
-    files = list_checkpoints(directory)
-    assert len(files) > 4
-    for path in files[-2:]:  # everything after the survivor is lost
-        os.remove(path)
-    survivor = read_checkpoint(files[-3])
+    log = os.path.join(directory, LOG_NAME)
+    commits = list(read_commits(log))
+    assert len(commits) > 4
+    end, survivor = commits[-3]  # everything after it is lost
+    with open(log, "r+b") as handle:
+        handle.truncate(end)
     stored = survivor["counters"]
     assert stored["crashes"] >= 1  # the fault fired before the survivor
 
@@ -98,7 +95,7 @@ def test_recovery_after_collector_death_is_exact(tmp_path):
     assert recovered.completeness() == (attempted - unresolved) / attempted
     assert recovered.completeness() < 1.0  # the crash really lost refs
 
-    # Cold state answers queries: trees fault in from checkpoints.
+    # Cold state answers queries: trees fault in from the log.
     rows = recovered.top_contexts(5)
     assert rows and rows[0][2] > 0.0
     profile = recovered.stitched_profile(strict=False)
@@ -108,11 +105,12 @@ def test_recovery_after_collector_death_is_exact(tmp_path):
 
 def test_recovery_roundtrip_is_stable(tmp_path):
     """recover -> compact -> recover again reproduces the same bytes
-    from a single superseding snapshot."""
+    from a single superseding commit."""
     directory, _, _ = _checkpointed_run(tmp_path)
     first = LiveCollector.recover(directory)
     digest = _digest(first.compact(strict=True))
-    assert len(list_checkpoints(directory)) == 1
+    assert os.listdir(directory) == [LOG_NAME]
+    assert len(list(read_commits(os.path.join(directory, LOG_NAME)))) == 1
     second = LiveCollector.recover(directory)
     assert second.samples == first.samples
     assert _digest(second.stitched_profile(strict=True)) == digest

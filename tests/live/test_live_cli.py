@@ -12,8 +12,7 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.live import list_checkpoints
-from repro.live.checkpoint import SPILL_NAME
+from repro.live import LOG_NAME, LiveCollector, read_commits
 
 
 @pytest.fixture(autouse=True)
@@ -41,6 +40,10 @@ def _listing(root):
     return sorted(rows)
 
 
+def _commits(directory) -> int:
+    return len(list(read_commits(os.path.join(directory, LOG_NAME))))
+
+
 def test_tpcw_live_flag(capsys):
     assert main(_TPCW + ["--live", "--live-top", "4"]) == 0
     out = capsys.readouterr().out
@@ -58,9 +61,10 @@ def test_haboob_live_with_checkpoints(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "live profile" in out
-    # The run finalizes its chain and leaves compaction to live-report.
+    # The run finalizes its log and leaves compaction to live-report.
     assert os.listdir(live) == ["shard-0000"]
-    assert len(list_checkpoints(str(live / "shard-0000"))) > 1
+    assert os.listdir(live / "shard-0000") == [LOG_NAME]
+    assert _commits(live / "shard-0000") > 1
     assert main(["live-report", str(live), "--top", "3"]) == 0
     out = capsys.readouterr().out
     assert "live profile" in out
@@ -83,11 +87,10 @@ def test_live_report_digest_matches_postmortem_stitch(tmp_path, capsys):
     assert "live checkpoints in" in out
     assert main(sharded + ["--spool", str(spool), "--profile-format", "v2"]) == 0
     capsys.readouterr()
-    # Each shard left its interval chain and one spill log beside it.
+    # Each shard left one log: evicted trees and interval commits.
     for shard in sorted(os.listdir(live)):
-        names = os.listdir(live / shard)
-        assert SPILL_NAME in names
-        assert 1 < len(list_checkpoints(str(live / shard))) == len(names) - 1
+        assert os.listdir(live / shard) == [LOG_NAME]
+        assert _commits(live / shard) > 1
     before = _listing(live)
     assert main(["live-report", str(live), "--digest"]) == 0
     live_digest = capsys.readouterr().out.strip()
@@ -98,11 +101,12 @@ def test_live_report_digest_matches_postmortem_stitch(tmp_path, capsys):
     assert len(live_digest) == 64
     assert live_digest == post_digest
     # --compact is the one reporting mode that rewrites the directory:
-    # one full document per shard, the log gone with the chain.
+    # each shard's log becomes one commit.
     assert main(["live-report", str(live), "--digest", "--compact"]) == 0
     assert capsys.readouterr().out.strip() == live_digest
     for shard in os.listdir(live):
-        assert len(os.listdir(live / shard)) == 1
+        assert os.listdir(live / shard) == [LOG_NAME]
+        assert _commits(live / shard) == 1
 
 
 def test_live_run_builds_no_spans(tmp_path, capsys, monkeypatch):
@@ -152,6 +156,65 @@ def test_live_report_rejects_bad_directory(tmp_path, capsys):
     empty.mkdir()
     assert main(["live-report", str(empty)]) == 2
     assert "no checkpoints" in capsys.readouterr().err
+
+
+def test_a_log_without_a_commit_is_not_a_collector_directory(tmp_path,
+                                                            capsys):
+    """A crash before the first interval leaves evicted trees and no
+    commit: that is not a live run or a shard of one, whatever else is
+    there.  A ``live.wdr2.tmp`` left by a compaction that died is never
+    read."""
+    import shutil
+
+    from repro.apps.tpcw import TpcwSystem
+    from repro.core.persist import live_directories, load_run
+    from repro.live import attach_collector
+    from repro.parallel import canonical_profile_bytes
+
+    early = tmp_path / "early"
+    collector = attach_collector(
+        None, directory=str(early), interval=1000.0, max_resident=1
+    )
+    try:
+        TpcwSystem(clients=4, seed=7).run(duration=2.0, warmup=0.0)
+    finally:
+        collector.close()
+    assert collector.evictions > 0 and collector.checkpoints_written == 0
+    assert os.listdir(early) == [LOG_NAME]
+
+    live = tmp_path / "live"
+    assert main(_TPCW + ["--live-dir", str(live), "--live-interval", "2",
+                         "--live-resident", "4"]) == 0
+    capsys.readouterr()
+    shard = str(live / "shard-0000")
+    want = load_run(shard).profile
+    samples = LiveCollector.recover(shard).samples
+    # A whole log with commits as the leftover does not make ``early``
+    # a collector directory ...
+    shutil.copy(os.path.join(shard, LOG_NAME), early / (LOG_NAME + ".tmp"))
+    assert live_directories(str(early)) == []
+    assert main(["live-report", str(early)]) == 2
+    assert "no checkpoints" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="no profile dumps found"):
+        load_run(str(early))
+    # Nor does a shard directory whose log holds no commit count.
+    sharded = tmp_path / "sharded"
+    (sharded / "shard-0000").mkdir(parents=True)
+    shutil.copy(early / LOG_NAME, sharded / "shard-0000" / LOG_NAME)
+    assert live_directories(str(sharded)) == []
+    assert main(["live-report", str(sharded)]) == 2
+    assert "no checkpoints" in capsys.readouterr().err
+    shutil.copytree(shard, sharded / "shard-0001")
+    assert live_directories(str(sharded)) == [
+        (1, str(sharded / "shard-0001"))
+    ]
+    # ... and a leftover beside a log with commits changes nothing.
+    shutil.copy(early / LOG_NAME, os.path.join(shard, LOG_NAME + ".tmp"))
+    assert live_directories(shard) == [(None, shard)]
+    assert LiveCollector.recover(shard).samples == samples
+    assert canonical_profile_bytes(load_run(shard).profile) == (
+        canonical_profile_bytes(want)
+    )
 
 
 def test_sharded_live_without_dir_prints_each_shards_view(capsys):
@@ -218,7 +281,7 @@ def test_live_resident_zero_is_unbounded(tmp_path, capsys):
     assert main(_TPCW + live + [
         "--shards", "2", "--jobs", "1", "--live-dir", str(sharded),
     ]) == 0
-    # Nothing was evicted, so no shard's collector opened a spill log.
+    # Nothing was evicted: every tree reached the log at an interval.
     for shard in ("shard-0000", "shard-0001"):
-        names = os.listdir(sharded / shard)
-        assert names and SPILL_NAME not in names
+        assert os.listdir(sharded / shard) == [LOG_NAME]
+        assert LiveCollector.recover(str(sharded / shard)).evictions == 0

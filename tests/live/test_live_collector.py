@@ -12,6 +12,7 @@ always a second run of the same seed that no collector touched.
 
 import functools
 import hashlib
+import os
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro import telemetry
 from repro.apps.tpcw import TpcwSystem
 from repro.core import profiler
 from repro.core.profiler import ProfilerMode
-from repro.live import LiveCollector, attach_collector, list_checkpoints
+from repro.live import LOG_NAME, LiveCollector, attach_collector, read_commits
 from repro.parallel import canonical_profile_bytes
 from tests.sim.later import call_later
 
@@ -78,8 +79,10 @@ def test_live_compaction_matches_postmortem_under_eviction(tmp_path):
     live = collector.compact(strict=True)  # lossless run: strict stitch
     assert live.completeness == 1.0
     assert _digest(live) == _oracle()
-    # Compaction collapsed the directory to one superseding snapshot.
-    assert len(list_checkpoints(collector.directory)) == 1
+    # Compaction rewrote the log as one superseding commit.
+    log = os.path.join(collector.directory, LOG_NAME)
+    assert os.listdir(collector.directory) == [LOG_NAME]
+    assert len(list(read_commits(log))) == 1
 
 
 @pytest.mark.parametrize("max_resident", [1, 3])
@@ -237,7 +240,7 @@ def test_sharded_live_collection_folds_like_parallel_stitch(tmp_path):
     accumulator = ProfileAccumulator()
     for index in range(3):
         shard_dir = str(live_dir / f"shard-{index:04d}")
-        assert list_checkpoints(shard_dir)
+        assert list(read_commits(os.path.join(shard_dir, LOG_NAME)))
         recovered = LiveCollector.recover(shard_dir)
         accumulator.add_profile(
             _tag_unresolved(

@@ -22,8 +22,7 @@ from repro.core import profiler
 from repro.core.cct import CallingContextTree
 from repro.core.persist import load_run, load_stage, save_stage
 from repro.core.profiler import StageRuntime
-from repro.live import LiveCollector, attach_collector
-from repro.live.checkpoint import SpillLog
+from repro.live import LiveCollector, attach_collector, checkpoint
 from repro.live.collector import StageTrees
 
 
@@ -248,10 +247,10 @@ def test_a_failing_collector_stops_the_run(tmp_path, monkeypatch):
     """A spill that cannot be written must not be quarantined into a
     silently partial live profile: the error ends the run."""
 
-    def disk_full(self, cell):
+    def disk_full(handle, document, version):
         raise OSError("disk full")
 
-    monkeypatch.setattr(SpillLog, "append", disk_full)
+    monkeypatch.setattr(checkpoint, "append_frame", disk_full)
     tele = telemetry.install("spans")
     collector = attach_collector(
         tele, directory=str(tmp_path / "live"), interval=2.0, max_resident=2
@@ -266,22 +265,19 @@ def test_a_failing_collector_stops_the_run(tmp_path, monkeypatch):
 
 
 def test_a_failing_shard_releases_the_spill_log(tmp_path, monkeypatch):
-    from repro.live import checkpoint
     from repro.parallel import plan_shards
     from repro.parallel.runner import run_one_shard
 
     logs = []
-    append = SpillLog.append
+    append = checkpoint.append_frame
 
-    def recording_append(self, cell):
-        logs.append(self)
-        return append(self, cell)
+    def commit_fails(handle, document, version):
+        if version == checkpoint.COMMIT_VERSION:
+            raise OSError("disk full")
+        logs.append(handle)
+        return append(handle, document, version)
 
-    def disk_full(directory, seq, document):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(SpillLog, "append", recording_append)
-    monkeypatch.setattr(checkpoint, "write_checkpoint", disk_full)
+    monkeypatch.setattr(checkpoint, "append_frame", commit_fails)
     plan = plan_shards(
         "tpcw", seed=7, clients=10, shards=1, duration=8.0, warmup=1.0,
         params={}, live_dir=str(tmp_path / "live"), live_interval=2.0,
@@ -289,7 +285,7 @@ def test_a_failing_shard_releases_the_spill_log(tmp_path, monkeypatch):
     )
     with pytest.raises(OSError, match="disk full"):
         run_one_shard(plan.specs[0])
-    assert logs, "the shard evicted nothing before its first checkpoint"
-    assert all(log._handle is None for log in logs)
+    assert logs, "the shard wrote no tree before its first commit"
+    assert all(log.closed for log in logs)
     assert profiler.COLLECTOR is None
     assert telemetry.ACTIVE is None

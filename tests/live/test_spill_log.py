@@ -1,31 +1,24 @@
-"""The spill log: where evicted trees go, and what recovery makes of it.
+"""The log: where evicted trees go, and what recovery makes of it.
 
-Evicted trees are appended to one file per collector directory; the
-interval chain references them by offset.  These tests pin the
-consequences: bytes nothing references (a torn tail, frames newer than
-the surviving checkpoint) change nothing, any LRU bound and interval
-give the post-mortem bytes, the chain grows with virtual time and not
-with evictions, and a directory in the older layout (every tree a cell
-of some chain document) still recovers.
+Evicted trees are appended to one file per collector directory, the
+same file the interval commits go to; a commit names the tree frames
+by offset.  These tests pin the consequences: bytes no commit names (a
+torn tail, orphan frames) change nothing, a recovered collector that
+resumes writing cuts them off, any LRU bound and interval give the
+post-mortem bytes, and the commits grow with virtual time and not with
+evictions.
 """
 
 import hashlib
 import math
 import os
-import shutil
 
 import pytest
 
 from repro import telemetry
 from repro.apps.tpcw import TpcwSystem
-from repro.live import (
-    LiveCollector,
-    attach_collector,
-    list_checkpoints,
-    read_checkpoint,
-    write_checkpoint,
-)
-from repro.live.checkpoint import SPILL_NAME, SpillLog
+from repro.live import LOG_NAME, LiveCollector, attach_collector, read_commits
+from repro.live.checkpoint import TREE_VERSION, append_frame
 from repro.parallel import canonical_profile_bytes
 
 
@@ -40,21 +33,12 @@ def _digest(profile) -> str:
 
 
 def _run(directory, interval=2.0, max_resident=3, fault_plan=None,
-         duration=12.0, on_checkpoint=None):
+         duration=12.0):
     """One seeded TPC-W run under a spilling collector."""
     tele = telemetry.install("spans")
     collector = attach_collector(
         tele, directory=directory, interval=interval, max_resident=max_resident
     )
-    if on_checkpoint is not None:
-        write = collector.checkpoint
-
-        def checkpoint():
-            path = write()
-            on_checkpoint(path)
-            return path
-
-        collector.checkpoint = checkpoint
     results = _system(fault_plan).run(duration=duration, warmup=2.0)
     collector.finalize()
     telemetry.uninstall()
@@ -103,29 +87,34 @@ def test_nothing_on_disk_before_the_first_eviction(tmp_path):
 
 
 def test_torn_tail_is_ignored(tmp_path):
-    """A collector that dies while appending leaves a torn frame after
-    the last checkpoint.  Whatever prefix of it survives, recovery is
-    the last checkpoint, exactly."""
+    """A collector that dies while appending leaves orphan frames and
+    a torn one after the last commit.  Whatever prefix of them
+    survives, recovery is the last commit, exactly; a recovered
+    collector that resumes cuts them off before it writes."""
     directory = str(tmp_path / "live")
-    collector, results = _run(directory)
+    collector, results = _run(directory, fault_plan="crash=tomcat@6.0")
     assert collector.evictions > 0
-    log_path = os.path.join(directory, SPILL_NAME)
+    log_path = os.path.join(directory, LOG_NAME)
     referenced = os.path.getsize(log_path)
     intact = LiveCollector.recover(directory)
     want = _state(intact)
-    stored = read_checkpoint(list_checkpoints(directory)[-1])["counters"]
+    stored = list(read_commits(log_path))[-1][1]["counters"]
     assert (intact.samples, intact.sample_weight, intact.evictions) == (
         stored["samples"], stored["sample_weight"], stored["evictions"]
     )
     assert intact.samples == collector.samples
     post = _digest(results.stitch())
-    assert _digest(intact.stitched_profile(strict=True)) == post
+    assert _digest(intact.stitched_profile()) == post
 
-    # Two evictions after the last checkpoint; the second one torn.
-    log = SpillLog(directory)
-    log.append([["orphan"], [-1], ["<root>"], [1.0], [0]])
-    log.append([["torn"], [-1, 0], ["<root>", "frame"], [0.0, 2.5], [0, 1]])
-    log.close()
+    def orphans():
+        """Two evictions after the last commit; the second one torn."""
+        with open(log_path, "ab") as log:
+            append_frame(log, [["orphan"], [-1], ["<root>"], [1.0], [0]],
+                         TREE_VERSION)
+            append_frame(log, [["torn"], [-1, 0], ["<root>", "frame"],
+                               [0.0, 2.5], [0, 1]], TREE_VERSION)
+
+    orphans()
     whole = os.path.getsize(log_path)
     assert whole > referenced + 24
     for cut in range(1, whole - referenced + 1):
@@ -134,52 +123,17 @@ def test_torn_tail_is_ignored(tmp_path):
         recovered = LiveCollector.recover(directory)
         assert _state(recovered) == want, cut
         if cut % 16 == 1:
-            assert _digest(recovered.stitched_profile(strict=True)) == post
+            assert _digest(recovered.stitched_profile()) == post
     assert os.path.getsize(log_path) == referenced
 
-
-def test_frames_newer_than_the_surviving_checkpoint_are_ignored(tmp_path):
-    """Lose the two newest chain files but keep the whole log: the
-    frames appended after the survivor must count for nothing, as if
-    the collector had died right after writing the survivor."""
-    directory = str(tmp_path / "live")
-    at_checkpoint = {}
-
-    def keep_copy(path):
-        copy = str(tmp_path / f"at-{len(at_checkpoint)}")
-        shutil.copytree(directory, copy)
-        at_checkpoint[path] = copy
-
-    _run(directory, fault_plan="crash=tomcat@6.0", on_checkpoint=keep_copy)
-    files = list_checkpoints(directory)
-    assert len(files) > 4
-    for path in files[-2:]:
-        os.remove(path)
-    survivor = files[-3]
-    pristine = at_checkpoint[survivor]
-    log_path = os.path.join(directory, SPILL_NAME)
-    assert os.path.getsize(log_path) > os.path.getsize(
-        os.path.join(pristine, SPILL_NAME)
-    )
-
-    stored = read_checkpoint(survivor)["counters"]
-    recovered = LiveCollector.recover(directory, max_resident=3)
-    assert recovered.samples == stored["samples"]
-    assert recovered.sample_weight == stored["sample_weight"]
-    assert recovered.evictions == stored["evictions"] > 0
-    assert recovered.revivals == stored["revivals"] > 0
-    assert recovered.stitch_stats() == (
-        stored["attempted"], stored["unresolved"]
-    )
-    reference = LiveCollector.recover(pristine)
-    assert _state(recovered) == _state(reference)
-    assert _digest(recovered.stitched_profile()) == _digest(
-        reference.stitched_profile()
-    )
-
     # The recovered collector keeps working: changes to its rebuilt
-    # stages revive trees and evict onto the end of the same log, past
-    # the orphans.  It holds their names, so no new system joins it.
+    # stages revive trees and evict them onto the log, which it first
+    # cuts back to its last commit.  It holds their names, so no new
+    # system joins it.
+    orphans()
+    with open(log_path, "r+b") as handle:
+        handle.truncate(whole - 3)
+    recovered = LiveCollector.recover(directory, max_resident=3)
     for stage in recovered._stages.values():
         for label in list(stage.ccts):
             stage.cct_for(label).record_sample(("resumed",), 1.0)
@@ -188,11 +142,16 @@ def test_frames_newer_than_the_surviving_checkpoint_are_ignored(tmp_path):
     recovered.attach(None)
     with pytest.raises(ValueError, match="already holds a stage"):
         _system()
+    recovered.checkpoint()
     recovered.close()
+    resumed = LiveCollector.recover(directory)
+    assert resumed.recovered_from == intact.recovered_from + 1
+    assert resumed.samples == recovered.samples
+    assert _digest(resumed.stitched_profile()) == _digest(
+        recovered.stitched_profile()
+    ) != post
     compacted = _digest(recovered.compact())
-    assert os.listdir(directory) == [
-        os.path.basename(list_checkpoints(directory)[0])
-    ]
+    assert os.listdir(directory) == [LOG_NAME]
     again = LiveCollector.recover(directory)
     assert again.samples == recovered.samples
     assert _digest(again.stitched_profile()) == compacted
@@ -222,54 +181,19 @@ def test_chain_grows_with_virtual_time_not_with_evictions(tmp_path):
         directory, interval=interval, max_resident=2, duration=duration
     )
     assert collector.evictions > 200
-    chain = list_checkpoints(directory)
+    log_path = os.path.join(directory, LOG_NAME)
+    commits = [commit for _end, commit in read_commits(log_path)]
     bound = math.ceil((duration + warmup) / interval) + 2
-    # Bounded loss is by virtual time: one document per interval, give
+    # Bounded loss is by virtual time: one commit per interval, give
     # or take the gap to the next sample; none per eviction.
-    assert bound - 4 <= len(chain) <= bound
-    assert collector.checkpoints_written == len(chain)
-    times = [read_checkpoint(path)["t"] for path in chain[:-1]]
+    assert bound - 4 <= len(commits) <= bound
+    assert collector.checkpoints_written == len(commits)
+    times = [commit["t"] for commit in commits[:-1]]
     assert all(
         later - earlier < interval + 1.0
         for earlier, later in zip(times, times[1:])
     )
-    assert sorted(os.listdir(directory)) == sorted(
-        [os.path.basename(path) for path in chain] + [SPILL_NAME]
-    )
+    assert os.listdir(directory) == [LOG_NAME]
     LiveCollector.recover(directory).compact()
-    assert os.listdir(directory) == [
-        os.path.basename(list_checkpoints(directory)[0])
-    ]
-
-
-def test_directory_without_a_spill_log_still_recovers(tmp_path):
-    """The layout before the spill log: every tree snapshot is a cell
-    of some chain document, no document has a ``spilled`` key, and
-    there is no log file."""
-    directory = str(tmp_path / "live")
-    _, results = _run(directory, fault_plan="crash=tomcat@6.0")
-    log = SpillLog(directory)
-    old_layout = str(tmp_path / "old-layout")
-    inlined = 0
-    for path in list_checkpoints(directory):
-        document = read_checkpoint(path)
-        for stage_doc in document["stages"].values():
-            for _label, offset in stage_doc.pop("spilled"):
-                stage_doc["ccts"].append(log.read(offset))
-                inlined += 1
-        write_checkpoint(old_layout, document["seq"], document)
-    log.close()
-    assert inlined > 0
-    assert SPILL_NAME not in os.listdir(old_layout)
-
-    want = LiveCollector.recover(directory)
-    recovered = LiveCollector.recover(old_layout)
-    assert _state(recovered) == _state(want)
-    post = _digest(results.stitch(strict=False))
-    assert _digest(recovered.stitched_profile()) == post
-    # ... and compacts into the current layout without changing a byte.
-    assert _digest(recovered.compact()) == post
-    assert len(os.listdir(old_layout)) == 1
-    assert _digest(
-        LiveCollector.recover(old_layout).stitched_profile()
-    ) == post
+    assert os.listdir(directory) == [LOG_NAME]
+    assert len(list(read_commits(log_path))) == 1
