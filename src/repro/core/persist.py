@@ -57,6 +57,8 @@ PROFILE_FORMATS = ("v1", "v2")
 #: then the gzip-compressed JSON document.
 V2_MAGIC = b"WDP2"
 _V2_HEADER = struct.Struct(">4sII")
+#: The bytes of a frame header: magic, version, payload length.
+FRAME_HEADER_SIZE = _V2_HEADER.size
 
 #: Compact separators for every JSON dump (default separators add ~20%
 #: whitespace bloat).
@@ -467,6 +469,18 @@ def write_frame(
     return _V2_HEADER.size + len(payload)
 
 
+def read_frame_header(handle: IO) -> Optional[Tuple[bytes, int, int]]:
+    """The next frame's ``(magic, version, payload length)``, or None at
+    clean EOF; raises ``ValueError`` on a header cut short by the end of
+    the stream."""
+    header = handle.read(_V2_HEADER.size)
+    if not header:
+        return None
+    if len(header) < _V2_HEADER.size:
+        raise ValueError("truncated frame header")
+    return _V2_HEADER.unpack(header)
+
+
 def read_frame(
     handle: IO,
     magic: Optional[bytes] = None,
@@ -477,12 +491,10 @@ def read_frame(
     Reads exactly header + payload bytes — never the rest of the file —
     so arbitrarily long multi-frame spools stream in bounded memory.
     """
-    header = handle.read(_V2_HEADER.size)
-    if not header:
+    header = read_frame_header(handle)
+    if header is None:
         return None
-    if len(header) < _V2_HEADER.size:
-        raise ValueError("truncated frame header")
-    got_magic, got_version, length = _V2_HEADER.unpack(header)
+    got_magic, got_version, length = header
     if magic is not None and got_magic != magic:
         raise ValueError(f"bad frame magic {got_magic!r} (wanted {magic!r})")
     if version is not None and got_version != version:
@@ -492,7 +504,7 @@ def read_frame(
         raise ValueError("truncated frame payload")
     try:
         return json.loads(gzip.decompress(payload))
-    except (zlib.error, EOFError) as error:  # not gzip's own OSError
+    except (zlib.error, EOFError, gzip.BadGzipFile) as error:
         raise ValueError(
             f"corrupt {got_magic!r} frame in "
             f"{getattr(handle, 'name', '<stream>')!r}: {error}"
@@ -723,9 +735,12 @@ def live_directories(directory: str) -> List[Tuple[Optional[int], str]]:
     """The collector directories of a live checkpoint directory.
 
     ``(shard_index, path)`` per ``shard-NNNN/`` subdirectory, in shard
-    order; a directory holding none is its own candidate (index
-    ``None``).  A candidate counts only if its log holds a complete
-    commit.  ``[]``: not a live checkpoint directory.
+    order; a directory holding none is its own collector directory
+    (index ``None``).  It is a live checkpoint directory only if some
+    collector's log holds a complete commit; then every shard counts,
+    one with no commit yet recovering empty, so the fold does not
+    depend on which shards have committed.  ``[]``: not a live
+    checkpoint directory.
     """
     from repro.live.checkpoint import holds_commit
 
@@ -735,7 +750,9 @@ def live_directories(directory: str) -> List[Tuple[Optional[int], str]]:
         if name.startswith("shard-")
         and os.path.isdir(os.path.join(directory, name))
     ] or [(None, directory)]
-    return [(index, path) for index, path in candidates if holds_commit(path)]
+    if any(holds_commit(path) for _index, path in candidates):
+        return candidates
+    return []
 
 
 def live_collectors(directory: str):

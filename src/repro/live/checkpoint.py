@@ -55,21 +55,19 @@ about power loss.
 
 from __future__ import annotations
 
-import gzip
-import json
 import os
-import zlib
 from typing import IO, Any, Dict, Iterator, List, Tuple
 
 from repro.core.cct import CCTNode, CallingContextTree
 from repro.core.crosstalk import PairStats
 from repro.core.persist import (
-    _V2_HEADER,
+    FRAME_HEADER_SIZE,
     decode_context,
     decode_crosstalk_type,
     encode_context,
     encode_crosstalk_type,
     read_frame,
+    read_frame_header,
     write_frame,
 )
 
@@ -119,28 +117,20 @@ def read_commits(path: str) -> Iterator[Tuple[int, Dict[str, Any]]]:
     except FileNotFoundError:
         return
     with handle:
-        end = 0
-        while True:
-            header = handle.read(_V2_HEADER.size)
-            if len(header) < _V2_HEADER.size:
-                return
-            magic, version, length = _V2_HEADER.unpack(header)
+        size = os.fstat(handle.fileno()).st_size
+        start = 0
+        # Fewer bytes left than a header: the end, or a torn header.
+        while size - start >= FRAME_HEADER_SIZE:
+            magic, version, length = read_frame_header(handle)
             if magic != LOG_MAGIC or version not in (TREE_VERSION, COMMIT_VERSION):
-                raise ValueError(f"no live-log frame at offset {end} of {path!r}")
-            end += _V2_HEADER.size + length
-            if version == TREE_VERSION:
-                handle.seek(end)
-                continue
-            payload = handle.read(length)
-            if len(payload) < length:
+                raise ValueError(f"no live-log frame at offset {start} of {path!r}")
+            end = start + FRAME_HEADER_SIZE + length
+            if end > size:  # a torn payload
                 return
-            try:
-                commit = json.loads(gzip.decompress(payload))
-            except (OSError, EOFError, ValueError, zlib.error) as error:
-                raise ValueError(
-                    f"corrupt commit before offset {end} of {path!r}: {error}"
-                ) from error
-            yield end, commit
+            if version == COMMIT_VERSION:
+                handle.seek(start)
+                yield end, read_frame(handle)
+            start = handle.seek(end)
 
 
 def holds_commit(directory: str) -> bool:

@@ -165,9 +165,10 @@ class LiveCollector:
         # a read opens it read-only for the one frame, so a recovered
         # collector that is only queried leaves the directory alone.
         self._log: Optional[IO[bytes]] = None
-        # The bytes of the log the state rests on: the first write cuts
-        # the file back to them, so a fresh collector starts it afresh
-        # and a recovered one drops what followed its last commit.
+        # The bytes of the log the state rests on: opening the log for a
+        # write cuts the file back to them, so a fresh collector starts
+        # it afresh, a recovered one drops what followed its last
+        # commit, and a closed one carries on where it stopped.
         self._log_end = 0
         # Tree frames no commit names yet.
         self._unreferenced: Dict[_Entry, int] = {}
@@ -399,33 +400,49 @@ class LiveCollector:
             "unresolved": stats.unresolved,
         }
 
-    def _commit(self, handle: IO[bytes], snapshot: List[_Entry]) -> None:
-        """Append ``snapshot``'s trees, then one commit naming every
-        tree frame no commit named yet (see :mod:`repro.live.checkpoint`
-        for the replay semantics)."""
+    def _commit(
+        self,
+        handle: IO[bytes],
+        snapshot: List[_Entry],
+        unreferenced: Dict[_Entry, int],
+        absolute: bool = False,
+    ) -> Dict[_Entry, int]:
+        """Append ``snapshot``'s trees, then one commit naming them and
+        ``unreferenced`` (tree frames in the file no commit names yet;
+        see :mod:`repro.live.checkpoint` for the replay semantics).
+
+        The commit carries the labels and synopsis ops since the last
+        one, or with ``absolute`` every label and the whole synopsis
+        table.  Returns the offset of every tree the commit names, and
+        changes nothing in memory: :meth:`_settle` does, once the commit
+        is in the log, so a failed write leaves the collector as it was.
+        """
+        named = dict(unreferenced)
         for entry in snapshot:
-            entry.where = self._unreferenced[entry] = _ckpt.append_frame(
+            named[entry] = _ckpt.append_frame(
                 handle, _ckpt.encode_cct(entry.label, entry.cct),
                 _ckpt.TREE_VERSION,
             )
-        named: Dict[str, List[Any]] = {}
-        for entry, offset in self._unreferenced.items():
-            named.setdefault(entry.stage, []).append(
+        trees_doc: Dict[str, List[Any]] = {}
+        for entry, offset in named.items():
+            trees_doc.setdefault(entry.stage, []).append(
                 [_ckpt.encode_context(entry.label), offset]
             )
         stages_doc: Dict[str, Any] = {}
         for name, stage in self._stages.items():
             trees = stage.ccts
+            if absolute:
+                labels = list(trees.entries)
+                ops = [("s", value, context)
+                       for context, value in stage.synopses.items()]
+            else:
+                labels, ops = trees.new_labels, trees.ops
             stages_doc[name] = {
-                "new_labels": [
-                    _ckpt.encode_context(label) for label in trees.new_labels
-                ],
-                "syn_ops": [_ckpt.encode_syn_op(op) for op in trees.ops],
-                "trees": named.get(name, []),
+                "new_labels": [_ckpt.encode_context(label) for label in labels],
+                "syn_ops": [_ckpt.encode_syn_op(op) for op in ops],
+                "trees": trees_doc.get(name, []),
                 "crosstalk": _ckpt.encode_crosstalk(stage.crosstalk.pairs),
             }
-            trees.new_labels = []
-            trees.ops = []
         commit = {
             "t": self.now,
             "counters": self._counters_doc(),
@@ -433,10 +450,19 @@ class LiveCollector:
         }
         _ckpt.append_frame(handle, commit, _ckpt.COMMIT_VERSION)
         handle.flush()
-        self._unreferenced = {}
-        self.checkpoints_written += 1
+        return named
+
+    def _settle(self, named: Dict[_Entry, int], snapshot: List[_Entry]) -> None:
+        """Make a commit :meth:`_commit` wrote the collector's state."""
+        for entry, offset in named.items():
+            entry.where = offset
         for entry in snapshot:
             entry.dirty = False
+        for stage in self._stages.values():
+            stage.ccts.new_labels = []
+            stage.ccts.ops = []
+        self._unreferenced = {}
+        self.checkpoints_written += 1
 
     def checkpoint(self) -> None:
         """Write an interval checkpoint of every dirty resident tree.
@@ -448,7 +474,10 @@ class LiveCollector:
         """
         if self.directory is None:
             return
-        self._commit(self._writer(), [entry for entry in self._lru if entry.dirty])
+        snapshot = [entry for entry in self._lru if entry.dirty]
+        self._settle(
+            self._commit(self._writer(), snapshot, self._unreferenced), snapshot
+        )
         self._next_ckpt = self.now + self.interval
 
     def finalize(self) -> None:
@@ -653,23 +682,16 @@ class LiveCollector:
                 entry.cct = self._load_tree(entry)
                 self._lru[entry] = None
         profile = self.stitched_profile(strict=strict)
-        for stage in self._stages.values():
-            # Absolute state: every label in first-seen order, the
-            # whole current synopsis table.
-            trees = stage.ccts
-            trees.new_labels = list(trees.entries)
-            trees.ops = [
-                ("s", value, context) for context, value in stage.synopses.items()
-            ]
         self._release_log()
         os.makedirs(self.directory, exist_ok=True)
         path = _ckpt.log_path(self.directory)
-        # The new file names only its own frames.
-        self._unreferenced = {}
         with open(path + ".tmp", "wb") as handle:
-            self._commit(handle, everything)
-            self._log_end = handle.tell()
+            # The new file names only its own frames.
+            named = self._commit(handle, everything, {}, absolute=True)
+            end = handle.tell()
         os.replace(path + ".tmp", path)
+        self._settle(named, everything)
+        self._log_end = end
         return profile
 
     def flush(self) -> None:
@@ -677,6 +699,7 @@ class LiveCollector:
 
     def _release_log(self) -> None:
         if self._log is not None:
+            self._log_end = self._log.seek(0, os.SEEK_END)
             self._log.close()
             self._log = None
 
@@ -687,7 +710,8 @@ class LiveCollector:
         Idempotent.  Empties the collector slot if this collector holds
         it, so systems built afterwards keep plain CCT dicts.  The
         collector stays queryable, and stages it adopted keep recording
-        into it; it reopens the log at its next write.
+        into it; it reopens the log at its next write and appends
+        to it.
         """
         if _profiler.COLLECTOR is self:
             _profiler.COLLECTOR = None

@@ -114,3 +114,42 @@ def test_recovery_roundtrip_is_stable(tmp_path):
     second = LiveCollector.recover(directory)
     assert second.samples == first.samples
     assert _digest(second.stitched_profile(strict=True)) == digest
+
+
+def test_a_closed_collector_writes_on_where_it_stopped(tmp_path):
+    """close() releases the log's handle, not its contents: the
+    evictions and commits after it append to the log, before and after
+    a compaction."""
+    tele = telemetry.install("spans")
+    directory = str(tmp_path / "live")
+    collector = attach_collector(
+        tele, directory=directory, interval=2.0, max_resident=6
+    )
+    write = collector.checkpoint
+
+    def checkpoint_then_close():
+        write()
+        collector.close()
+
+    collector.checkpoint = checkpoint_then_close
+    results = TpcwSystem(clients=12, seed=7).run(duration=16.0, warmup=2.0)
+    telemetry.uninstall()
+    collector.finalize()
+    assert collector.checkpoints_written > 4 and collector.evictions > 0
+    log = os.path.join(directory, LOG_NAME)
+    assert len(list(read_commits(log))) == collector.checkpoints_written
+    recovered = LiveCollector.recover(directory)
+    assert recovered.samples == collector.samples
+    digest = _digest(results.stitch())
+    assert _digest(recovered.stitched_profile(strict=True)) == digest
+
+    # After a compaction, the log it wrote is the one carried on.
+    collector.compact()
+    collector.finalize()
+    collector.close()
+    collector.finalize()
+    collector.close()
+    assert os.listdir(directory) == [LOG_NAME]
+    recovered = LiveCollector.recover(directory)
+    assert recovered.recovered_from == 3
+    assert _digest(recovered.stitched_profile(strict=True)) == digest

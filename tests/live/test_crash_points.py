@@ -13,19 +13,15 @@ and at every write inside compaction.
 """
 
 import hashlib
+import io
 import os
-import struct
 
 import pytest
 
 from repro.apps.tpcw import TpcwSystem
-from repro.core.persist import live_directories
+from repro.core.persist import live_directories, read_frame_header
 from repro.live import LOG_NAME, LiveCollector, attach_collector, checkpoint
 from repro.parallel import canonical_profile_bytes
-
-#: A frame header: magic, version, payload length.
-HEADER = struct.Struct(">4sII")
-
 
 def _digest(profile) -> str:
     return hashlib.sha256(canonical_profile_bytes(profile)).hexdigest()
@@ -37,13 +33,17 @@ def _system():
 
 
 def _frames(data):
-    """``(start, version, end)`` of every frame in a log's bytes."""
-    start = 0
-    while start < len(data):
-        _magic, version, length = HEADER.unpack_from(data, start)
-        end = start + HEADER.size + length
-        yield start, version, end
-        start = end
+    """``(start, version, payload start, end)`` of every frame in a
+    log's bytes."""
+    stream = io.BytesIO(data)
+    while True:
+        start = stream.tell()
+        header = read_frame_header(stream)
+        if header is None:
+            return
+        _magic, version, length = header
+        body = stream.tell()
+        yield start, version, body, stream.seek(length, os.SEEK_CUR)
 
 
 def _seen(collector):
@@ -120,7 +120,7 @@ def _recover(directory, data):
 
 
 def test_the_run_crosses_every_kind_of_write(run):
-    versions = [version for _start, version, _end in run.frames]
+    versions = [version for _start, version, _body, _end in run.frames]
     assert versions.count(checkpoint.COMMIT_VERSION) == len(run.commits) > 4
     assert versions.count(checkpoint.TREE_VERSION) > len(run.commits)
     assert run.collector.evictions > 0 and run.collector.revivals > 0
@@ -148,9 +148,8 @@ def test_every_prefix_recovers_to_its_last_commit(run, tmp_path):
     # Cut at every frame boundary, mid-header, mid-payload and before
     # the last byte of every frame.
     cuts = {len(run.data)}
-    for start, _version, end in run.frames:
-        cuts.update((start, start + HEADER.size // 2,
-                     (start + HEADER.size + end) // 2, end - 1))
+    for start, _version, body, end in run.frames:
+        cuts.update((start, (start + body) // 2, (body + end) // 2, end - 1))
     directory = str(tmp_path / "cut")
     for cut in sorted(cuts):
         recovered = _recover(directory, run.data[:cut])
@@ -165,9 +164,9 @@ def test_every_prefix_recovers_to_its_last_commit(run, tmp_path):
 
 
 def test_a_corrupt_frame_before_the_end_names_the_file(run, tmp_path):
-    second = [start for start, version, _end in run.frames
-              if version == checkpoint.COMMIT_VERSION][1]
-    payload = second + HEADER.size
+    second, payload = [(start, body) for start, version, body, _end
+                       in run.frames
+                       if version == checkpoint.COMMIT_VERSION][1]
     for at, junk in ((second, b"XXXX"), (payload, b"\0\0\0\0")):
         data = bytearray(run.data)
         data[at:at + 4] = junk
@@ -193,12 +192,17 @@ def test_a_crash_inside_compaction_leaves_the_old_log(run, tmp_path,
             return append(handle, document, version)
 
         monkeypatch.setattr(checkpoint, "append_frame", dies)
+        survivor = _recover(directory, run.data)
         with pytest.raises(OSError, match="killed"):
-            _recover(directory, run.data).compact()
+            survivor.compact()
         monkeypatch.setattr(checkpoint, "append_frame", append)
         assert sorted(os.listdir(directory)) == [LOG_NAME, LOG_NAME + ".tmp"]
         with open(log, "rb") as handle:
             assert handle.read() == run.data, crash_at
+        assert _state(LiveCollector.recover(directory)) == before, crash_at
+        # The collector that failed still commits to the old log.
+        survivor.finalize()
+        survivor.close()
         assert _state(LiveCollector.recover(directory)) == before, crash_at
 
     # Killed at the replace itself: the new log is whole beside the
@@ -207,9 +211,12 @@ def test_a_crash_inside_compaction_leaves_the_old_log(run, tmp_path,
         raise OSError("killed")
 
     monkeypatch.setattr(os, "replace", killed)
+    survivor = _recover(directory, run.data)
     with pytest.raises(OSError, match="killed"):
-        _recover(directory, run.data).compact()
+        survivor.compact()
     monkeypatch.undo()
+    survivor.finalize()
+    survivor.close()
     whole = os.path.getsize(temp)
     for size in (whole, whole - 1, whole // 2, 5, 0):
         with open(temp, "r+b") as handle:
@@ -238,7 +245,8 @@ def test_after_the_replace_recovery_is_the_compacted_log(run, tmp_path):
     collector.compact()
     assert os.listdir(directory) == [LOG_NAME]
     with open(os.path.join(directory, LOG_NAME), "rb") as handle:
-        versions = [version for _start, version, _end in _frames(handle.read())]
+        versions = [version for _start, version, _body, _end
+                    in _frames(handle.read())]
     assert versions == [checkpoint.TREE_VERSION] * (len(versions) - 1) + [
         checkpoint.COMMIT_VERSION
     ]

@@ -161,9 +161,9 @@ def test_live_report_rejects_bad_directory(tmp_path, capsys):
 def test_a_log_without_a_commit_is_not_a_collector_directory(tmp_path,
                                                             capsys):
     """A crash before the first interval leaves evicted trees and no
-    commit: that is not a live run or a shard of one, whatever else is
-    there.  A ``live.wdr2.tmp`` left by a compaction that died is never
-    read."""
+    commit: that is not a live run, whatever else is there, but it is
+    one shard of a run another shard of which has committed.  A
+    ``live.wdr2.tmp`` left by a compaction that died is never read."""
     import shutil
 
     from repro.apps.tpcw import TpcwSystem
@@ -183,8 +183,11 @@ def test_a_log_without_a_commit_is_not_a_collector_directory(tmp_path,
     assert os.listdir(early) == [LOG_NAME]
 
     live = tmp_path / "live"
+    # The stage crash leaves unresolved references, which a fold over
+    # shards qualifies with their shard.
     assert main(_TPCW + ["--live-dir", str(live), "--live-interval", "2",
-                         "--live-resident", "4"]) == 0
+                         "--live-resident", "4",
+                         "--faults", "crash=tomcat@4"]) == 0
     capsys.readouterr()
     shard = str(live / "shard-0000")
     want = load_run(shard).profile
@@ -197,17 +200,30 @@ def test_a_log_without_a_commit_is_not_a_collector_directory(tmp_path,
     assert "no checkpoints" in capsys.readouterr().err
     with pytest.raises(ValueError, match="no profile dumps found"):
         load_run(str(early))
-    # Nor does a shard directory whose log holds no commit count.
+    # Nor does a run none of whose shards has committed.
     sharded = tmp_path / "sharded"
     (sharded / "shard-0000").mkdir(parents=True)
     shutil.copy(early / LOG_NAME, sharded / "shard-0000" / LOG_NAME)
     assert live_directories(str(sharded)) == []
     assert main(["live-report", str(sharded)]) == 2
     assert "no checkpoints" in capsys.readouterr().err
+    # Once one has, every shard counts: one with no commit yet folds
+    # as an empty shard, as it would with an empty commit.
     shutil.copytree(shard, sharded / "shard-0001")
     assert live_directories(str(sharded)) == [
-        (1, str(sharded / "shard-0001"))
+        (0, str(sharded / "shard-0000")), (1, str(sharded / "shard-0001"))
     ]
+    assert main(["live-report", str(sharded)]) == 0
+    assert "recovered 2 shard collectors" in capsys.readouterr().out
+    assert main(["live-report", str(sharded), "--digest"]) == 0
+    folded = capsys.readouterr().out.strip()
+    emptied = tmp_path / "emptied"
+    shutil.copytree(sharded, emptied)
+    os.remove(emptied / "shard-0000" / LOG_NAME)
+    LiveCollector(directory=str(emptied / "shard-0000")).compact()
+    assert main(["live-report", str(emptied), "--digest"]) == 0
+    assert capsys.readouterr().out.strip() == folded
+    assert folded != hashlib.sha256(canonical_profile_bytes(want)).hexdigest()
     # ... and a leftover beside a log with commits changes nothing.
     shutil.copy(early / LOG_NAME, os.path.join(shard, LOG_NAME + ".tmp"))
     assert live_directories(shard) == [(None, shard)]
