@@ -140,7 +140,7 @@ class HaboobServer:
         """
         return {self.stage_runtime.name: self.stage_runtime}
 
-    def save_profiles(self, directory: str, profile_format: str = "v1"):
+    def save_profiles(self, directory: str, profile_format: str = "v2"):
         """Dump the server's profile into ``directory`` (see harness)."""
         import os
 

@@ -241,7 +241,7 @@ class TpcwSystem:
         return dict(self._stages_by_name)
 
     def save_profiles(
-        self, directory: str, profile_format: str = "v1"
+        self, directory: str, profile_format: str = "v2"
     ) -> Dict[str, str]:
         """Dump every tier's profile into ``directory``; returns the
         written paths keyed by stage name."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import tempfile
 from typing import List, Optional
@@ -178,7 +179,6 @@ def _run_plan(args: argparse.Namespace, workload: str, duration: float,
         warmup=warmup,
         params=params,
         spool_dir=spool,
-        profile_format=args.profile_format,
         telemetry_mode=args.telemetry,
         live=getattr(args, "live", False),
         live_dir=getattr(args, "live_dir", None) or "",
@@ -204,8 +204,7 @@ def _print_run_tail(args: argparse.Namespace, run) -> None:
     """What any planned run ends with: where its dumps went, each
     shard's live view, and the telemetry summary."""
     if args.spool:
-        print(f"spooled {run.dump_bytes()} profile bytes "
-              f"({args.profile_format}) to {args.spool}")
+        print(f"spooled {run.dump_bytes()} profile bytes to {args.spool}")
     for result in run.results:
         live = result.extra.get("live")
         if live is not None:
@@ -688,8 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def scale_flags(p):
-        from repro.core.persist import PROFILE_FORMATS
-
         p.add_argument(
             "--shards",
             type=_positive_int,
@@ -705,16 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
             "(output is identical for any value)",
         )
         p.add_argument(
-            "--profile-format",
-            choices=list(PROFILE_FORMATS),
-            default="v1",
-            help="profile dump format: v1 = plain JSON, v2 = compact "
-            "interned binary (5-10x smaller)",
-        )
-        p.add_argument(
             "--spool",
             metavar="DIR",
-            help="spool per-shard profile dumps (and manifest) into DIR",
+            help="spool per-shard v2 profile dumps (and manifest) into DIR",
         )
 
     def save_profiles_flag(p):
@@ -1015,7 +1005,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         status = args.fn(args)
         _telemetry_finish(args, tele)
+        # A reader that left early (`repro ... | head`) fails this
+        # flush, not the one at exit.
+        sys.stdout.flush()
         return status
+    except BrokenPipeError:
+        # The recipe in the `signal` docs: devnull takes what is left.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         if tele is not None:
             telemetry.uninstall()

@@ -7,19 +7,21 @@ the application stages."  Each stage serialises its CCT dictionary, its
 synopsis table and its crosstalk records; the presentation phase loads
 any number of stage dumps and runs the normal stitching.
 
-Two on-disk formats are supported:
+Two on-disk formats are read; v2 is the one written:
 
-- **v1** — human-greppable JSON, one object per stage, compact
-  separators.  The original format; kept for interop and debuggability.
 - **v2** — the compact interned format (see ``docs/performance.md``):
-  every string (frame names, stage names, context elements) is stored
-  once in a label table and referenced by integer ID, transaction
-  contexts are themselves interned, CCTs are flattened into pre-order
-  parent-pointer *columns* (no nesting, so depth is unbounded; columnar
-  so gzip sees homogeneous runs), synopsis values are delta-encoded
-  (they are base-prefixed sequential integers), and the whole document
-  is gzip-compressed behind a tiny length-prefixed binary frame.
-  Dumps are typically 5-10x smaller than v1.
+  every string (frame names, stage names, context
+  elements) is stored once in a label table and referenced by integer
+  ID, transaction contexts are themselves interned, CCTs are flattened
+  into pre-order parent-pointer *columns* (no nesting, so depth is
+  unbounded; columnar so gzip sees homogeneous runs), synopsis values
+  are delta-encoded (they are base-prefixed sequential integers), and
+  the whole document is gzip-compressed behind a tiny length-prefixed
+  binary frame.  Dumps are typically 5-10x smaller than v1.  The live
+  collector's log (:mod:`repro.live.checkpoint`) uses the same
+  :class:`TableEncoder` / :class:`TableDecoder`.
+- **v1** — human-greppable JSON, one object per stage.  Read for old
+  dumps; written only by the benchmark ledger (``profile_format="v1"``).
 
 ``load_stage`` reads either format transparently (v2 is recognised by
 its magic bytes; anything else is parsed as v1 JSON).
@@ -150,15 +152,6 @@ def _decode_type(data: Any) -> Any:
     raise ValueError(f"bad crosstalk type {data!r}")
 
 
-def encode_crosstalk_type(value: Any) -> Any:
-    """Public codec for crosstalk transaction types (live checkpoints)."""
-    return _encode_type(value)
-
-
-def decode_crosstalk_type(data: Any) -> Any:
-    return _decode_type(data)
-
-
 def encode_stage(stage: StageRuntime) -> Dict[str, Any]:
     """The JSON-serialisable v1 dump of one stage's profile state."""
     return {
@@ -283,36 +276,6 @@ def _v2_decode_context(cells: List[Any], strings: List[str]) -> TransactionConte
     return TransactionContext(elements)
 
 
-def _v2_encode_type(value: Any, strings: _Interner, contexts, ctx_ids) -> Any:
-    """Crosstalk type cells: null, int = string, 1-list = context ID."""
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return strings.intern(value)
-    if isinstance(value, TransactionContext):
-        return [_v2_intern_context(value, strings, contexts, ctx_ids)]
-    return strings.intern(repr(value))
-
-
-def _v2_decode_type(cell: Any, strings: List[str], contexts) -> Any:
-    if cell is None:
-        return None
-    if isinstance(cell, int):
-        return strings[cell]
-    if isinstance(cell, list) and len(cell) == 1:
-        return contexts[cell[0]]
-    raise ValueError(f"bad v2 crosstalk type cell {cell!r}")
-
-
-def _v2_intern_context(context, strings, contexts: List[List[Any]], ctx_ids: Dict) -> int:
-    index = ctx_ids.get(context)
-    if index is None:
-        index = len(contexts)
-        contexts.append(_v2_encode_context(context, strings))
-        ctx_ids[context] = index
-    return index
-
-
 def _v2_delta_contexts(contexts: List[List[Any]]) -> List[List[Any]]:
     """Delta-encode synopsis values in the context table, per origin.
 
@@ -354,41 +317,108 @@ def _v2_undelta_contexts(contexts: List[List[Any]]) -> List[List[Any]]:
     return out
 
 
+class TableEncoder:
+    """One v2 document's interned string and context tables, and the
+    cells that name their entries by index.  Call :meth:`tables` after
+    the last cell."""
+
+    __slots__ = ("strings", "_contexts", "_context_ids")
+
+    def __init__(self):
+        self.strings = _Interner()
+        self._contexts: List[List[Any]] = []
+        self._context_ids: Dict[TransactionContext, int] = {}
+
+    def context(self, context: TransactionContext) -> int:
+        """``context``'s index in the context table."""
+        index = self._context_ids.get(context)
+        if index is None:
+            index = len(self._contexts)
+            self._contexts.append(_v2_encode_context(context, self.strings))
+            self._context_ids[context] = index
+        return index
+
+    def type_cell(self, value: Any) -> Any:
+        """A crosstalk transaction type: null, int = string, 1-list =
+        context index; any other value is stored as its ``repr``."""
+        if value is None:
+            return None
+        if isinstance(value, str):
+            return self.strings.intern(value)
+        if isinstance(value, TransactionContext):
+            return [self.context(value)]
+        return self.strings.intern(repr(value))
+
+    def cct_cell(self, label: TransactionContext, cct) -> List[Any]:
+        """``[label_id, parents, name_ids, weights, counts]``: columnar
+        pre-order rows (homogeneous arrays gzip far better than row
+        tuples)."""
+        label_id = self.context(label)
+        rows = cct.root.to_rows()
+        intern = self.strings.intern
+        return [
+            label_id,
+            [row[0] for row in rows],
+            [intern(row[1]) for row in rows],
+            [row[2] for row in rows],
+            [row[3] for row in rows],
+        ]
+
+    def tables(self) -> Tuple[List[str], List[List[Any]]]:
+        """``(strings, contexts)``, the contexts' synopsis values
+        delta-encoded."""
+        return self.strings.values, _v2_delta_contexts(self._contexts)
+
+
+class TableDecoder:
+    """Reads the cells of one v2 document against its tables."""
+
+    __slots__ = ("strings", "contexts")
+
+    def __init__(self, strings: List[str], context_cells: List[List[Any]]):
+        self.strings = strings
+        self.contexts: List[TransactionContext] = [
+            _v2_decode_context(cells, strings)
+            for cells in _v2_undelta_contexts(context_cells)
+        ]
+
+    def type(self, cell: Any) -> Any:
+        if cell is None:
+            return None
+        if isinstance(cell, int):
+            return self.strings[cell]
+        if isinstance(cell, list) and len(cell) == 1:
+            return self.contexts[cell[0]]
+        raise ValueError(f"bad v2 crosstalk type cell {cell!r}")
+
+    def cct_rows(self, cell: List[Any]) -> Tuple[TransactionContext, List[Tuple]]:
+        """A :meth:`TableEncoder.cct_cell` tree as its label and its
+        :meth:`~repro.core.cct.CCTNode.attach_rows` rows."""
+        label_id, parents, names, weights, counts = cell
+        strings = self.strings
+        rows = list(zip(parents, [strings[name_id] for name_id in names],
+                        weights, counts))
+        return self.contexts[label_id], rows
+
+
 def encode_stage_v2(stage: StageRuntime) -> List[Any]:
     """The interned document for one stage: a positional 12-slot array
     ``[version, name, mode, hz, base, next, strings, contexts, ccts,
     synopses, crosstalk, comm]`` (see module docstring)."""
-    strings = _Interner()
-    contexts: List[List[Any]] = []
-    ctx_ids: Dict[TransactionContext, int] = {}
-
+    encoder = TableEncoder()
     base = stage.synopses.base
-    ccts = []
-    for label, cct in stage.ccts.items():
-        label_id = _v2_intern_context(label, strings, contexts, ctx_ids)
-        rows = cct.root.to_rows()
-        # Columnar: homogeneous arrays gzip far better than row tuples.
-        ccts.append([
-            label_id,
-            [row[0] for row in rows],
-            [strings.intern(row[1]) for row in rows],
-            [row[2] for row in rows],
-            [row[3] for row in rows],
-        ])
+    ccts = [encoder.cct_cell(label, cct) for label, cct in stage.ccts.items()]
     # The stage's own synopsis values all carry its base in the high
     # bits; store just the sequential remainder.
     synopses = [
-        [_v2_intern_context(context, strings, contexts, ctx_ids), value - base]
+        [encoder.context(context), value - base]
         for context, value in stage.synopses.items()
     ]
     crosstalk = [
-        [
-            _v2_encode_type(waiter, strings, contexts, ctx_ids),
-            _v2_encode_type(holder, strings, contexts, ctx_ids),
-            wait,
-        ]
+        [encoder.type_cell(waiter), encoder.type_cell(holder), wait]
         for waiter, holder, wait in stage.crosstalk.events
     ]
+    strings, contexts = encoder.tables()
     return [
         FORMAT_VERSION_V2,
         stage.name,
@@ -396,8 +426,8 @@ def encode_stage_v2(stage: StageRuntime) -> List[Any]:
         stage.sampling_hz,
         base,
         stage.synopses.next_value,
-        strings.values,
-        _v2_delta_contexts(contexts),
+        strings,
+        contexts,
         ccts,
         synopses,
         crosstalk,
@@ -413,30 +443,18 @@ def decode_stage_v2(data: List[Any]) -> StageRuntime:
      strings, context_cells, ccts, synopses, crosstalk, comm) = data
     if version != FORMAT_VERSION_V2:
         raise ValueError(f"unsupported profile format {version!r}")
-    contexts = [
-        _v2_decode_context(cells, strings)
-        for cells in _v2_undelta_contexts(context_cells)
-    ]
+    decoder = TableDecoder(strings, context_cells)
+    contexts = decoder.contexts
     stage = StageRuntime(
         name, mode=ProfilerMode(mode), sampling_hz=hz, live=False
     )
-    for label_id, parents, names, weights, counts in ccts:
-        cct = stage.cct_for(contexts[label_id])
-        CCTNode.attach_rows(
-            cct.root,
-            list(zip(
-                parents, (strings[name_id] for name_id in names),
-                weights, counts,
-            )),
-        )
+    for cell in ccts:
+        label, rows = decoder.cct_rows(cell)
+        CCTNode.attach_rows(stage.cct_for(label).root, rows)
     for ctx_id, remainder in synopses:
         stage.synopses.register(contexts[ctx_id], base + remainder)
     for waiter, holder, wait in crosstalk:
-        stage.crosstalk.record(
-            _v2_decode_type(waiter, strings, contexts),
-            _v2_decode_type(holder, strings, contexts),
-            wait,
-        )
+        stage.crosstalk.record(decoder.type(waiter), decoder.type(holder), wait)
     stage.comm_data_bytes, stage.comm_context_bytes = comm
     stage.synopses.restore_snapshot(base, next_value)
     return stage
@@ -527,36 +545,18 @@ def loads_stage_v2(blob: bytes) -> StageRuntime:
     return decode_stage_v2(document)
 
 
-def iter_stage_frames(source: PathOrFile):
-    """Stream StageRuntimes from a file of concatenated v2 frames.
-
-    One frame is decoded at a time, so a spool holding hundreds of
-    stage dumps never needs to fit in memory at once.
-    """
-    if isinstance(source, str):
-        with open(source, "rb") as handle:
-            yield from iter_stage_frames(handle)
-        return
-    while True:
-        document = read_frame(source, magic=V2_MAGIC,
-                              version=FORMAT_VERSION_V2)
-        if document is None:
-            return
-        yield decode_stage_v2(document)
-
-
 # ----------------------------------------------------------------------
 # File I/O
 # ----------------------------------------------------------------------
 def save_stage(
     stage: StageRuntime,
     destination: PathOrFile,
-    profile_format: str = "v1",
+    profile_format: str = "v2",
 ) -> None:
     """Write one stage's profile dump in the requested format.
 
-    ``destination`` is a path or an open file: text-mode for v1,
-    binary-mode for v2 (a path is opened with the right mode either
+    ``destination`` is a path or an open file: binary-mode for v2,
+    text-mode for v1 (a path is opened with the right mode either
     way).
     """
     if profile_format not in PROFILE_FORMATS:
@@ -580,35 +580,44 @@ def save_stage(
         destination.write(text)
 
 
-def _load_blob(blob: bytes) -> StageRuntime:
-    if blob[: len(V2_MAGIC)] == V2_MAGIC:
-        return loads_stage_v2(blob)
-    return decode_stage(json.loads(blob.decode("utf-8")))
+def _read_dump(handle: IO, every: bool) -> List[StageRuntime]:
+    """The first stage (or with ``every``, each stage) of the dump
+    ``handle`` reads from its start: v2 frames, read one header and
+    payload at a time, or else v1 JSON from a binary or text handle."""
+    probe = handle.read(len(V2_MAGIC))
+    if probe == V2_MAGIC:
+        handle.seek(0)
+        stages = []
+        while not stages or every:
+            document = read_frame(handle, magic=V2_MAGIC,
+                                  version=FORMAT_VERSION_V2)
+            if document is None:
+                break
+            stages.append(decode_stage_v2(document))
+        return stages
+    text = probe + handle.read()
+    data = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    if every and isinstance(data, list):
+        return [decode_stage(item) for item in data]
+    return [decode_stage(data)]
 
 
 def load_stage(source: PathOrFile) -> StageRuntime:
     """Load one stage's profile dump, sniffing the format (v1 or v2).
 
-    v2 files are streamed frame-wise (header, then exactly the payload)
-    rather than slurped whole — the same reader the reduce tree uses on
-    multi-frame spool files.
+    A path is read in place; an open file is read whole first.
     """
     if isinstance(source, str):
         with open(source, "rb") as handle:
-            probe = handle.read(len(V2_MAGIC))
-            if probe == V2_MAGIC:
-                handle.seek(0)
-                document = read_frame(handle, magic=V2_MAGIC,
-                                      version=FORMAT_VERSION_V2)
-                return decode_stage_v2(document)
-            return decode_stage(json.loads((probe + handle.read()).decode("utf-8")))
+            return _read_dump(handle, every=False)[0]
     data = source.read()
-    if isinstance(data, bytes):
-        return _load_blob(data)
-    return decode_stage(json.loads(data))
+    return _read_dump(
+        io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data),
+        every=False,
+    )[0]
 
 
-def dump_size(stage: StageRuntime, profile_format: str = "v1") -> int:
+def dump_size(stage: StageRuntime, profile_format: str = "v2") -> int:
     """The exact on-disk size of ``stage``'s dump in the given format."""
     if profile_format == "v2":
         return len(dumps_stage_v2(stage))
@@ -708,14 +717,7 @@ def load_stages(path: str) -> List[StageRuntime]:
     list of them.  A whole run can therefore travel as one file.
     """
     with open(path, "rb") as handle:
-        probe = handle.read(len(V2_MAGIC))
-        if probe == V2_MAGIC:
-            handle.seek(0)
-            return list(iter_stage_frames(handle))
-        data = json.loads((probe + handle.read()).decode("utf-8"))
-    if isinstance(data, list):
-        return [decode_stage(item) for item in data]
-    return [decode_stage(data)]
+        return _read_dump(handle, every=True)
 
 
 def _dump_files_in(directory: str) -> List[str]:
@@ -758,7 +760,7 @@ def live_directories(directory: str) -> List[Tuple[Optional[int], str]]:
 def live_collectors(directory: str):
     """Recover the collectors of a live checkpoint directory:
     ``(shard_index, collector)`` per :func:`live_directories` entry,
-    each chain replayed once."""
+    each log's commits replayed once."""
     from repro.live import LiveCollector
 
     return [

@@ -5,14 +5,25 @@ persists in one file, ``live.wdr2``, as a sequence of frames built
 from the framing primitives of :mod:`repro.core.persist`
 (``write_frame``/``read_frame``: magic + version + length over a
 ``mtime=0`` gzip JSON document, byte-deterministic for identical
-documents).  The frame version tells the two kinds apart:
+documents).  Each frame is one v2 document: its own interned string
+and context tables (:class:`~repro.core.persist.TableEncoder`), then
+cells that name their entries by index — the stage dumps' encoding.
+The frame version tells the two kinds apart:
 
-* a **tree** frame holds one tree's cumulative snapshot cell (see
-  :func:`encode_cct`);
-* a **commit** frame closes an interval: counters, the labels first
-  seen and the synopsis op log since the previous commit, crosstalk,
-  and ``[label, offset]`` for every tree frame appended since the
-  previous commit (per label, the newest).
+* a **tree** frame (version 5) holds one tree's cumulative snapshot,
+  ``[strings, contexts, cct_cell]`` with the v2 CCT cell
+  ``[label_id, parents, name_ids, weights, counts]``;
+* a **commit** frame (version 6) closes an interval:
+  ``{"t", "counters", "strings", "contexts", "stages"}``, where each
+  stage's entry holds the labels first seen (context ids), the
+  synopsis op log (``["s", value, context_id]`` for a mint,
+  ``["c", lost]`` for a crash clear) since the previous commit,
+  crosstalk rows ``[waiter, holder, count, total, max]`` over v2 type
+  cells, and ``[label_id, offset]`` for every tree frame appended since
+  the previous commit (per label, the newest).
+
+Versions 3 and 4 were the same two frames in an encoding of their own;
+a log holding them is refused, with a ``ValueError`` naming the file.
 
 Commit semantics
 ----------------
@@ -59,13 +70,11 @@ import os
 from typing import IO, Any, Dict, Iterator, List, Tuple
 
 from repro.core.cct import CCTNode, CallingContextTree
-from repro.core.crosstalk import PairStats
+from repro.core.context import TransactionContext
 from repro.core.persist import (
     FRAME_HEADER_SIZE,
-    decode_context,
-    decode_crosstalk_type,
-    encode_context,
-    encode_crosstalk_type,
+    TableDecoder,
+    TableEncoder,
     read_frame,
     read_frame_header,
     write_frame,
@@ -73,10 +82,11 @@ from repro.core.persist import (
 
 #: Same magic as the other WDR2-framed presentation-phase state; the
 #: versions tell the frames apart (2 was the retired chain document,
-#: so one is never read as a commit).
+#: 3 and 4 the frames before they shared the v2 encoding, so none of
+#: them is ever read as one of these).
 LOG_MAGIC = b"WDR2"
-TREE_VERSION = 3
-COMMIT_VERSION = 4
+TREE_VERSION = 5
+COMMIT_VERSION = 6
 
 LOG_NAME = "live.wdr2"
 
@@ -123,7 +133,10 @@ def read_commits(path: str) -> Iterator[Tuple[int, Dict[str, Any]]]:
         while size - start >= FRAME_HEADER_SIZE:
             magic, version, length = read_frame_header(handle)
             if magic != LOG_MAGIC or version not in (TREE_VERSION, COMMIT_VERSION):
-                raise ValueError(f"no live-log frame at offset {start} of {path!r}")
+                raise ValueError(
+                    f"no live-log frame at offset {start} of {path!r} "
+                    f"(magic {magic!r}, version {version})"
+                )
             end = start + FRAME_HEADER_SIZE + length
             if end > size:  # a torn payload
                 return
@@ -145,67 +158,23 @@ def holds_commit(directory: str) -> bool:
 # ----------------------------------------------------------------------
 # Frame contents
 # ----------------------------------------------------------------------
-def encode_cct(label: Any, cct: CallingContextTree) -> List[Any]:
-    """One cumulative CCT snapshot cell: ``[label, parents, names,
-    weights, counts]`` (columnar pre-order rows; floats round-trip
-    exactly through JSON's shortest-repr encoding)."""
-    rows = cct.root.to_rows()
-    return [
-        encode_context(label),
-        [row[0] for row in rows],
-        [row[1] for row in rows],
-        [row[2] for row in rows],
-        [row[3] for row in rows],
-    ]
+def tree_frame(label: TransactionContext, cct: CallingContextTree) -> List[Any]:
+    """One tree's cumulative snapshot as a tree frame's document."""
+    encoder = TableEncoder()
+    cell = encoder.cct_cell(label, cct)
+    strings, contexts = encoder.tables()
+    return [strings, contexts, cell]
 
 
-def decode_cct(cell: List[Any]) -> CallingContextTree:
-    label = decode_context(cell[0])
+def decode_tree(document: List[Any]) -> CallingContextTree:
+    strings, contexts, cell = document
+    label, rows = TableDecoder(strings, contexts).cct_rows(cell)
     cct = CallingContextTree(label)
-    CCTNode.attach_rows(cct.root, list(zip(cell[1], cell[2], cell[3], cell[4])))
+    CCTNode.attach_rows(cct.root, rows)
     return cct
 
 
-def cct_cell_weights(cell: List[Any]) -> List[float]:
-    """The raw per-node weight column of a snapshot cell (for scalar
+def tree_weights(document: List[Any]) -> List[float]:
+    """The raw per-node weight column of a tree frame (for scalar
     accounting without materialising the tree)."""
-    return cell[3]
-
-
-def encode_syn_op(op: Any) -> List[Any]:
-    """Synopsis op-log entries: ``["s", value, context]`` for a mint,
-    ``["c", lost]`` for a crash clear."""
-    if op[0] == "s":
-        return ["s", op[1], encode_context(op[2])]
-    return ["c", op[1]]
-
-
-def decode_syn_op(cell: List[Any]) -> Any:
-    if cell[0] == "s":
-        return ("s", cell[1], decode_context(cell[2]))
-    return ("c", cell[1])
-
-
-def encode_crosstalk(pairs: Dict[Any, PairStats]) -> List[List[Any]]:
-    """Cumulative crosstalk aggregate: rows ``[waiter, holder, count,
-    total, max]`` keyed by ordered type pair."""
-    return [
-        [
-            encode_crosstalk_type(waiter),
-            encode_crosstalk_type(holder),
-            stats.count,
-            stats.total,
-            stats.max,
-        ]
-        for (waiter, holder), stats in pairs.items()
-    ]
-
-
-def decode_crosstalk(rows: List[List[Any]]) -> Dict[Any, PairStats]:
-    pairs = {}
-    for waiter, holder, count, total, peak in rows:
-        stats = pairs[
-            (decode_crosstalk_type(waiter), decode_crosstalk_type(holder))
-        ] = PairStats()
-        stats.count, stats.total, stats.max = count, total, peak
-    return pairs
+    return document[2][3]

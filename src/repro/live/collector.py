@@ -66,6 +66,7 @@ from repro.core import profiler as _profiler
 from repro.core.cct import CallingContextTree
 from repro.core.context import TransactionContext, UnresolvedRef
 from repro.core.crosstalk import PairStats
+from repro.core.persist import TableDecoder, TableEncoder
 from repro.core.profiler import StageRuntime
 from repro.core.stitch import StitchStats, resolve_context, stitch_profiles
 from repro.live import checkpoint as _ckpt
@@ -344,7 +345,7 @@ class LiveCollector:
             entry = next(iter(lru))
             if entry.dirty:
                 entry.where = self._unreferenced[entry] = _ckpt.append_frame(
-                    self._writer(), _ckpt.encode_cct(entry.label, entry.cct),
+                    self._writer(), _ckpt.tree_frame(entry.label, entry.cct),
                     _ckpt.TREE_VERSION,
                 )
             entry.cct = None
@@ -356,7 +357,7 @@ class LiveCollector:
         """Decode ``entry``'s newest snapshot."""
         handle = self._log or open(_ckpt.log_path(self.directory), "rb")
         try:
-            cct = _ckpt.decode_cct(_ckpt.read_tree(handle, entry.where))
+            cct = _ckpt.decode_tree(_ckpt.read_tree(handle, entry.where))
         finally:
             if handle is not self._log:
                 handle.close()
@@ -420,13 +421,15 @@ class LiveCollector:
         named = dict(unreferenced)
         for entry in snapshot:
             named[entry] = _ckpt.append_frame(
-                handle, _ckpt.encode_cct(entry.label, entry.cct),
+                handle, _ckpt.tree_frame(entry.label, entry.cct),
                 _ckpt.TREE_VERSION,
             )
+        encoder = TableEncoder()
+        context_id, type_cell = encoder.context, encoder.type_cell
         trees_doc: Dict[str, List[Any]] = {}
         for entry, offset in named.items():
             trees_doc.setdefault(entry.stage, []).append(
-                [_ckpt.encode_context(entry.label), offset]
+                [context_id(entry.label), offset]
             )
         stages_doc: Dict[str, Any] = {}
         for name, stage in self._stages.items():
@@ -438,14 +441,24 @@ class LiveCollector:
             else:
                 labels, ops = trees.new_labels, trees.ops
             stages_doc[name] = {
-                "new_labels": [_ckpt.encode_context(label) for label in labels],
-                "syn_ops": [_ckpt.encode_syn_op(op) for op in ops],
+                "new_labels": [context_id(label) for label in labels],
+                "syn_ops": [
+                    ["s", op[1], context_id(op[2])] if op[0] == "s" else list(op)
+                    for op in ops
+                ],
                 "trees": trees_doc.get(name, []),
-                "crosstalk": _ckpt.encode_crosstalk(stage.crosstalk.pairs),
+                "crosstalk": [
+                    [type_cell(waiter), type_cell(holder), stats.count,
+                     stats.total, stats.max]
+                    for (waiter, holder), stats in stage.crosstalk.pairs.items()
+                ],
             }
+        strings, contexts = encoder.tables()
         commit = {
             "t": self.now,
             "counters": self._counters_doc(),
+            "strings": strings,
+            "contexts": contexts,
             "stages": stages_doc,
         }
         _ckpt.append_frame(handle, commit, _ckpt.COMMIT_VERSION)
@@ -517,7 +530,7 @@ class LiveCollector:
         if collector.recovered_from:
             with open(path, "rb") as handle:
                 for entry in collector._entries():
-                    entry.weight = math.fsum(_ckpt.cct_cell_weights(
+                    entry.weight = math.fsum(_ckpt.tree_weights(
                         _ckpt.read_tree(handle, entry.where)
                     ))
             collector._next_ckpt = collector.now + interval
@@ -536,29 +549,32 @@ class LiveCollector:
         self.hops_seen = counters["hops_seen"]
         self.evictions = counters["evictions"]
         self.revivals = counters["revivals"]
+        decoder = TableDecoder(commit["strings"], commit["contexts"])
+        contexts = decoder.contexts
         for name, stage_doc in commit["stages"].items():
             stage = self._stages.get(name)
             if stage is None:
                 stage = StageRuntime(name, live=False)
                 self.adopt(stage)
             entries = stage.ccts.entries
-            for cell in stage_doc["new_labels"]:
-                label = _ckpt.decode_context(cell)
+            for label_id in stage_doc["new_labels"]:
+                label = contexts[label_id]
                 if label not in entries:
                     entries[label] = _Entry(name, label)
-            for cell in stage_doc["syn_ops"]:
-                op = _ckpt.decode_syn_op(cell)
+            for op in stage_doc["syn_ops"]:
                 if op[0] == "s":
-                    stage.synopses.register(op[2], op[1])
+                    stage.synopses.register(contexts[op[2]], op[1])
                 else:
                     stage.synopses.clear_mappings()
                     stage.crashes += 1
-            for cell, offset in stage_doc["trees"]:
-                entries[_ckpt.decode_context(cell)].where = offset
+            for label_id, offset in stage_doc["trees"]:
+                entries[contexts[label_id]].where = offset
             if stage_doc["crosstalk"]:
-                stage.crosstalk.pairs = _ckpt.decode_crosstalk(
-                    stage_doc["crosstalk"]
-                )
+                pairs = stage.crosstalk.pairs = {}
+                for waiter, holder, *stats in stage_doc["crosstalk"]:
+                    pair = PairStats()
+                    pair.count, pair.total, pair.max = stats
+                    pairs[(decoder.type(waiter), decoder.type(holder))] = pair
 
     # ------------------------------------------------------------------
     # Live queries

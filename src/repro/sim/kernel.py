@@ -417,11 +417,10 @@ class Kernel:
                     break
                 when = heappop(times)
                 if when > horizon:
-                    # Leave the bucket for a later run() call and stop the
-                    # clock exactly at the horizon.
+                    # Leave the bucket for a later run() call; the clock
+                    # stops exactly at the horizon, below.
                     _heappush(times, when)
-                    self.now = until
-                    return until
+                    break
                 if when < now:
                     raise SimulationError("time went backwards")
                 batch = pop_bucket(when, None)
@@ -501,6 +500,8 @@ class Kernel:
             raise
         # stop() may leave a wakeup in the slot for the next run().
         self._unready()
+        if until is not None and not self._stopped:
+            self.now = max(self.now, until)
         if tele_events is not None:
             elapsed_virtual = self.now - virtual_start
             if elapsed_virtual > 0:
@@ -508,8 +509,6 @@ class Kernel:
                     (time.perf_counter() - wall_start) / elapsed_virtual
                 )
             self._refresh_telemetry_gauges()
-        if until is not None and not self._stopped:
-            self.now = max(self.now, until)
         if self.strict and not self._stopped and until is None:
             # Bounded runs legitimately leave server threads blocked on
             # accept queues; only an unbounded run that drains the event

@@ -205,7 +205,6 @@ def test_cross_format_spool_vs_live_self_diff(tmp_path):
                 "--warmup", "1",
                 "--shards", "2",
                 "--spool", str(spool),
-                "--profile-format", "v2",
                 "--live-dir", str(live),
                 "--live-interval", "2",
             ]

@@ -120,8 +120,6 @@ def test_heap_gauge_equals_pending_events_after_a_lossy_run():
         kernel = system.kernel
         system.start()
         readings = []
-        # A stop() exit refreshes the gauges (a horizon exit leaves them
-        # at their last periodic refresh).
         for tenth in range(5, 55, 5):
             call_later(kernel, tenth / 10 - kernel.now, kernel.stop)
             kernel.run()
@@ -130,6 +128,27 @@ def test_heap_gauge_equals_pending_events_after_a_lossy_run():
         cancelled = tele.metrics.counter("repro_sim_events_cancelled_total").value
     assert cancelled > 0
     assert [gauge for gauge, _ in readings] == [pending for _, pending in readings]
+
+
+def test_a_horizon_exit_refreshes_the_kernel_gauges():
+    """run(until=...) stopping at its horizon leaves the gauges reading
+    the clock it stopped at and the entries still due."""
+    with telemetry.enabled("full") as tele:
+        system = TpcwSystem(
+            clients=20,
+            seed=7,
+            fault_plan="drop=0.05,dup=0.02,reorder=0.05:0.005",
+            fault_seed=3,
+            retry=RetryPolicy(timeout=0.3, retries=3, backoff=2.0),
+        )
+        kernel = system.kernel
+        system.start()
+        assert kernel.run(until=5.0) == 5.0
+        metrics = tele.metrics
+        assert metrics.gauge("repro_sim_virtual_time_seconds").value == 5.0
+        assert (metrics.gauge("repro_sim_event_heap_size").value
+                == kernel.pending_events() > 0)
+        assert metrics.gauge("repro_sim_time_drift").value > 0
 
 
 def test_call_with_retry_recovers_from_dropped_request():

@@ -69,7 +69,7 @@ def test_stage_round_trip_preserves_profile():
 
 def test_dump_is_plain_json():
     buffer = io.StringIO()
-    save_stage(make_stage(), buffer)
+    save_stage(make_stage(), buffer, profile_format="v1")
     data = json.loads(buffer.getvalue())
     assert data["version"] == 1
     assert data["name"] == "web"

@@ -16,6 +16,7 @@ from repro.core.persist import (
     encode_stage_v2,
     dumps_stage_v2,
     load_stage,
+    load_stages,
     loads_stage_v2,
     save_stage,
 )
@@ -131,6 +132,42 @@ def test_load_stage_sniffs_both_formats(tmp_path):
     save_stage(stage, v2_path, profile_format="v2")
     assert same_profile(load_stage(v1_path), stage)
     assert same_profile(load_stage(v2_path), stage)
+
+
+def test_every_loader_reads_every_shape_of_dump(tmp_path):
+    # load_stage and load_stages sniff the format in one place; each
+    # shape a dump arrives in reads as it always did.
+    stage, other = make_stage(), StageRuntime("db")
+    other.cct_for(LOCAL).record_sample(("main", "query"), 2.0)
+    v1 = json.dumps(encode_stage(stage), separators=JSON_SEPARATORS)
+    v2 = dumps_stage_v2(stage)
+    for source in (io.StringIO(v1), io.BytesIO(v1.encode("utf-8")),
+                   io.BytesIO(v2)):
+        assert same_profile(load_stage(source), stage)
+    # A v2 file of several frames: one stage reads the first, the
+    # file reads them all; a v1 list reads as its stages.
+    frames = str(tmp_path / "run.wdp")
+    with open(frames, "wb") as handle:
+        handle.write(v2 + dumps_stage_v2(other))
+    assert same_profile(load_stage(frames), stage)
+    with open(frames, "rb") as handle:
+        assert same_profile(load_stage(handle), stage)
+    listed = str(tmp_path / "run.json")
+    with open(listed, "w", encoding="utf-8") as handle:
+        json.dump([encode_stage(stage), encode_stage(other)], handle)
+    for path in (frames, listed):
+        loaded = load_stages(path)
+        assert [clone.name for clone in loaded] == ["web", "db"]
+        assert same_profile(loaded[0], stage)
+        assert same_profile(loaded[1], other)
+
+
+def test_save_stage_writes_v2_unless_asked_for_v1(tmp_path):
+    path = str(tmp_path / "web.profile")
+    save_stage(make_stage(), path)
+    with open(path, "rb") as handle:
+        assert handle.read(len(V2_MAGIC)) == V2_MAGIC
+    assert dump_size(make_stage()) == len(dumps_stage_v2(make_stage()))
 
 
 def test_save_stage_rejects_unknown_format(tmp_path):

@@ -85,7 +85,7 @@ def test_live_report_digest_matches_postmortem_stitch(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "live checkpoints in" in out
-    assert main(sharded + ["--spool", str(spool), "--profile-format", "v2"]) == 0
+    assert main(sharded + ["--spool", str(spool)]) == 0
     capsys.readouterr()
     # Each shard left one log: evicted trees and interval commits.
     for shard in sorted(os.listdir(live)):
@@ -128,7 +128,6 @@ def test_live_run_builds_no_spans(tmp_path, capsys, monkeypatch):
     live = ["--live-interval", "2", "--live-resident", "4"]
     assert main(_TPCW + live + [
         "--live-dir", str(plain), "--save-profiles", str(dumps),
-        "--profile-format", "v2",
     ]) == 0
     out = capsys.readouterr().out
     assert active_during_run == [None]

@@ -109,10 +109,11 @@ def test_torn_tail_is_ignored(tmp_path):
     def orphans():
         """Two evictions after the last commit; the second one torn."""
         with open(log_path, "ab") as log:
-            append_frame(log, [["orphan"], [-1], ["<root>"], [1.0], [0]],
+            append_frame(log, [["orphan", "<root>"], [[0]],
+                               [0, [-1], [1], [1.0], [0]]], TREE_VERSION)
+            append_frame(log, [["torn", "<root>", "frame"], [[0]],
+                               [0, [-1, 0], [1, 2], [0.0, 2.5], [0, 1]]],
                          TREE_VERSION)
-            append_frame(log, [["torn"], [-1, 0], ["<root>", "frame"],
-                               [0.0, 2.5], [0, 1]], TREE_VERSION)
 
     orphans()
     whole = os.path.getsize(log_path)

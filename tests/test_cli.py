@@ -169,7 +169,7 @@ def test_tpcw_save_profiles_and_stitch(tmp_path, capsys):
     # --save-profiles spools: a manifest and one shard directory.
     assert (tmp_path / "manifest.json").is_file()
     paths = [
-        str(tmp_path / "shard-0000" / f"{name}.profile.json")
+        str(tmp_path / "shard-0000" / f"{name}.profile.wdp")
         for name in ("squid", "tomcat", "mysql")
     ]
     assert main(["stitch"] + paths) == 0
@@ -392,3 +392,35 @@ def test_corrupt_dump_is_an_error_not_a_traceback(tmp_path, capsys):
         assert captured.err.startswith("error: corrupt")
         assert "web.wdp" in captured.err
         assert "Traceback" not in captured.err
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    # `repro tpcw ... | head -1`: the reader closes the pipe after the
+    # first line, so a later write fails with EPIPE.
+    import subprocess
+    import sys
+
+    import repro
+
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+        PYTHONUNBUFFERED="1",
+    )
+    argv = [sys.executable, "-m", "repro.cli", "tpcw", "--clients", "4",
+            "--duration", "2", "--warmup", "1"]
+    # The pipe breaks only if the reader is gone before the next write;
+    # a run that wrote everything first is retried.
+    for _attempt in range(3):
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        status = proc.wait()
+        assert first.startswith(b"1 shards x 4 clients")
+        assert "Traceback" not in stderr, stderr
+        if status:
+            break
+    assert status == 1
