@@ -1,4 +1,4 @@
-"""Compare the ``exact`` blocks of two ledger reports.
+"""Compare the ``exact`` blocks and peak RSS of two ledger reports.
 
 Run the ledger once in each tree, then compare::
 
@@ -10,21 +10,67 @@ A workload's ``exact`` block holds the profile ``digest``, every
 ``sim_stats.*``, ``ops``, ``stitch.*``, ``profile_err_pp`` and
 ``failed_share`` of the first repeat.  It is fixed by seed and scale,
 so it needs no headroom: any difference is a change in what the
-program computes, never host noise.  Exits 1 and prints each differing
-key when the blocks differ, 0 when every workload's block is identical.
+program computes, never host noise.  Each differing key is printed.
+
+Each workload's ``end_to_end.peak_rss_mb`` is printed base -> head as
+well; head may exceed base by at most the ``peak_rss_mb`` bound that
+``BENCHMARK.json`` declares (a fraction of base).  A workload missing
+the metric on either side is not compared.
+
+Exits 1 when an exact block differs or peak RSS grows past the bound,
+0 otherwise.
 """
 
 import argparse
 import json
+import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+BENCHMARK = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCHMARK.json"
+)
+
+
+def first_set(path: str) -> Dict[str, dict]:
+    """``{workload: report}`` of the first set of a ``run.py --out`` file."""
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)["sets"][0]
 
 
 def exact_blocks(path: str) -> Dict[str, dict]:
     """``{workload: exact block}`` from a ``run.py --out`` report."""
-    with open(path, encoding="utf-8") as handle:
-        report = json.load(handle)
-    return {name: run["exact"] for name, run in report["sets"][0].items()}
+    return {name: run["exact"] for name, run in first_set(path).items()}
+
+
+def peak_rss(path: str) -> Dict[str, float]:
+    """``{workload: peak_rss_mb}`` of the workloads that report it."""
+    out = {}
+    for name, run in first_set(path).items():
+        metric = run.get("end_to_end", {}).get("peak_rss_mb")
+        if metric is not None:
+            out[name] = metric["value"]
+    return out
+
+
+def rss_bound() -> float:
+    """The ``peak_rss_mb`` bound declared in ``BENCHMARK.json``."""
+    with open(BENCHMARK, encoding="utf-8") as handle:
+        declared = json.load(handle)["end_to_end"]
+    return next(m["bound"] for m in declared if m["name"] == "peak_rss_mb")
+
+
+def rss_rows(
+    base: Dict[str, float], head: Dict[str, float], bound: float
+) -> List[Tuple[str, bool]]:
+    """``(line, grew_past_bound)`` per workload measured on both sides."""
+    rows = []
+    for workload in sorted(set(base) & set(head)):
+        old, new = base[workload], head[workload]
+        change = new / old - 1.0 if old else 0.0
+        line = f"{workload} peak_rss_mb: {old:.2f} -> {new:.2f} MiB ({change:+.1%})"
+        rows.append((line, change > bound))
+    return rows
 
 
 def differences(base: Dict[str, dict], head: Dict[str, dict]) -> List[str]:
@@ -56,7 +102,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"DIFFERS {row}")
     verdict = "differ" if rows else "identical"
     print(f"exact blocks of {len(set(base) | set(head))} workloads: {verdict}")
-    return 1 if rows else 0
+    bound = rss_bound()
+    grown = 0
+    for line, grew in rss_rows(peak_rss(args.base), peak_rss(args.head), bound):
+        print(f"{'GROWS' if grew else 'RSS'} {line}")
+        grown += grew
+    print(f"peak_rss_mb grew past +{bound:.0%} on {grown} workloads")
+    return 1 if rows or grown else 0
 
 
 if __name__ == "__main__":

@@ -51,11 +51,13 @@ def diff_profiles(
 
     Returns rows ``(context, before_share%, after_share%, delta)``
     sorted by absolute delta, largest first — the performance-debugging
-    view of "what did my optimisation actually move?".
+    view of "what did my optimisation actually move?".  Ties keep
+    ``before``'s context order, then ``after``'s new contexts, so the
+    rows do not depend on the hash seed.
     """
     before_shares = context_shares(before)
     after_shares = context_shares(after)
-    contexts = set(before_shares) | set(after_shares)
+    contexts = {**before_shares, **after_shares}
     rows = [
         (
             context,

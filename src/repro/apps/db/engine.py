@@ -93,12 +93,6 @@ class Database:
     def table(self, name: str) -> Table:
         return self.tables[name]
 
-    def observe_row_locks(self, table_name: str, row_ids: List[int]) -> None:
-        """Pre-create and observe row locks (so crosstalk sees them)."""
-        table = self.tables[table_name]
-        for row_id in row_ids:
-            self.crosstalk.observe(table.row_lock(row_id))
-
     # ------------------------------------------------------------------
     def execute(self, thread: SimThread, plan: QueryPlan) -> Iterator:
         """Run one query to completion on behalf of ``thread``."""

@@ -75,9 +75,6 @@ class Table:
             return [self.table_lock]
         return [self.row_lock(row_id) for row_id in sorted(set(row_ids))]
 
-    def all_locks(self) -> List[Mutex]:
-        return [self.table_lock] + list(self._row_locks.values())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Table {self.name} engine={self.engine} rows={self.rows}>"
 

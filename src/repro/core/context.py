@@ -24,7 +24,7 @@ Two normalisations from §4.1 are built in:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Tuple
+from typing import Any, Iterable, Iterator
 
 # Cap on the per-context append() memo.  The hot paths (SEDA stage
 # dispatch, event-loop dispatch) append a small fixed vocabulary of
@@ -33,14 +33,16 @@ from typing import Any, Iterable, Iterator, Tuple
 # from pinning unbounded derived contexts to a long-lived root.
 _APPEND_MEMO_MAX = 128
 
-# Process-wide intern table for call-path-rooted contexts.  Send
-# wrappers build the same handful of local call-path contexts millions
-# of times per run; interning returns the one canonical object, so the
-# downstream synopsis-table and CCT dict lookups hit the identity fast
-# path.  Capped like the append memo: beyond the cap, construction
-# falls back to fresh (still-equal) objects.
-_PATH_INTERN_MAX = 4096
-_PATH_INTERN: dict = {}
+# Process-wide hash-cons table: elements -> the one canonical context.
+# Every construction route (append, extend_path, concat, the decoders,
+# stitching, unpickling, per-hop adoption) goes through __new__, so a
+# value is one object: the memos point at canonical contexts instead of
+# growing a tree of equal copies, and the synopsis-table and CCT dict
+# lookups hit the identity fast path.  Beyond the cap, construction
+# falls back to fresh (still-equal) objects, which is why __eq__ and
+# __hash__ stay value-based.
+_INTERN_MAX = 4096
+_INTERN: dict = {}
 
 
 class SynopsisRef:
@@ -111,13 +113,23 @@ class TransactionContext:
     collapse and loop-pruning normalisations are applied on append by
     default and can be disabled for debugging-style full histories
     (§4.1 notes the complete context "may be useful ... for debugging").
+    Hash-consed: building a context returns the existing object for an
+    equal value, as the synopsis table stores each context once (§7.4).
     """
 
-    __slots__ = ("elements", "_hash", "_appends", "_extends")
+    __slots__ = ("elements", "_hash", "_wire", "_appends", "_extends")
 
-    def __init__(self, elements: Iterable[Any] = ()):
-        self.elements: Tuple[Any, ...] = tuple(elements)
-        self._hash = hash(self.elements)
+    def __new__(cls, elements: Iterable[Any] = ()) -> "TransactionContext":
+        elements = tuple(elements)
+        self = _INTERN.get(elements)
+        if self is not None:
+            return self
+        self = object.__new__(cls)
+        self.elements = elements
+        self._hash = hash(elements)
+        self._wire = sum(
+            len(e) + 1 if isinstance(e, str) else 4 for e in elements
+        )
         # Lazy memo of append() results.  The hot paths (SEDA stage
         # dispatch, event-loop dispatch) append the same handful of
         # stage/handler names to the same contexts millions of times;
@@ -129,6 +141,9 @@ class TransactionContext:
         # Same idea for extend_path(): the send wrappers extend each
         # prefix context with a small vocabulary of call paths.
         self._extends = None
+        if len(_INTERN) < _INTERN_MAX:
+            _INTERN[elements] = self
+        return self
 
     # ------------------------------------------------------------------
     # Construction
@@ -139,19 +154,8 @@ class TransactionContext:
 
     @classmethod
     def from_call_path(cls, path: Iterable[str]) -> "TransactionContext":
-        """Context of a fresh transaction: simply the local call path.
-
-        Returns the process-wide interned instance for the path, so the
-        per-response ``synopsis(local)`` lookup in the send wrapper is a
-        dict hit on an identical key object.
-        """
-        path = tuple(path)
-        interned = _PATH_INTERN.get(path)
-        if interned is None:
-            interned = cls(path)
-            if len(_PATH_INTERN) < _PATH_INTERN_MAX:
-                _PATH_INTERN[path] = interned
-        return interned
+        """Context of a fresh transaction: simply the local call path."""
+        return cls(path)
 
     def append(
         self,
@@ -219,15 +223,10 @@ class TransactionContext:
 
         Strings cost their length plus a separator; opaque references
         cost 4 bytes.  Used by the synopsis ablation to quantify what
-        the 4-byte synopses save (§7.4, §9.1).
+        the 4-byte synopses save (§7.4, §9.1).  Worked out once, when
+        the context is built.
         """
-        total = 0
-        for element in self.elements:
-            if isinstance(element, str):
-                total += len(element) + 1
-            else:
-                total += 4
-        return total
+        return self._wire
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.elements)
@@ -246,8 +245,9 @@ class TransactionContext:
 
     def __reduce__(self):
         # Pickle only the elements: the hash is per-process (it follows
-        # PYTHONHASHSEED) and the append memo is a per-process
-        # optimisation, not state.  Both are rebuilt on unpickle.
+        # PYTHONHASHSEED) and the memos are a per-process optimisation,
+        # not state.  Unpickling goes through __new__, so it returns the
+        # receiving process's canonical object.
         return (TransactionContext, (self.elements,))
 
     def __repr__(self) -> str:

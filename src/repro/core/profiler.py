@@ -237,12 +237,6 @@ class StageRuntime:
             self.ccts[label] = cct
         return cct
 
-    def current_label(self, thread: SimThread) -> TransactionContext:
-        ctxt = thread.tran_ctxt
-        if isinstance(ctxt, TransactionContext):
-            return ctxt
-        return LOCAL
-
     # ------------------------------------------------------------------
     # Hooks from the simulation substrate
     # ------------------------------------------------------------------

@@ -95,6 +95,38 @@ def test_diff_profiles_sorted_by_delta():
     assert abs(rows[0][3]) >= abs(rows[-1][3])
 
 
+def test_diff_profiles_orders_ties_independently_of_the_hash_seed():
+    """Rows with equal |delta| keep before's order, then after's new
+    contexts, under any PYTHONHASHSEED."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "from repro.analysis import diff_profiles\n"
+        "from repro.core.context import TransactionContext\n"
+        "from repro.core.profiler import StageRuntime\n"
+        "before, after = StageRuntime('web'), StageRuntime('web')\n"
+        "for name in 'abc':\n"
+        "    before.cct_for(TransactionContext((name,))).record_sample(('p',), 1.0)\n"
+        "for name in 'def':\n"
+        "    after.cct_for(TransactionContext((name,))).record_sample(('p',), 1.0)\n"
+        "print([row[0].elements[0] for row in diff_profiles(before, after)])\n"
+    )
+    outputs = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        outputs.add(result.stdout)
+    assert outputs == {"['a', 'b', 'c', 'd', 'e', 'f']\n"}
+
+
 def test_render_cct_shows_percentages():
     cct = CallingContextTree()
     cct.record_sample(("main", "handle"), 80.0)
