@@ -211,22 +211,28 @@ class TomcatServer:
         if self.db_pool is None:
             raise RuntimeError("container started without a database")
         connection = yield Get(self.db_pool)
+        # Not ``finally``: a thread still suspended here when the run
+        # ends is closed by the garbage collector (GeneratorExit), and a
+        # put would then wake a pool waiter mid-collection, resurrecting
+        # the whole finished system until the next one.
         try:
             with frame(thread, "executeQuery"):
-                try:
-                    response = yield from rpc_call(
-                        thread,
-                        connection.to_server,
-                        connection.to_client,
-                        plan,
-                        DB_REQUEST_BYTES,
-                        retry=self.db_retry,
-                    )
-                except RpcTimeout:
-                    self.db_timeouts += 1
-                    self.db_calls += 1
-                    return ("error", "db-timeout", plan.name)
-        finally:
+                response = yield from rpc_call(
+                    thread,
+                    connection.to_server,
+                    connection.to_client,
+                    plan,
+                    DB_REQUEST_BYTES,
+                    retry=self.db_retry,
+                )
+        except RpcTimeout:
             self.db_pool.put(connection)
+            self.db_timeouts += 1
+            self.db_calls += 1
+            return ("error", "db-timeout", plan.name)
+        except Exception:
+            self.db_pool.put(connection)
+            raise
+        self.db_pool.put(connection)
         self.db_calls += 1
         return response

@@ -72,8 +72,10 @@ class Endpoint:
         self.latency = latency
         self.bandwidth = bandwidth
         self._name = name
-        self._buffer: Deque[Message] = deque()
-        self._receivers: Deque[SimThread] = deque()
+        # Plain lists, not deques: each queue holds a few entries at
+        # most, and an empty deque is 760 bytes to a list's 56.
+        self._buffer: List[Message] = []
+        self._receivers: List[SimThread] = []
         self._link_free_at = 0.0
         self.observers: List[Callable[["Endpoint"], None]] = []
         self.delivered_messages = 0
@@ -128,7 +130,7 @@ class Endpoint:
             self._tele_bytes.inc(message.size)
         receivers = self._receivers
         while receivers:
-            receiver = receivers.popleft()
+            receiver = receivers.pop(0)
             if not receiver.alive:
                 # A crashed thread consumes nothing: fall through to the
                 # next live receiver, or buffer the message.
@@ -170,7 +172,7 @@ class Endpoint:
     def try_recv(self) -> Optional[Message]:
         """Non-blocking receive (event loops poll with this)."""
         if self._buffer:
-            return self._buffer.popleft()
+            return self._buffer.pop(0)
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -531,6 +531,8 @@ def _write_manifest(plan: ShardPlan, results: List[ShardResult]) -> Optional[str
         "duration": plan.duration,
         "warmup": plan.warmup,
         "profile_format": plan.specs[0].profile_format,
+        # The fault plan, mix, caching, retries: one dict for every shard.
+        "params": plan.specs[0].params,
         "groups": [
             {
                 "index": result.index,

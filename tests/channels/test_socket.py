@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.channels import Accept, Connection, Endpoint, Listener, Message, Recv, Send
+from repro.channels import (
+    TIMED_OUT,
+    Accept,
+    Connection,
+    Endpoint,
+    Listener,
+    Message,
+    Recv,
+    Send,
+)
 from repro.sim import Delay, Kernel
 
 
@@ -100,6 +109,65 @@ def test_multiple_receivers_served_fifo():
     kernel.spawn(sender())
     kernel.run()
     assert got == [("r1", "a"), ("r2", "b")]
+
+
+def test_timed_out_receiver_is_removed_and_next_receiver_served():
+    kernel = Kernel()
+    endpoint = Endpoint(kernel)
+    got = []
+
+    def receiver(tag, timeout=None):
+        msg = yield Recv(endpoint, timeout=timeout)
+        got.append((tag, msg if msg is TIMED_OUT else msg.payload, kernel.now))
+
+    def sender():
+        yield Delay(1.0)
+        yield Send(endpoint, Message("a"))
+        yield Send(endpoint, Message("b"))
+
+    kernel.spawn(receiver("r1"))
+    kernel.spawn(receiver("r2", timeout=0.5))  # leaves from mid-queue
+    kernel.spawn(receiver("r3"))
+    kernel.spawn(sender())
+    kernel.run()
+    assert got == [("r2", TIMED_OUT, 0.5), ("r1", "a", 1.0), ("r3", "b", 1.0)]
+    assert not endpoint._receivers
+
+
+def test_dead_receiver_is_skipped():
+    kernel = Kernel()
+    endpoint = Endpoint(kernel)
+    got = []
+
+    def receiver(tag):
+        msg = yield Recv(endpoint)
+        got.append((tag, msg.payload))
+
+    def sender():
+        yield Delay(1.0)
+        yield Send(endpoint, Message("a"))
+        yield Send(endpoint, Message("b"))
+
+    dead = kernel.spawn(receiver("dead"))
+    kernel.spawn(receiver("live"))
+    kernel.spawn(sender())
+    kernel.run(until=0.5)
+    dead.finish(None)  # killed while parked, as a stage crash does
+    kernel.run()
+    # The dead thread takes nothing; with no receiver left, "b" buffers.
+    assert got == [("live", "a")]
+    assert endpoint.try_recv().payload == "b"
+
+
+def test_try_recv_returns_buffered_messages_in_order():
+    kernel = Kernel()
+    endpoint = Endpoint(kernel)
+    for i in range(4):
+        endpoint.send(Message(i))
+    assert endpoint.readable
+    assert [endpoint.try_recv().payload for _ in range(4)] == [0, 1, 2, 3]
+    assert endpoint.try_recv() is None
+    assert not endpoint.readable
 
 
 def test_observers_fire_on_buffered_data():

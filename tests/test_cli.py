@@ -1,5 +1,6 @@
 """Smoke tests for the command-line interface."""
 
+import json
 import os
 import re
 
@@ -223,6 +224,41 @@ def test_spool_without_shards_spools_the_unsharded_run(run, tmp_path, capsys):
     spooled = capsys.readouterr().out
     assert main(["stitch", "--digest", str(saved)]) == 0
     assert capsys.readouterr().out == spooled
+
+
+def _lossy_spool(spool):
+    assert main([
+        "tpcw", "--clients", "8", "--duration", "4", "--warmup", "1",
+        "--shards", "2", "--jobs", "1", "--spool", str(spool),
+        "--faults", "drop=0.05", "--fault-seed", "3",
+    ]) == 0
+
+
+def test_spool_manifest_records_the_run_params(tmp_path, capsys):
+    _lossy_spool(tmp_path)
+    capsys.readouterr()
+    with open(tmp_path / "manifest.json", encoding="utf-8") as handle:
+        params = json.load(handle)["params"]
+    assert params["fault_plan"] == "drop=0.05"
+    assert params["fault_seed"] == 3
+    assert params["mix"] == "browsing"
+    assert params["caching"] is False
+
+
+def test_load_run_reads_a_manifest_without_params(tmp_path, capsys):
+    from repro.core.persist import load_run
+    from repro.parallel import canonical_profile_bytes
+
+    _lossy_spool(tmp_path)
+    capsys.readouterr()
+    before = canonical_profile_bytes(load_run(str(tmp_path)).profile)
+    path = tmp_path / "manifest.json"
+    with open(path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    del manifest["params"]
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+    assert canonical_profile_bytes(load_run(str(tmp_path)).profile) == before
 
 
 @pytest.mark.parametrize(
