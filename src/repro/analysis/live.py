@@ -18,7 +18,8 @@ def render_live_top(collector, k: int = 10, min_share: float = 0.0) -> str:
     """A "top contexts right now" table from a live collector.
 
     Answers without stopping the simulation: the rows come from the
-    collector's scalar index, which never touches evicted trees.
+    labels' resident weights, resolved when asked, so no evicted tree
+    is touched.
     """
     rows = collector.top_contexts(k)
     weights = collector.stage_weights()

@@ -852,7 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_openloop)
 
     p = sub.add_parser("table3", help="critical-section emulation cost")
-    telemetry_flags(p)
     p.set_defaults(fn=cmd_table3)
 
     p = sub.add_parser(
@@ -877,7 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print only the canonical SHA-256 of the stitched profile "
         "(the determinism proof used by CI)",
     )
-    telemetry_flags(p)
     p.set_defaults(fn=cmd_stitch)
 
     p = sub.add_parser(
@@ -893,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("after", help="candidate run (same forms as BEFORE)")
     p.add_argument(
         "--top",
-        type=int,
+        type=_non_negative_int,
         default=10,
         metavar="K",
         help="rows per section (regressions, improvements, ...)",
@@ -970,11 +968,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--top",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="K",
-        help="also print the recovered live top-K view "
-        "(single directory only)",
+        help="also print each recovered collector's live top-K view",
     )
     p.add_argument(
         "--compact",

@@ -678,15 +678,6 @@ class RunProfile:
         )
 
 
-def _add_pair(table: CrosstalkTable, key: Tuple[str, str], count: int,
-              total: float, peak: float) -> None:
-    have = table.get(key)
-    if have is None:
-        table[key] = (count, total, peak)
-    else:
-        table[key] = (have[0] + count, have[1] + total, max(have[2], peak))
-
-
 def fold_crosstalk(table: CrosstalkTable, stages) -> CrosstalkTable:
     """Merge per-stage crosstalk pair stats into the running ``table``.
 
@@ -698,8 +689,13 @@ def fold_crosstalk(table: CrosstalkTable, stages) -> CrosstalkTable:
     """
     for stage in stages:
         for (waiter, holder), stats in stage.crosstalk.pairs.items():
-            _add_pair(table, (str(waiter), str(holder)), int(stats.count),
-                      stats.total, stats.max)
+            key = (str(waiter), str(holder))
+            have = table.get(key)
+            if have is None:
+                table[key] = (stats.count, stats.total, stats.max)
+            else:
+                table[key] = (have[0] + stats.count, have[1] + stats.total,
+                              max(have[2], stats.max))
     return table
 
 
@@ -772,28 +768,19 @@ def live_collectors(directory: str):
 def fold_live_run(source, collectors, strict: bool = False) -> RunProfile:
     """One run from recovered collectors (:func:`live_collectors`).
 
-    The same fold as the sharded post-mortem reduce
-    (:func:`repro.parallel.stitching.stitch_groups`): one collector's
-    profile is returned as stitched; several go through the exact
-    accumulator in shard order, their UnresolvedRefs qualified with
-    their shard so they can never spuriously merge.
+    The profile is the sharded post-mortem reduce's fold
+    (:func:`repro.parallel.stitching.fold_shards`) over the collectors'
+    stitched profiles, and the crosstalk table folds every collector's
+    stages in shard order.
     """
-    from repro.parallel.reduce import ProfileAccumulator
-    from repro.parallel.stitching import _tag_unresolved
+    from repro.parallel.stitching import fold_shards
 
-    crosstalk: CrosstalkTable = {}
-    accumulator = ProfileAccumulator()
-    for index, collector in collectors:
-        for waiter, holder, count, total, _mean, peak in (
-            collector.crosstalk_pairs()
-        ):
-            _add_pair(crosstalk, (str(waiter), str(holder)), count, total,
-                      peak)
-        profile = collector.stitched_profile(strict=strict)
-        if len(collectors) > 1:
-            accumulator.add_profile(_tag_unresolved(profile, f"@shard{index}"))
-    if len(collectors) > 1:
-        profile = accumulator.finalize()
+    crosstalk = crosstalk_table(
+        stage for _index, collector in collectors for stage in collector.stages
+    )
+    profile = fold_shards(
+        collectors, lambda collector: collector.stitched_profile(strict=strict)
+    )
     return RunProfile(source, "live", profile, crosstalk)
 
 

@@ -355,17 +355,7 @@ class StageRuntime:
         if not self._tracking:
             return None
         context = self.context_at_send(thread)
-        live = self._live
-        if live is None:
-            value = self.synopses.synopsis(context)
-        else:
-            # Tell the collector only when this send actually allocated
-            # a new synopsis: it logs the table's changes, not the
-            # traffic.
-            before = self.synopses.next_value
-            value = self.synopses.synopsis(context)
-            if self.synopses.next_value != before:
-                live.on_mint(self.ccts, value, context, thread.kernel.now)
+        value = self.synopses.synopsis(context)
         entry = self._sent_requests.get(value)
         if entry is None:
             self._sent_requests[value] = [thread.tran_ctxt, 1]
@@ -410,14 +400,7 @@ class StageRuntime:
         local = TransactionContext.from_call_path(thread.call_path())
         self.add_pending(thread, self.overhead.synopsis_cost)
         self.comm_context_bytes_full += local.wire_size()
-        live = self._live
-        if live is None:
-            return self.synopses.make_response(request_synopsis, local)
-        before = self.synopses.next_value
-        composite = self.synopses.make_response(request_synopsis, local)
-        if self.synopses.next_value != before:
-            live.on_mint(self.ccts, composite.suffix, local, thread.kernel.now)
-        return composite
+        return self.synopses.make_response(request_synopsis, local)
 
     def receive_response(self, thread: SimThread, composite: Optional[CompositeSynopsis]) -> bool:
         """Receive-wrapper at the caller.
@@ -493,11 +476,7 @@ class StageRuntime:
         self._pending.clear()
         if self._tele_inflight is not None:
             self._tele_inflight.set(0)
-        lost = self.synopses.clear_mappings()
-        if self._live is not None:
-            # The collector logs the clear for its checkpoints' replay.
-            self._live.on_crash(self.ccts, lost)
-        return lost
+        return self.synopses.clear_mappings()
 
     @property
     def in_flight_requests(self) -> int:

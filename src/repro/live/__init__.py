@@ -5,7 +5,7 @@ service: a :class:`LiveCollector` attached before the system is built
 owns the stage runtimes' CCT dictionaries (no telemetry or spans
 needed), keeps them under one LRU bound for the whole process (colder
 trees spill to one append-only file per directory, whose interval
-commits make it a replayable log), answers live queries (``top_contexts``,
+commits each hold the collector's whole state), answers live queries (``top_contexts``,
 ``stage_weights``, ``completeness``, crosstalk pairs) at any virtual
 time, and — after final compaction — produces the profile the
 post-mortem stitch of the same run gives, because it stitches the same

@@ -13,38 +13,38 @@ The frame version tells the two kinds apart:
 * a **tree** frame (version 5) holds one tree's cumulative snapshot,
   ``[strings, contexts, cct_cell]`` with the v2 CCT cell
   ``[label_id, parents, name_ids, weights, counts]``;
-* a **commit** frame (version 6) closes an interval:
-  ``{"t", "counters", "strings", "contexts", "stages"}``, where each
-  stage's entry holds the labels first seen (context ids), the
-  synopsis op log (``["s", value, context_id]`` for a mint,
-  ``["c", lost]`` for a crash clear) since the previous commit,
-  crosstalk rows ``[waiter, holder, count, total, max]`` over v2 type
-  cells, and ``[label_id, offset]`` for every tree frame appended since
-  the previous commit (per label, the newest).
+* a **commit** frame (version 7) closes an interval with the
+  collector's absolute state: ``{"t", "counters", "strings",
+  "contexts", "stages"}``, where each stage's entry holds
+  ``[label_id, offset]`` for every tree, in first-seen label order
+  (the entry's newest frame, or the frame appended just before this
+  commit), the whole synopsis table ``[base, next_value, crashes,
+  [[value, context_id], ...]]`` and the crosstalk rows ``[waiter,
+  holder, count, total, max]`` over v2 type cells.
 
-Versions 3 and 4 were the same two frames in an encoding of their own;
-a log holding them is refused, with a ``ValueError`` naming the file.
+Versions 3 and 4 were the same two frames in an encoding of their own,
+and version 6 was a commit holding only what changed since the
+previous one; a log holding any of them is refused, with a
+``ValueError`` naming the file.
 
 Commit semantics
 ----------------
 
-Commits are *superseding per key*, never additive:
+A commit names everything, so recovery decodes the last complete
+commit and no earlier one:
 
 * a tree's newest frame replaces any earlier copy outright.  Re-summing
   per-interval deltas would re-associate float additions and break the
   collector's byte-identical-to-post-mortem guarantee; copying the
   latest exact tree cannot.  An evicted tree cannot change until it is
   revived, so the frame written at eviction *is* its state;
-* synopsis tables are an **op log** (mints and crash clears, in order)
-  because a mint → crash → mint sequence within one interval is not
-  expressible as a set snapshot;
-* crosstalk aggregates and counters are cumulative snapshots.
+* synopsis tables, crash counts, crosstalk aggregates and counters are
+  the stages' and the collector's own values at the commit.  The
+  presentation phase needs only each stage's table as it stands
+  (§7.4), so the mints and crash clears that led to it are not logged.
 
-Replaying every commit in file order therefore rebuilds the
-collector's state as of the last one.  Compaction writes every tree
-and one commit holding absolute state (every label, the whole synopsis
-table) to a temp file, then ``os.replace``-s it over the log, so a
-compacted log replays from that one commit.
+Compaction writes every tree and one commit to a temp file, then
+``os.replace``-s it over the log.
 
 Crash claims
 ------------
@@ -66,7 +66,9 @@ about power loss.
 
 from __future__ import annotations
 
+import gzip
 import os
+import zlib
 from typing import IO, Any, Dict, Iterator, List, Tuple
 
 from repro.core.cct import CCTNode, CallingContextTree
@@ -82,11 +84,11 @@ from repro.core.persist import (
 
 #: Same magic as the other WDR2-framed presentation-phase state; the
 #: versions tell the frames apart (2 was the retired chain document,
-#: 3 and 4 the frames before they shared the v2 encoding, so none of
-#: them is ever read as one of these).
+#: 3 and 4 the frames before they shared the v2 encoding, 6 the
+#: incremental commit, so none of them is ever read as one of these).
 LOG_MAGIC = b"WDR2"
 TREE_VERSION = 5
-COMMIT_VERSION = 6
+COMMIT_VERSION = 7
 
 LOG_NAME = "live.wdr2"
 
@@ -113,14 +115,16 @@ def read_tree(handle: IO[bytes], offset: int) -> List[Any]:
     return cell
 
 
-def read_commits(path: str) -> Iterator[Tuple[int, Dict[str, Any]]]:
-    """Each complete commit of the log at ``path``, in file order, with
-    the offset just past it.
+def commit_frames(path: str) -> Iterator[Tuple[int, int]]:
+    """``(start, end)`` of each complete commit of the log at ``path``,
+    in file order.
 
-    Tree frames are skipped by their header, undecoded.  A torn tail
-    ends the scan; any other frame that is not one of this log's
-    raises a ``ValueError`` naming the file.  A missing file holds no
-    commits.
+    Tree frames are skipped by their header; a commit's payload is
+    checked (gzip's CRC) but not parsed.  A torn tail ends the scan;
+    any other frame that is not one of this log's, or a damaged
+    commit, raises a ``ValueError`` naming the file: a file damaged
+    before its end is not one the collector wrote.  A missing file
+    holds no commits.
     """
     try:
         handle = open(path, "rb")
@@ -141,14 +145,34 @@ def read_commits(path: str) -> Iterator[Tuple[int, Dict[str, Any]]]:
             if end > size:  # a torn payload
                 return
             if version == COMMIT_VERSION:
-                handle.seek(start)
-                yield end, read_frame(handle)
+                try:
+                    gzip.decompress(handle.read(length))
+                except (zlib.error, EOFError, gzip.BadGzipFile) as error:
+                    raise ValueError(
+                        f"corrupt commit at offset {start} of {path!r}: {error}"
+                    ) from error
+                yield start, end
             start = handle.seek(end)
+
+
+def read_commit(handle: IO[bytes], start: int) -> Dict[str, Any]:
+    """Decode the commit frame at ``start``."""
+    handle.seek(start)
+    return read_frame(handle, magic=LOG_MAGIC, version=COMMIT_VERSION)
+
+
+def read_commits(path: str) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """Each complete commit of the log at ``path``, decoded, in file
+    order, with the offset just past it (see :func:`commit_frames`)."""
+    for start, end in commit_frames(path):
+        with open(path, "rb") as handle:
+            commit = read_commit(handle, start)
+        yield end, commit
 
 
 def holds_commit(directory: str) -> bool:
     """Whether ``directory``'s log holds a complete commit."""
-    commits = read_commits(log_path(directory))
+    commits = commit_frames(log_path(directory))
     try:
         return next(commits, None) is not None
     finally:

@@ -3,11 +3,10 @@
 Whodunit's presentation phase is batch: run, dump per-stage profiles,
 stitch.  :class:`LiveCollector` is the continuous-profiling version.
 It *owns* the CCT dictionaries of the stage runtimes built while it is
-attached (:data:`repro.core.profiler.COLLECTOR`): a sample, a synopsis
-mint and a crash clear each reach it as one direct call, and it can
-answer "top contexts right now" at any virtual time while the
-simulation keeps running.  It needs no telemetry: spans are neither
-built nor read for it.
+attached (:data:`repro.core.profiler.COLLECTOR`): each sample reaches
+it as one direct call, and it can answer "top contexts right now" at
+any virtual time while the simulation keeps running.  It needs no
+telemetry: spans are neither built nor read for it.
 
 Equivalence
 -----------
@@ -15,8 +14,10 @@ Equivalence
 There is no second copy to keep equal.  An adopted stage's ``ccts`` is
 the collector's :class:`StageTrees` — a mapping, in first-seen label
 order, over the very trees each sample is recorded into once — and the
-synopsis tables and crosstalk aggregates the collector resolves and
-reports are the runtimes' own.  Compaction runs
+synopsis tables, crash counts and crosstalk aggregates the collector
+commits, resolves against and reports are the runtimes' own: queries
+read them when asked, so nothing has to keep a derived index in step
+with them.  Compaction runs
 :func:`repro.core.stitch.stitch_profiles` on the runtimes themselves,
 so the compacted profile serialises to the same bytes
 (:func:`repro.parallel.stitching.canonical_profile_bytes`) as the
@@ -37,17 +38,18 @@ on an evicted tree revives it by decoding that one frame, and so does
 a change through :meth:`~repro.core.profiler.StageRuntime.cct_for`
 (gprof's call counts).  Reading the mapping (reports, the stitch)
 decodes an evicted tree for the reader without making it resident, so
-reads never move the LRU or its counters.  Scalar per-context weight
-aggregates stay resident regardless, so live queries never touch
-evicted trees.
+reads never move the LRU or its counters.  Each label's scalar weight
+stays resident regardless, so live queries never touch evicted trees.
 
 A periodic interval checkpoint appends every dirty resident tree to
-the same log, then one commit naming the tree frames appended since
-the previous commit.  A sample whose virtual time has reached the
-next checkpoint triggers it, so a collector crash loses at most one
+the same log, then one commit holding the collector's absolute state:
+every tree by offset, every synopsis table and the crosstalk
+aggregates.  A sample whose virtual time has reached the next
+checkpoint triggers it, so a collector crash loses at most one
 interval plus the gap to the next sample;
 :meth:`LiveCollector.recover` rebuilds the state (cold — trees stay on
-disk) by replaying the commits into fresh, unattached stage runtimes.
+disk) from the last complete commit into fresh, unattached stage
+runtimes.
 
 Nothing catches what the collector raises: a failed append propagates
 out of the simulation step that recorded the sample, so a run never
@@ -64,9 +66,9 @@ from typing import IO, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core import profiler as _profiler
 from repro.core.cct import CallingContextTree
-from repro.core.context import TransactionContext, UnresolvedRef
+from repro.core.context import TransactionContext
 from repro.core.crosstalk import PairStats
-from repro.core.persist import TableDecoder, TableEncoder
+from repro.core.persist import TableDecoder, TableEncoder, crosstalk_table
 from repro.core.profiler import StageRuntime
 from repro.core.stitch import StitchStats, resolve_context, stitch_profiles
 from repro.live import checkpoint as _ckpt
@@ -76,10 +78,10 @@ __all__ = ["LiveCollector", "StageTrees", "attach_collector"]
 
 class _Entry:
     """One (stage, label): its tree (None while evicted), where its
-    newest snapshot is, and the scalar aggregates that never leave
+    newest snapshot is, and its scalar weight, which never leaves
     memory."""
 
-    __slots__ = ("stage", "label", "cct", "weight", "dirty", "resolved", "where")
+    __slots__ = ("stage", "label", "cct", "weight", "dirty", "where")
 
     def __init__(self, stage: str, label: TransactionContext):
         self.stage = stage
@@ -87,7 +89,6 @@ class _Entry:
         self.cct: Optional[CallingContextTree] = None
         self.weight = 0.0
         self.dirty = False
-        self.resolved: Optional[TransactionContext] = None
         # The log offset of the newest persisted snapshot (None: never
         # persisted).
         self.where: Optional[int] = None
@@ -101,16 +102,12 @@ class StageTrees(Mapping):
     (samples, and :meth:`~repro.core.profiler.StageRuntime.cct_for`).
     """
 
-    __slots__ = ("collector", "name", "entries", "new_labels", "ops")
+    __slots__ = ("collector", "name", "entries")
 
     def __init__(self, collector: "LiveCollector", name: str):
         self.collector = collector
         self.name = name
         self.entries: Dict[TransactionContext, _Entry] = {}
-        # Labels first seen, and synopsis ops (mints and crash clears,
-        # in order), since the last checkpoint write.
-        self.new_labels: List[TransactionContext] = []
-        self.ops: List[Any] = []
 
     def __getitem__(self, label: TransactionContext) -> CallingContextTree:
         entry = self.entries[label]
@@ -171,48 +168,48 @@ class LiveCollector:
         # it afresh, a recovered one drops what followed its last
         # commit, and a closed one carries on where it stopped.
         self._log_end = 0
-        # Tree frames no commit names yet.
-        self._unreferenced: Dict[_Entry, int] = {}
-        # Incremental resolution state for the live query index.
-        self._cache: Dict[TransactionContext, TransactionContext] = {}
-        self._missing: set = set()
-        self._resolved_weights: Dict[Tuple[str, TransactionContext], float] = {}
-        self._index_dirty = False
-        # Virtual time of the newest sample or mint.
+        # Virtual time of the newest sample.
         self.now = 0.0
         # Virtual time the next interval checkpoint falls due (never,
         # without a directory).
         self._next_ckpt = interval if directory is not None else math.inf
-        # Cumulative counters (checkpointed, restored on recovery).
+        # Cumulative counters (committed, restored on recovery).
         self.samples = 0
         self.sample_weight = 0.0
-        self.synopses_minted = 0
-        self.synopses_lost = 0
-        self.crashes = 0
-        self.spans_seen = 0
-        self.hops_seen = 0
         self.evictions = 0
         self.revivals = 0
         self.checkpoints_written = 0
         self.peak_resident = 0
+        # Complete commits in the log recovery read (0: not recovered).
         self.recovered_from = 0
 
     @property
-    def crosstalk_events(self) -> int:
-        """Lock waits the adopted stages recorded."""
+    def synopses_minted(self) -> int:
+        """Synopses the stages allocated (values are sequential from 1,
+        and a crash clear does not rewind them)."""
         return sum(
-            stats.count
-            for stage in self._stages.values()
-            for stats in stage.crosstalk.pairs.values()
+            stage.synopses.next_value - 1 for stage in self._stages.values()
         )
+
+    @property
+    def crashes(self) -> int:
+        """Crash clears of the stages' synopsis tables."""
+        return sum(stage.crashes for stage in self._stages.values())
 
     @property
     def events_absorbed(self) -> int:
         """Samples, synopsis mints, crash clears and lock waits so far."""
-        return (
-            self.samples + self.synopses_minted + self.crashes
-            + self.crosstalk_events
+        waits = sum(
+            stats.count
+            for stage in self._stages.values()
+            for stats in stage.crosstalk.pairs.values()
         )
+        return self.samples + self.synopses_minted + self.crashes + waits
+
+    @property
+    def stages(self) -> List[StageRuntime]:
+        """The adopted stage runtimes, in adoption order."""
+        return list(self._stages.values())
 
     # ------------------------------------------------------------------
     # Attachment
@@ -222,10 +219,9 @@ class LiveCollector:
         are adopted.
 
         With a ``tele`` hub the collector also becomes one of its span
-        sinks — it counts spans and hops, and ``telemetry.uninstall()``
-        closes it, which empties the slot.  Without one, the caller
-        closes it.  Raises ``ValueError`` while another collector is
-        attached.  Returns the collector.
+        sinks, so ``telemetry.uninstall()`` closes it, which empties the
+        slot.  Without one, the caller closes it.  Raises ``ValueError``
+        while another collector is attached.  Returns the collector.
         """
         if _profiler.COLLECTOR is not None:
             raise ValueError("a live collector is already attached")
@@ -246,9 +242,7 @@ class LiveCollector:
         stage._live = self
 
     def on_span(self, span: Any) -> None:
-        self.spans_seen += 1
-        if span.category == "transaction.hop":
-            self.hops_seen += 1
+        """Span-sink protocol: spans are not read."""
 
     # ------------------------------------------------------------------
     # The adopted stages' calls (hot path)
@@ -266,11 +260,6 @@ class LiveCollector:
         entry.weight += weight
         self.samples += 1
         self.sample_weight += weight
-        if not self._index_dirty and entry.resolved is not None:
-            key = (trees.name, entry.resolved)
-            self._resolved_weights[key] = (
-                self._resolved_weights.get(key, 0.0) + weight
-            )
         self.now = t
         if t >= self._next_ckpt:
             self.checkpoint()
@@ -281,26 +270,6 @@ class LiveCollector:
         """``label``'s tree, resident and marked dirty, for a change
         that is not a sample (gprof's call counts)."""
         return self._touch(trees, label).cct
-
-    def on_mint(
-        self, trees: StageTrees, value: int, context: TransactionContext, t: float
-    ) -> None:
-        self.now = t
-        self.synopses_minted += 1
-        trees.ops.append(("s", value, context))
-        if (trees.name, value) in self._missing:
-            # A reference that previously failed to resolve just became
-            # resolvable; re-bucket the scalar index on next query.
-            self._index_dirty = True
-
-    def on_crash(self, trees: StageTrees, lost: int) -> None:
-        self.crashes += 1
-        self.synopses_lost += lost
-        trees.ops.append(("c", lost))
-        # Earlier resolutions may have read mappings that no longer
-        # exist; queries resolve against *current* tables, like the
-        # post-mortem pass resolves against end-of-run tables.
-        self._index_dirty = True
 
     # ------------------------------------------------------------------
     # LRU + log
@@ -315,10 +284,8 @@ class LiveCollector:
         entry = trees.entries.get(label)
         if entry is None:
             entry = trees.entries[label] = _Entry(trees.name, label)
-            trees.new_labels.append(label)
             self._admit(entry)
             entry.cct = CallingContextTree(label)
-            entry.resolved = self._resolve_label(label)
         elif entry.cct is None:
             self._admit(entry)
             entry.cct = self._load_tree(entry)
@@ -344,7 +311,7 @@ class LiveCollector:
         for _ in range(min(count, len(lru))):
             entry = next(iter(lru))
             if entry.dirty:
-                entry.where = self._unreferenced[entry] = _ckpt.append_frame(
+                entry.where = _ckpt.append_frame(
                     self._writer(), _ckpt.tree_frame(entry.label, entry.cct),
                     _ckpt.TREE_VERSION,
                 )
@@ -383,70 +350,38 @@ class LiveCollector:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def _counters_doc(self) -> Dict[str, Any]:
-        stats = self._fresh_stats()
-        return {
-            "samples": self.samples,
-            "sample_weight": self.sample_weight,
-            "synopses_minted": self.synopses_minted,
-            "synopses_lost": self.synopses_lost,
-            "crashes": self.crashes,
-            "crosstalk_events": self.crosstalk_events,
-            "spans_seen": self.spans_seen,
-            "hops_seen": self.hops_seen,
-            "events_absorbed": self.events_absorbed,
-            "evictions": self.evictions,
-            "revivals": self.revivals,
-            "attempted": stats.attempted,
-            "unresolved": stats.unresolved,
-        }
-
     def _commit(
-        self,
-        handle: IO[bytes],
-        snapshot: List[_Entry],
-        unreferenced: Dict[_Entry, int],
-        absolute: bool = False,
+        self, handle: IO[bytes], snapshot: List[_Entry]
     ) -> Dict[_Entry, int]:
-        """Append ``snapshot``'s trees, then one commit naming them and
-        ``unreferenced`` (tree frames in the file no commit names yet;
-        see :mod:`repro.live.checkpoint` for the replay semantics).
+        """Append ``snapshot``'s trees, then one commit holding the
+        collector's absolute state (see :mod:`repro.live.checkpoint`).
 
-        The commit carries the labels and synopsis ops since the last
-        one, or with ``absolute`` every label and the whole synopsis
-        table.  Returns the offset of every tree the commit names, and
-        changes nothing in memory: :meth:`_settle` does, once the commit
-        is in the log, so a failed write leaves the collector as it was.
+        Returns the offset of each tree appended, and changes nothing
+        in memory: :meth:`_settle` does, once the commit is in the log,
+        so a failed write leaves the collector as it was.
         """
-        named = dict(unreferenced)
-        for entry in snapshot:
-            named[entry] = _ckpt.append_frame(
+        appended = {
+            entry: _ckpt.append_frame(
                 handle, _ckpt.tree_frame(entry.label, entry.cct),
                 _ckpt.TREE_VERSION,
             )
+            for entry in snapshot
+        }
         encoder = TableEncoder()
         context_id, type_cell = encoder.context, encoder.type_cell
-        trees_doc: Dict[str, List[Any]] = {}
-        for entry, offset in named.items():
-            trees_doc.setdefault(entry.stage, []).append(
-                [context_id(entry.label), offset]
-            )
         stages_doc: Dict[str, Any] = {}
         for name, stage in self._stages.items():
-            trees = stage.ccts
-            if absolute:
-                labels = list(trees.entries)
-                ops = [("s", value, context)
-                       for context, value in stage.synopses.items()]
-            else:
-                labels, ops = trees.new_labels, trees.ops
+            synopses = stage.synopses
             stages_doc[name] = {
-                "new_labels": [context_id(label) for label in labels],
-                "syn_ops": [
-                    ["s", op[1], context_id(op[2])] if op[0] == "s" else list(op)
-                    for op in ops
+                "trees": [
+                    [context_id(label), appended.get(entry, entry.where)]
+                    for label, entry in stage.ccts.entries.items()
                 ],
-                "trees": trees_doc.get(name, []),
+                "synopses": [
+                    synopses.base, synopses.next_value, stage.crashes,
+                    [[value, context_id(context)]
+                     for context, value in synopses.items()],
+                ],
                 "crosstalk": [
                     [type_cell(waiter), type_cell(holder), stats.count,
                      stats.total, stats.max]
@@ -456,25 +391,25 @@ class LiveCollector:
         strings, contexts = encoder.tables()
         commit = {
             "t": self.now,
-            "counters": self._counters_doc(),
+            "counters": {
+                "samples": self.samples,
+                "sample_weight": self.sample_weight,
+                "evictions": self.evictions,
+                "revivals": self.revivals,
+            },
             "strings": strings,
             "contexts": contexts,
             "stages": stages_doc,
         }
         _ckpt.append_frame(handle, commit, _ckpt.COMMIT_VERSION)
         handle.flush()
-        return named
+        return appended
 
-    def _settle(self, named: Dict[_Entry, int], snapshot: List[_Entry]) -> None:
+    def _settle(self, appended: Dict[_Entry, int]) -> None:
         """Make a commit :meth:`_commit` wrote the collector's state."""
-        for entry, offset in named.items():
+        for entry, offset in appended.items():
             entry.where = offset
-        for entry in snapshot:
             entry.dirty = False
-        for stage in self._stages.values():
-            stage.ccts.new_labels = []
-            stage.ccts.ops = []
-        self._unreferenced = {}
         self.checkpoints_written += 1
 
     def checkpoint(self) -> None:
@@ -488,9 +423,7 @@ class LiveCollector:
         if self.directory is None:
             return
         snapshot = [entry for entry in self._lru if entry.dirty]
-        self._settle(
-            self._commit(self._writer(), snapshot, self._unreferenced), snapshot
-        )
+        self._settle(self._commit(self._writer(), snapshot))
         self._next_ckpt = self.now + self.interval
 
     def finalize(self) -> None:
@@ -510,82 +443,64 @@ class LiveCollector:
     ) -> "LiveCollector":
         """Rebuild a collector from a checkpoint directory.
 
-        State is reconstructed *cold* into fresh stage runtimes that no
-        simulation drives: synopsis tables (replayed from the op log),
-        crosstalk aggregates and scalar weights come back resident,
-        CCTs stay on disk until read.  Everything newer than the log's
-        last complete commit is gone (at most one interval plus the gap
-        to the next sample) — the bounded-loss guarantee, not a bug.
-        The directory is only read; the collector's first write cuts
-        the log back to that commit.
+        State is reconstructed *cold*, from the log's last complete
+        commit, into fresh stage runtimes that no simulation drives:
+        synopsis tables, crash counts, crosstalk aggregates and scalar
+        weights come back resident, CCTs stay on disk until read.
+        Everything newer than that commit is gone (at most one interval
+        plus the gap to the next sample) — the bounded-loss guarantee,
+        not a bug.  The directory is only read; the collector's first
+        write cuts the log back to that commit.
         """
         collector = cls(
             directory=directory, interval=interval, max_resident=max_resident
         )
         path = _ckpt.log_path(directory)
-        for end, commit in _ckpt.read_commits(path):
-            collector._replay(commit)
-            collector._log_end = end
-            collector.recovered_from += 1
-        if collector.recovered_from:
-            with open(path, "rb") as handle:
-                for entry in collector._entries():
-                    entry.weight = math.fsum(_ckpt.tree_weights(
-                        _ckpt.read_tree(handle, entry.where)
-                    ))
-            collector._next_ckpt = collector.now + interval
-            collector._index_dirty = True
+        commits = list(_ckpt.commit_frames(path))
+        if not commits:
+            return collector
+        start, collector._log_end = commits[-1]
+        collector.recovered_from = len(commits)
+        with open(path, "rb") as handle:
+            collector._restore(_ckpt.read_commit(handle, start))
+            for entry in collector._entries():
+                entry.weight = math.fsum(_ckpt.tree_weights(
+                    _ckpt.read_tree(handle, entry.where)
+                ))
+        collector._next_ckpt = collector.now + interval
         return collector
 
-    def _replay(self, commit: Dict[str, Any]) -> None:
+    def _restore(self, commit: Dict[str, Any]) -> None:
         self.now = commit["t"]
         counters = commit["counters"]
         self.samples = counters["samples"]
         self.sample_weight = counters["sample_weight"]
-        self.synopses_minted = counters["synopses_minted"]
-        self.synopses_lost = counters["synopses_lost"]
-        self.crashes = counters["crashes"]
-        self.spans_seen = counters["spans_seen"]
-        self.hops_seen = counters["hops_seen"]
         self.evictions = counters["evictions"]
         self.revivals = counters["revivals"]
         decoder = TableDecoder(commit["strings"], commit["contexts"])
         contexts = decoder.contexts
         for name, stage_doc in commit["stages"].items():
-            stage = self._stages.get(name)
-            if stage is None:
-                stage = StageRuntime(name, live=False)
-                self.adopt(stage)
+            stage = StageRuntime(name, live=False)
+            self.adopt(stage)
             entries = stage.ccts.entries
-            for label_id in stage_doc["new_labels"]:
-                label = contexts[label_id]
-                if label not in entries:
-                    entries[label] = _Entry(name, label)
-            for op in stage_doc["syn_ops"]:
-                if op[0] == "s":
-                    stage.synopses.register(contexts[op[2]], op[1])
-                else:
-                    stage.synopses.clear_mappings()
-                    stage.crashes += 1
             for label_id, offset in stage_doc["trees"]:
-                entries[contexts[label_id]].where = offset
-            if stage_doc["crosstalk"]:
-                pairs = stage.crosstalk.pairs = {}
-                for waiter, holder, *stats in stage_doc["crosstalk"]:
-                    pair = PairStats()
-                    pair.count, pair.total, pair.max = stats
-                    pairs[(decoder.type(waiter), decoder.type(holder))] = pair
+                label = contexts[label_id]
+                entry = entries[label] = _Entry(name, label)
+                entry.where = offset
+            base, next_value, stage.crashes, mappings = stage_doc["synopses"]
+            stage.synopses.restore_snapshot(base, next_value)
+            for value, context_id in mappings:
+                stage.synopses.register(contexts[context_id], value)
+            for waiter, holder, *stats in stage_doc["crosstalk"]:
+                pair = PairStats()
+                pair.count, pair.total, pair.max = stats
+                stage.crosstalk.pairs[
+                    (decoder.type(waiter), decoder.type(holder))
+                ] = pair
 
     # ------------------------------------------------------------------
-    # Live queries
+    # Live queries: each reads the stages' current state when asked
     # ------------------------------------------------------------------
-    def _resolve_label(self, label: TransactionContext) -> TransactionContext:
-        resolved = resolve_context(label, self._stages, self._cache, strict=False)
-        for element in resolved:
-            if isinstance(element, UnresolvedRef):
-                self._missing.add((element.origin, element.value))
-        return resolved
-
     def _fresh_stats(self) -> StitchStats:
         """One non-strict resolve pass over every label against the
         *current* tables (exactly what the post-mortem pass would count
@@ -596,34 +511,27 @@ class LiveCollector:
             resolve_context(entry.label, self._stages, cache, False, stats)
         return stats
 
-    def _refresh_index(self) -> None:
-        if not self._index_dirty:
-            return
-        self._cache = {}
-        self._missing.clear()
-        self._resolved_weights = {}
-        for entry in self._entries():
-            entry.resolved = self._resolve_label(entry.label)
-            if entry.weight:
-                key = (entry.stage, entry.resolved)
-                self._resolved_weights[key] = (
-                    self._resolved_weights.get(key, 0.0) + entry.weight
-                )
-        self._index_dirty = False
-
     def top_contexts(
         self, k: int = 10
     ) -> List[Tuple[str, TransactionContext, float, float]]:
         """The ``k`` heaviest (stage, resolved context) entries right
         now: rows ``(stage, context, weight, share-of-stage)``.
 
-        Served from the scalar index — never touches evicted trees, so
-        a query mid-run is cheap at any memory pressure.
+        One non-strict resolve pass over the labels' scalar weights
+        against the current tables — never touches evicted trees, so a
+        query mid-run is cheap at any memory pressure.
         """
-        self._refresh_index()
+        weights: Dict[Tuple[str, TransactionContext], float] = {}
+        cache: Dict[TransactionContext, TransactionContext] = {}
+        for entry in self._entries():
+            if entry.weight:
+                key = (entry.stage, resolve_context(
+                    entry.label, self._stages, cache, False
+                ))
+                weights[key] = weights.get(key, 0.0) + entry.weight
         totals = self.stage_weights()
         rows = sorted(
-            self._resolved_weights.items(),
+            weights.items(),
             key=lambda item: (-item[1], item[0][0], repr(item[0][1])),
         )
         return [
@@ -647,19 +555,14 @@ class LiveCollector:
         stats = self._fresh_stats()
         return stats.attempted, stats.unresolved
 
-    def crosstalk_pairs(self) -> List[Tuple[Any, Any, int, float, float, float]]:
-        """Crosstalk aggregated across stages: rows ``(waiter, holder,
-        count, total, mean, max)``, heaviest total first."""
-        folded: Dict[Tuple[Any, Any], PairStats] = {}
-        for stage in self._stages.values():
-            for key, stats in stage.crosstalk.pairs.items():
-                acc = folded.get(key)
-                if acc is None:
-                    acc = folded[key] = PairStats()
-                acc.add_stats(stats)
+    def crosstalk_pairs(self) -> List[Tuple[str, str, int, float, float, float]]:
+        """Crosstalk aggregated across stages
+        (:func:`~repro.core.persist.crosstalk_table`): rows ``(waiter,
+        holder, count, total, mean, max)``, heaviest total first."""
         rows = [
-            (waiter, holder, acc.count, acc.total, acc.mean, acc.max)
-            for (waiter, holder), acc in folded.items()
+            (waiter, holder, count, total, total / count, peak)
+            for (waiter, holder), (count, total, peak)
+            in crosstalk_table(self._stages.values()).items()
         ]
         rows.sort(key=lambda row: -row[3])
         return rows
@@ -680,7 +583,7 @@ class LiveCollector:
 
     def compact(self, strict: bool = False):
         """Finalize: stitch, then rewrite the log as every tree plus
-        one commit holding absolute state.
+        one commit.
 
         Returns the stitched profile.  The new log is written beside
         the old one and replaces it in one ``os.replace``, so a crash
@@ -703,10 +606,10 @@ class LiveCollector:
         path = _ckpt.log_path(self.directory)
         with open(path + ".tmp", "wb") as handle:
             # The new file names only its own frames.
-            named = self._commit(handle, everything, {}, absolute=True)
+            appended = self._commit(handle, everything)
             end = handle.tell()
         os.replace(path + ".tmp", path)
-        self._settle(named, everything)
+        self._settle(appended)
         self._log_end = end
         return profile
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.context import TransactionContext, UnresolvedRef
 from repro.core.persist import (
@@ -77,28 +77,43 @@ def _tag_unresolved(profile: StitchedProfile, tag: str) -> StitchedProfile:
     return tagged
 
 
+def fold_shards(
+    shards: Sequence[Tuple[Any, Any]],
+    stitch: Callable[[Any], StitchedProfile],
+) -> StitchedProfile:
+    """Fold ``(index, shard)`` pairs into one profile, one shard at a time.
+
+    ``stitch`` turns one shard (a dump group, a recovered live
+    collector) into its profile.  Several shards go through the exact
+    accumulator in the given order, each tagged with its index; a
+    single shard is returned as stitched — no tag, no fold, the
+    classic serial presentation phase.
+    """
+    if len(shards) == 1:
+        return stitch(shards[0][1])
+    from repro.parallel.reduce import ProfileAccumulator
+
+    accumulator = ProfileAccumulator()
+    for index, shard in shards:
+        accumulator.add_profile(
+            _tag_unresolved(stitch(shard), f"@shard{index}")
+        )
+    return accumulator.finalize()
+
+
 def stitch_groups(
     groups: Sequence[Sequence[str]],
     strict: bool = True,
     crosstalk: Optional[CrosstalkTable] = None,
 ) -> StitchedProfile:
-    """Fold per-shard dump groups into one profile, one shard at a time.
-
-    Shards go through the exact accumulator in shard order, each tagged
-    with its index; a single group is returned as stitched — no tag,
-    no fold, the classic serial presentation phase.  ``crosstalk``, when
-    given, receives every dump's crosstalk pairs in group order.
+    """Fold per-shard dump groups into one profile (:func:`fold_shards`,
+    each group's index its shard's).  ``crosstalk``, when given,
+    receives every dump's crosstalk pairs in group order.
     """
-    if len(groups) == 1:
-        return stitch_group(groups[0], strict, crosstalk)
-    from repro.parallel.reduce import ProfileAccumulator
-
-    accumulator = ProfileAccumulator()
-    for index, paths in enumerate(groups):
-        accumulator.add_profile(_tag_unresolved(
-            stitch_group(paths, strict, crosstalk), f"@shard{index}"
-        ))
-    return accumulator.finalize()
+    return fold_shards(
+        list(enumerate(groups)),
+        lambda paths: stitch_group(paths, strict, crosstalk),
+    )
 
 
 def spool_groups(spool_dir: str) -> List[List[str]]:

@@ -6,7 +6,8 @@ surviving prefix of the log must restore the counters, resolution accounting
 (attempted/unresolved — the completeness ratio), and queryable state
 *exactly* as of the last surviving checkpoint — including runs where a
 simulated stage crash (``repro.faults``) wiped synopsis tables mid-run,
-since the op-log replay re-applies mints and clears in order.
+since each commit holds the tables as they stood, with their next
+values and crash counts.
 """
 
 import hashlib
@@ -16,6 +17,8 @@ import pytest
 
 from repro import telemetry
 from repro.apps.tpcw import TpcwSystem
+from repro.core.context import SynopsisRef, TransactionContext
+from repro.core.profiler import StageRuntime
 from repro.live import LOG_NAME, LiveCollector, attach_collector, read_commits
 from repro.parallel import canonical_profile_bytes
 
@@ -30,12 +33,37 @@ def _digest(profile) -> str:
     return hashlib.sha256(canonical_profile_bytes(profile)).hexdigest()
 
 
-def _checkpointed_run(tmp_path, fault_plan=None):
+def _answers(collector):
+    """What the collector answers without reading a tree."""
+    return (
+        collector.now,
+        collector.samples,
+        collector.sample_weight,
+        collector.synopses_minted,
+        collector.crashes,
+        collector.events_absorbed,
+        collector.evictions,
+        collector.revivals,
+        collector.stitch_stats(),
+    )
+
+
+def _checkpointed_run(tmp_path, fault_plan=None, answers=None):
+    """One seeded TPC-W run under a spilling collector; ``answers``,
+    when given, receives what the collector answered at each commit."""
     tele = telemetry.install("spans")
     directory = str(tmp_path / "live")
     collector = attach_collector(
         tele, directory=directory, interval=2.0, max_resident=6
     )
+    if answers is not None:
+        write = collector.checkpoint
+
+        def checkpoint_and_record():
+            write()
+            answers.append(_answers(collector))
+
+        collector.checkpoint = checkpoint_and_record
     kwargs = {"clients": 12, "seed": 7}
     if fault_plan is not None:
         kwargs.update(fault_plan=fault_plan, fault_seed=1)
@@ -63,35 +91,35 @@ def test_recovery_after_collector_death_is_exact(tmp_path):
     an older commit) during a run where a stage crash cleared synopsis
     tables; the restart must restore the accounting of the last
     surviving commit exactly — no drift, no double counting."""
+    answers = []
     directory, _, _ = _checkpointed_run(
-        tmp_path, fault_plan="crash=tomcat@9.0"
+        tmp_path, fault_plan="crash=tomcat@9.0", answers=answers
     )
     log = os.path.join(directory, LOG_NAME)
     commits = list(read_commits(log))
-    assert len(commits) > 4
+    assert len(commits) == len(answers) > 4
     end, survivor = commits[-3]  # everything after it is lost
     with open(log, "r+b") as handle:
         handle.truncate(end)
     stored = survivor["counters"]
-    assert stored["crashes"] >= 1  # the fault fired before the survivor
 
     recovered = LiveCollector.recover(directory)
+    assert recovered.recovered_from == len(commits) - 2
     assert recovered.now == survivor["t"]
     assert recovered.samples == stored["samples"]
     assert recovered.sample_weight == stored["sample_weight"]
-    assert recovered.synopses_minted == stored["synopses_minted"]
-    assert recovered.synopses_lost == stored["synopses_lost"]
-    assert recovered.crashes == stored["crashes"]
+    # The derived counters (mints from the tables' next values, crash
+    # clears from the stages' counts) and the resolution tallies are
+    # what the live collector answered at that commit.
+    assert _answers(recovered) == answers[-3]
+    assert recovered.crashes >= 1  # the fault fired before the survivor
     # The LRU's own counters are cumulative state like the rest.
     assert recovered.evictions == stored["evictions"] > 0
     assert recovered.revivals == stored["revivals"] > 0
     attempted, unresolved = recovered.stitch_stats()
-    assert (attempted, unresolved) == (
-        stored["attempted"], stored["unresolved"]
-    )
     # The completeness ratio is recomputed from a fresh resolve pass
-    # over recovered state, not read back from the file — and still
-    # agrees with the stored accounting exactly.
+    # over recovered state, not read back from the file — and agrees
+    # with the tallies the live collector answered exactly.
     assert recovered.completeness() == (attempted - unresolved) / attempted
     assert recovered.completeness() < 1.0  # the crash really lost refs
 
@@ -153,3 +181,57 @@ def test_a_closed_collector_writes_on_where_it_stopped(tmp_path):
     recovered = LiveCollector.recover(directory)
     assert recovered.recovered_from == 3
     assert _digest(recovered.stitched_profile(strict=True)) == digest
+
+
+def _tables(collector):
+    """Each stage's synopsis mappings, next value and crash count."""
+    return {
+        stage.name: (
+            stage.synopses.items(), stage.synopses.next_value, stage.crashes
+        )
+        for stage in collector.stages
+    }
+
+
+def test_mint_crash_mint_within_one_interval_recovers_the_live_tables(
+    tmp_path,
+):
+    """The sequence a set of mappings alone cannot tell apart from a
+    plain mint: a context minted, the table cleared by a crash, the
+    same context minted again under a new value, all between two
+    commits.  Recovery must give the live tables back — mappings, next
+    value and crash count — and with them the live digest and event
+    count."""
+    directory = str(tmp_path / "live")
+    collector = attach_collector(None, directory=directory, interval=100.0)
+    try:
+        web = StageRuntime("web")
+        db = StageRuntime("db")
+        first = TransactionContext(("accept", "read"))
+        second = TransactionContext(("accept", "write"))
+        stale = web.synopses.synopsis(first)
+        web.synopses.synopsis(second)
+        assert web.crash() == 2
+        fresh = web.synopses.synopsis(first)
+        assert fresh != stale
+        for value, weight in ((stale, 3.0), (fresh, 5.0)):
+            label = TransactionContext((SynopsisRef("web", value),))
+            collector.on_sample(db.ccts, label, ("query",), weight, 1.0)
+        collector.on_sample(web.ccts, first, ("read",), 2.0, 1.5)
+        live = _tables(collector)
+        assert live["web"] == (((first, fresh),), 4, 1)
+        collector.finalize()
+    finally:
+        collector.close()
+    assert collector.checkpoints_written == 1
+    profile = collector.stitched_profile()
+    assert profile.unresolved_refs == 1  # the stale value stays lost
+
+    recovered = LiveCollector.recover(directory)
+    assert _tables(recovered) == live
+    assert recovered.synopses_minted == collector.synopses_minted == 3
+    assert recovered.crashes == collector.crashes == 1
+    assert recovered.events_absorbed == collector.events_absorbed == 3 + 3 + 1
+    assert recovered.stitch_stats() == collector.stitch_stats()
+    assert recovered.top_contexts(10) == collector.top_contexts(10)
+    assert _digest(recovered.stitched_profile()) == _digest(profile)

@@ -19,6 +19,7 @@ import pytest
 from repro import telemetry
 from repro.apps.tpcw import TpcwSystem
 from repro.core import profiler
+from repro.core.persist import crosstalk_table, live_collectors, load_run
 from repro.core.profiler import ProfilerMode
 from repro.live import LOG_NAME, LiveCollector, attach_collector, read_commits
 from repro.parallel import canonical_profile_bytes
@@ -101,8 +102,6 @@ def test_a_spilling_collector_without_telemetry_matches_a_run_without_one(
         collector.close()
     assert collector.evictions > 0 and collector.revivals > 0
     assert collector.peak_resident == max_resident
-    # No spans were built, so none were seen.
-    assert collector.spans_seen == 0
     assert collector.events_absorbed > collector.samples > 0
     assert _digest(collector.compact(strict=True)) == _oracle(
         duration=8.0, warmup=1.0, clients=10
@@ -215,6 +214,20 @@ def test_live_crosstalk_and_renderers(tmp_path):
     assert "live profile" in top and "stage totals" in top
     assert render_live_crosstalk(collector).count("\n") >= 1
 
+    # A live directory's run profile folds the recovered stages'
+    # crosstalk like any other run: the same items, in the same order.
+    collector.finalize()
+    collector.close()
+    directory = collector.directory
+    recovered = [stage for _index, recovered in live_collectors(directory)
+                 for stage in recovered.stages]
+    loaded = load_run(directory).crosstalk
+    assert loaded
+    assert list(loaded.items()) == list(crosstalk_table(recovered).items())
+    assert list(loaded.items()) == list(
+        crosstalk_table(collector.stages).items()
+    )
+
 
 def test_sharded_live_collection_folds_like_parallel_stitch(tmp_path):
     """Per-shard live collectors, folded shard-by-shard through the
@@ -253,3 +266,10 @@ def test_sharded_live_collection_folds_like_parallel_stitch(tmp_path):
         assert "sink_errors" not in extra
     folded = accumulator.finalize()
     assert _digest(folded) == _digest(post.stitch(strict=False))
+    # load_run folds the directory the same way, crosstalk included.
+    loaded = load_run(str(live_dir))
+    assert _digest(loaded.profile) == _digest(folded)
+    assert list(loaded.crosstalk.items()) == list(crosstalk_table(
+        stage for _index, recovered in live_collectors(str(live_dir))
+        for stage in recovered.stages
+    ).items())

@@ -65,7 +65,6 @@ def _state(collector):
         collector.samples,
         collector.sample_weight,
         collector.synopses_minted,
-        collector.synopses_lost,
         collector.crashes,
         collector.events_absorbed,
         collector.evictions,

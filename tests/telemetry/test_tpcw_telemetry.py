@@ -150,7 +150,8 @@ def test_cli_warns_when_outputs_requested_but_telemetry_off(tmp_path, capsys):
     from repro.cli import main
 
     trace = tmp_path / "ignored.json"
-    main(["table3", "--trace-out", str(trace)])
+    main(["apache", "--seconds", "0.5", "--clients", "2", "--objects", "50",
+          "--trace-out", str(trace)])
     err = capsys.readouterr().err
     assert "--trace-out ignored" in err
     assert not trace.exists()

@@ -79,6 +79,8 @@ def test_bad_seconds_is_a_usage_error(command, seconds, capsys):
          "--live", "--live-top", "0"],
         ["tpcw", "--clients", "2", "--duration", "1", "--warmup", "0",
          "--live", "--live-top", "-1"],
+        ["diff", "before", "after", "--top", "-1"],
+        ["live-report", "live", "--top", "-2"],
     ],
 )
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
@@ -88,6 +90,8 @@ def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     # raised from partition_clients; --objects 0 raised IndexError; a
     # NaN or non-positive --retry-timeout raised ValueError; --retries
     # -2 meant no retries and --live-top 0 printed "(no samples yet)".
+    # diff --top -1 printed every row but the last, and live-report
+    # --top -2 printed "(no samples yet)" for a collector with samples.
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
